@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -225,33 +224,26 @@ def _build_run_config(args) -> RunConfig:
 
 def cmd_verify(args) -> int:
     cfg = _build_run_config(args)
-    workers_env = os.environ.get("DUNKL_THREADS", "1").strip() or "1"
-    try:
-        workers = int(workers_env)
-    except ValueError as exc:
-        raise CliError(f"DUNKL_THREADS must be an integer, got {workers_env!r}") from exc
-    if workers == 0:
-        workers = os.cpu_count() or 1
     from .transform import PlanSelfTestError
 
     try:
-        result = run_suites(cfg, max_workers=workers)
+        reports = run_suites(cfg)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
     except PlanSelfTestError as exc:
         raise CliError(str(exc)) from exc
     text = (
-        reports_to_csv(result.reports, cfg.include_timing)
+        reports_to_csv(reports, cfg.include_timing)
         if cfg.out_format == "csv"
-        else reports_to_json(result.reports, cfg.include_timing) + "\n"
+        else reports_to_json(reports, cfg.include_timing) + "\n"
     )
     _write_or_print(text, cfg.out_path)
-    fails = [r for r in result.reports if not r.passed()]
-    summary = f"{len(result.reports)} checks, {len(fails)} over tolerance\n"
+    fails = [r for r in reports if not r.passed()]
+    summary = f"{len(reports)} checks, {len(fails)} over tolerance\n"
     sys.stderr.write(summary)
     for r in fails:
         sys.stderr.write(f"  FAIL {r.name} {r.params}: {r.max_rel_err:.3e}\n")
-    return 0 if result.passed else 1
+    return 1 if fails else 0
 
 
 def cmd_report(args) -> int:

@@ -17,7 +17,6 @@ from scipy.interpolate import CubicSpline
 
 from .functions import (
     GridFunction,
-    KernelFunction,
     PolyFunction,
     PolyGaussian,
     WrappedFunction,
@@ -355,8 +354,3 @@ def convolution(
         tau_plus = translation(a, f, x, y, n=theta_nodes)
         total += w * (tau_minus * np.asarray(g(y)) + tau_plus * np.asarray(g(-y)))
     return total
-
-
-def kernel_function(alpha: OrderParam | float, lam: complex) -> KernelFunction:
-    """Smooth-function object for x -> E_alpha(lam x)."""
-    return KernelFunction(alpha, lam)

@@ -155,9 +155,14 @@ def frac_power_kernel(
         lo = ax / 2.0
         gap = ax - lo
         while gap > delta:
-            step = gap * 0.5 if gap * 0.5 > delta else gap - delta
+            last = gap * 0.5 <= delta
+            step = gap - delta if last else gap * 0.5
             yy, ww = _gl_panel(lo, lo + step, 24)
             total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy)))
+            if last:
+                # this panel ends at ax - delta; rounding can leave ax - lo an
+                # ulp above delta, and steps of that size no longer move lo
+                break
             lo += step
             gap = ax - lo
 

@@ -217,9 +217,6 @@ class GridFunction:
     def odd_values(self) -> np.ndarray:
         return 0.5 * (self.values - self.values[::-1])
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(grid=self.grid, values=np.asarray(values), smoothness_hint=self.smoothness_hint)
-
 
 class KernelFunction:
     """x -> E_alpha(lam x) as a smooth function object with exact derivative,

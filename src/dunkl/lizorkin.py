@@ -19,7 +19,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -87,6 +86,18 @@ class LizorkinWitness:
     spectrum: np.ndarray = field(repr=False)
     values: GridFunction = field(repr=False)
     fn: SpectralFunction = field(repr=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def dual_sonine_image(self, pair: SoninePair, plan_alpha: TransformPlan, u_max: float) -> np.ndarray:
+        """tS w on the x-nodes of ``plan_alpha``, built once per pair, plan
+        and truncation radius and kept on the witness.  The plan enters the
+        key through the parameters that fix its x-nodes."""
+        key = (pair.a, pair.b, plan_alpha.alpha, plan_alpha.half_width, plan_alpha.x_nodes.size, u_max)
+        if key not in self._images:
+            image = dual_sonine_grid(pair, self.fn, plan_alpha.x_nodes, u_max=u_max)
+            image.flags.writeable = False  # every later caller gets this same array
+            self._images[key] = image
+        return self._images[key]
 
     def moment_relative(self, k: int) -> float:
         """|int f y^k |y|^(2a+1) dy| relative to the same integral of |f|.
@@ -193,18 +204,6 @@ def _u_max_for(plan: TransformPlan) -> float:
     return plan.half_width**2
 
 
-
-def _ts_grid_cached(pair, plan_alpha, witness, u_max, shared):
-    """Dual-Sonine image of a witness on the alpha x-grid, computed once per
-    (witness, plan) within a suite run."""
-    if shared is None:
-        return dual_sonine_grid(pair, witness.fn, plan_alpha.x_nodes, u_max=u_max)
-    key = ("ts", id(witness.fn), id(plan_alpha))
-    if key not in shared:
-        shared[key] = dual_sonine_grid(pair, witness.fn, plan_alpha.x_nodes, u_max=u_max)
-    return shared[key]
-
-
 def inversion_check(
     pair: SoninePair,
     plan_alpha: TransformPlan,
@@ -212,7 +211,6 @@ def inversion_check(
     witness: LizorkinWitness,
     order: str,
     thin: int = 3,
-    shared: Optional[dict] = None,
 ) -> IdentityReport:
     """Run one reconstruction pipeline and compare against the witness.
 
@@ -229,7 +227,7 @@ def inversion_check(
     u_max = _u_max_for(plan_beta)
 
     if order == "s-k1-ts":
-        ts_values = _ts_grid_cached(pair, plan_alpha, witness, u_max, shared)
+        ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
         k_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
         ref_grid, ref_vals = witness.plan.x_nodes, witness.values.values
         mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
@@ -255,7 +253,7 @@ def inversion_check(
         reference = ref_vals[mask][::thin]
         recon = k_img(points)
     elif order == "k2-s-ts":
-        ts_values = _ts_grid_cached(pair, plan_alpha, witness, u_max, shared)
+        ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
         ts_fn = SpectralFunction.from_spectrum(plan_alpha, forward(plan_alpha, ts_values).values)
         s_values = sonine_grid(pair, ts_fn, plan_beta.x_nodes)
         k_img = k_operator("beta-full", pair, plan_alpha, plan_beta, GridFunction(plan_beta.x_nodes, s_values, "schwartz"))
@@ -283,12 +281,11 @@ def multiplier_commutation_check(
     plan_alpha: TransformPlan,
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
-    shared: Optional[dict] = None,
 ) -> IdentityReport:
     """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness."""
     start = time.perf_counter()
     u_max = _u_max_for(plan_beta)
-    ts_values = _ts_grid_cached(pair, plan_alpha, witness, u_max, shared)
+    ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
     lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
     lhs = lhs_img(plan_alpha.x_nodes)
 
@@ -311,13 +308,12 @@ def plancherel_dual_check(
     plan_alpha: TransformPlan,
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
-    shared: Optional[dict] = None,
 ) -> IdentityReport:
     """Weighted norm of a beta-witness against the alpha-weighted norm of the
     half-power image of its dual-Sonine transform."""
     start = time.perf_counter()
     lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
-    ts_values = _ts_grid_cached(pair, plan_alpha, witness, _u_max_for(plan_beta), shared)
+    ts_values = witness.dual_sonine_image(pair, plan_alpha, _u_max_for(plan_beta))
     k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
     rhs = float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))
     abs_err = abs(lhs - rhs)

@@ -9,12 +9,10 @@ are byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
-__all__ = ["IdentityReport", "timed", "reports_to_json", "reports_from_json", "reports_to_csv"]
+__all__ = ["IdentityReport", "reports_to_json", "reports_from_json", "reports_to_csv"]
 
 CSV_COLUMNS = ("name", "params", "grid", "max_abs_err", "max_rel_err", "elapsed_s")
 
@@ -75,13 +73,6 @@ def _jsonable(obj: Any):
     if hasattr(obj, "item"):
         return obj.item()
     return obj
-
-
-@contextmanager
-def timed(setter):
-    start = time.perf_counter()
-    yield
-    setter(time.perf_counter() - start)
 
 
 def _float_repr(x: float) -> str:

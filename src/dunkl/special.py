@@ -9,7 +9,7 @@ coefficient growth never overflows an intermediate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,17 +104,11 @@ def b_coeff(n: int, alpha: OrderParam | float) -> float:
 
 @dataclass(frozen=True)
 class CoeffCache:
-    """Precomputed b_0..b_N for one order parameter.
-
-    Immutable after construction and safe to share across threads.  The
-    log-Gamma evaluator used to build the table is kept as a handle so the
-    diagonal operator actions can extend the table consistently.
-    """
+    """Precomputed b_0..b_N for one order parameter; immutable."""
 
     order: OrderParam
     b: tuple[float, ...]
     log_b: tuple[float, ...]
-    loggamma: object = field(default=log_gamma, repr=False, compare=False)
 
     @classmethod
     def build(cls, alpha: OrderParam | float, n_max: int) -> "CoeffCache":

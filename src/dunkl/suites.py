@@ -1,14 +1,16 @@
 """Named verification suites driven by the CLI.
 
 Each suite runs one family of identities over a parameter sweep and returns
-one IdentityReport per identity per parameter point, with the pass tolerance
-recorded in the report parameters.  Light suites sweep the default order
-grid; the pipeline suites run on the three-pair set that covers the
-singular, flat and smooth regimes of the Sonine weight exponent.
+one IdentityReport per identity per parameter point.  Light suites sweep the
+default order grid; the pipeline suites run on the three-pair set that
+covers the singular, flat and smooth regimes of the Sonine weight exponent.
+``run_suites`` runs them serially on one RunContext and records in each
+report's parameters the pass tolerance that its name selects.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from .report import IdentityReport
 from .sonine import SoninePair
 from .special import b_coeff
 
-__all__ = ["SuiteResult", "RunConfig", "SUITES", "DEFAULT_TOLERANCES", "run_suites", "suite_names"]
+__all__ = ["RunConfig", "RunContext", "SUITES", "DEFAULT_TOLERANCES", "run_suites", "suite_names"]
 
 DEFAULT_ALPHAS = (-0.25, 0.0, 0.5, 1.5)
 DEFAULT_BETA_OFFSETS = (0.5, 1.0, 2.0)
@@ -69,7 +71,12 @@ class RunConfig:
     include_timing: bool = False
 
     def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        """Tolerance for a report name: every ``inversion-*`` pipeline reads
+        the key ``inversion``, any other name its own key."""
+        key = "inversion" if name.startswith("inversion-") else name
+        if key not in DEFAULT_TOLERANCES:
+            raise KeyError(f"report {name!r} has no tolerance key")
+        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     def order_sweep(self) -> tuple:
         if self.alpha is not None:
@@ -91,53 +98,50 @@ class RunConfig:
         return PIPELINE_PAIRS
 
 
-@dataclass
-class SuiteResult:
-    reports: list
-    passed: bool
+class RunContext:
+    """What one run builds once and its suites share: transform plans,
+    witness plans and witnesses, memoized by value.  A witness keeps its own
+    dual-Sonine images (LizorkinWitness.dual_sonine_image)."""
 
-    @classmethod
-    def collect(cls, reports: Iterable[IdentityReport]) -> "SuiteResult":
-        reports = list(reports)
-        return cls(reports=reports, passed=all(r.passed() for r in reports))
-
-
-class _PlanCache:
     def __init__(self, config: RunConfig):
         self.config = config
-        self._plans: dict = {}
-        self._witness_plans: dict = {}
-        self._witnesses: dict = {}
+        self._memo: dict = {}
+
+    def _once(self, key: tuple, build: Callable):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def plan(self, alpha: float) -> transform.TransformPlan:
-        key = round(float(alpha), 12)
-        if key not in self._plans:
-            c = self.config
-            self._plans[key] = transform.build_plan(
+        c = self.config
+        return self._once(
+            ("plan", round(float(alpha), 12)),
+            lambda: transform.build_plan(
                 alpha, half_width=c.half_width, n_x=c.n_x, lambda_max=c.lambda_max, n_lambda=c.n_lambda
-            )
-        return self._plans[key]
+            ),
+        )
 
     def witness_plan(self, alpha: float) -> transform.TransformPlan:
-        key = round(float(alpha), 12)
-        if key not in self._witness_plans:
-            self._witness_plans[key] = lizorkin.witness_plan(alpha)
-        return self._witness_plans[key]
+        return self._once(("witness-plan", round(float(alpha), 12)), lambda: lizorkin.witness_plan(alpha))
 
     def witness(self, alpha: float, m: int) -> lizorkin.LizorkinWitness:
-        key = (round(float(alpha), 12), m)
-        if key not in self._witnesses:
-            self._witnesses[key] = lizorkin.make_witness(alpha, self.witness_plan(alpha), m=m)
-        return self._witnesses[key]
+        return self._once(
+            ("witness", round(float(alpha), 12), m),
+            lambda: lizorkin.make_witness(alpha, self.witness_plan(alpha), m=m),
+        )
+
+    def pipeline(self, a: float, b: float) -> tuple:
+        """Sonine pair and both witness plans, the leading arguments of the
+        lizorkin checks."""
+        return SoninePair.of(a, b), self.witness_plan(a), self.witness_plan(b)
 
 
-def _report(name, params, grid, lhs_rhs_or_errs, elapsed, tol) -> IdentityReport:
-    abs_err, rel_err = lhs_rhs_or_errs
-    params = dict(params)
-    params["tol"] = tol
-    return IdentityReport(
-        name=name, params=params, grid_summary=grid, max_abs_err=abs_err, max_rel_err=rel_err, elapsed=elapsed
-    )
+def _check(name: str, params: dict, grid: str, compute: Callable, *args) -> IdentityReport:
+    """Time ``compute(*args)`` and report the (max_abs_err, max_rel_err) it
+    returns."""
+    start = time.perf_counter()
+    abs_err, rel_err = compute(*args)
+    return IdentityReport(name, params, grid, abs_err, rel_err, time.perf_counter() - start)
 
 
 def _errs(reference, candidate) -> tuple[float, float]:
@@ -148,423 +152,320 @@ def _errs(reference, candidate) -> tuple[float, float]:
     return abs_err, abs_err / max(scale, 1e-300)
 
 
-def suite_kernel_consistency(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("kernel-consistency")
-    z_set = [0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 10j, -10j, 3 + 4j]
-    reports = []
-    for a in (-0.4, 0.0, 0.5, 1.5, 2.7):
-        start = time.perf_counter()
-        worst = 0.0
-        for z in z_set:
-            vals = [core.dunkl_kernel(a, z, mode) for mode in ("series", "bochner", "bessel")]
-            scale = max(abs(v) for v in vals)
-            spread = max(abs(v - w) for v in vals for w in vals)
-            worst = max(worst, spread / scale)
-        reports.append(
-            _report(
-                "kernel-consistency",
-                {"alpha": a},
-                f"{len(z_set)} arguments, 3 evaluation modes",
-                (worst, worst),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
-    return reports
+def _sides(params: dict, lhs, rhs) -> tuple[float, float]:
+    """Record both sides of a pairing identity in ``params``; return their
+    errors."""
+    params.update(lhs=float(np.real(lhs)), rhs=float(np.real(rhs)))
+    return _errs(rhs, lhs)
 
 
-def suite_transmutation(config: RunConfig, cache: _PlanCache) -> list:
+_KERNEL_ARGS = (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 10j, -10j, 3 + 4j)
+
+
+def _kernel_spread(a: float) -> tuple[float, float]:
+    worst = 0.0
+    for z in _KERNEL_ARGS:
+        vals = [core.dunkl_kernel(a, z, mode) for mode in ("series", "bochner", "bessel")]
+        scale = max(abs(v) for v in vals)
+        spread = max(abs(v - w) for v in vals for w in vals)
+        worst = max(worst, spread / scale)
+    return worst, worst
+
+
+def suite_kernel_consistency(config: RunConfig, ctx: RunContext) -> list:
+    grid = f"{len(_KERNEL_ARGS)} arguments, 3 evaluation modes"
+    return [_check("kernel-consistency", {"alpha": a}, grid, _kernel_spread, a) for a in (-0.4, 0.0, 0.5, 1.5, 2.7)]
+
+
+def _transmutation_exact(a: float, coeffs: np.ndarray) -> tuple[float, float]:
+    p = PolyFunction(coeffs)
+    lhs = core.dunkl_operator(a, core.intertwiner_v(a, p))
+    rhs = core.intertwiner_v(a, p.derivative())
+    width = max(len(lhs.coeffs), len(rhs.coeffs))
+    lc = np.zeros(width)
+    rc = np.zeros(width)
+    lc[: len(lhs.coeffs)] = lhs.coeffs
+    rc[: len(rhs.coeffs)] = rhs.coeffs
+    abs_err = float(np.max(np.abs(lc - rc)))
+    return abs_err, abs_err / max(float(np.max(np.abs(rc))), 1e-300)
+
+
+def _transmutation_smooth(a: float, grid: np.ndarray) -> tuple[float, float]:
+    """Dual relation on a Schwartz function, on a grid."""
+    f = monomial_gaussian(1)
+    lhs_vals = np.asarray([core.dual_intertwiner_v(a, core.dunkl_operator(a, f), float(x)) for x in grid])
+    h = 1e-3
+    tv = lambda u: core.dual_intertwiner_v(a, f, float(u))
+    rhs_vals = np.asarray([(8 * (tv(x + h) - tv(x - h)) - (tv(x + 2 * h) - tv(x - 2 * h))) / (12 * h) for x in grid])
+    return _errs(rhs_vals, lhs_vals)
+
+
+def suite_transmutation(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     rng = np.random.default_rng(7)
+    grid = np.linspace(-2.0, 2.0, 9)
     for a in config.order_sweep():
-        start = time.perf_counter()
         coeffs = rng.standard_normal(21)
-        p = PolyFunction(coeffs)
-        lhs = core.dunkl_operator(a, core.intertwiner_v(a, p))
-        rhs = core.intertwiner_v(a, p.derivative())
-        width = max(len(lhs.coeffs), len(rhs.coeffs))
-        lc = np.zeros(width)
-        rc = np.zeros(width)
-        lc[: len(lhs.coeffs)] = lhs.coeffs
-        rc[: len(rhs.coeffs)] = rhs.coeffs
-        abs_err = float(np.max(np.abs(lc - rc)))
-        rel = abs_err / max(float(np.max(np.abs(rc))), 1e-300)
         reports.append(
-            _report(
-                "transmutation-exact",
-                {"alpha": a, "degree": 20},
-                "polynomial coefficients",
-                (abs_err, rel),
-                time.perf_counter() - start,
-                config.tol("transmutation-exact"),
-            )
+            _check("transmutation-exact", {"alpha": a, "degree": 20}, "polynomial coefficients",
+                   _transmutation_exact, a, coeffs)
         )
-        # dual relation on a Schwartz function, on a grid
-        start = time.perf_counter()
-        f = monomial_gaussian(1)
-        grid = np.linspace(-2.0, 2.0, 9)
-        lhs_vals = np.asarray([core.dual_intertwiner_v(a, core.dunkl_operator(a, f), float(x)) for x in grid])
-        h = 1e-3
-        tv = lambda u: core.dual_intertwiner_v(a, f, float(u))
-        rhs_vals = np.asarray([(8 * (tv(x + h) - tv(x - h)) - (tv(x + 2 * h) - tv(x - 2 * h))) / (12 * h) for x in grid])
         reports.append(
-            _report(
-                "transmutation-smooth",
-                {"alpha": a, "input": "x*exp(-x^2)"},
-                f"{grid.size}-point grid",
-                _errs(rhs_vals, lhs_vals),
-                time.perf_counter() - start,
-                config.tol("transmutation-smooth"),
-            )
+            _check("transmutation-smooth", {"alpha": a, "input": "x*exp(-x^2)"}, f"{grid.size}-point grid",
+                   _transmutation_smooth, a, grid)
         )
     return reports
 
 
-def suite_duality(config: RunConfig, cache: _PlanCache) -> list:
+def _intertwiner_duality(a: float, params: dict) -> tuple[float, float]:
+    f = PolyFunction.monomial(2)
+    g = gaussian()
+    vf = core.intertwiner_v(a, f)
+    rule = radial_rule(a, 14.0, 128)
+    lhs = np.sum(rule.weights * (vf(rule.nodes) * g(rule.nodes) + vf(-rule.nodes) * g(-rule.nodes)))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(160)
+    nodes = 14.0 * gl_x
+    weights = 14.0 * gl_w
+    tvg = core.dual_intertwiner_v_grid(a, g, nodes, u_max=400.0)
+    return _sides(params, lhs, np.sum(weights * f(nodes) * tvg))
+
+
+def _sonine_duality(a: float, b: float, params: dict) -> tuple[float, float]:
+    pair = SoninePair.of(a, b)
+    f = PolyFunction.monomial(2)
+    g = gaussian()
+    sf = sonine.sonine_apply(pair, f)
+    rule_b = radial_rule(b, 14.0, 128)
+    lhs = np.sum(rule_b.weights * (sf(rule_b.nodes) * g(rule_b.nodes) + sf(-rule_b.nodes) * g(-rule_b.nodes)))
+    rule_a = radial_rule(a, 14.0, 128)
+    tsg = sonine.dual_sonine_grid(pair, g, rule_a.nodes, u_max=400.0)
+    tsg_neg = sonine.dual_sonine_grid(pair, g, -rule_a.nodes, u_max=400.0)
+    return _sides(params, lhs, np.sum(rule_a.weights * (f(rule_a.nodes) * tsg + f(-rule_a.nodes) * tsg_neg)))
+
+
+def suite_duality(config: RunConfig, ctx: RunContext) -> list:
     """Weighted duality pairings of the intertwiner and the Sonine pair."""
+    grid = "independent weighted quadratures"
     reports = []
-    tol = config.tol("duality")
     for a in config.order_sweep():
-        start = time.perf_counter()
-        f = PolyFunction.monomial(2)
-        g = gaussian()
-        vf = core.intertwiner_v(a, f)
-        rule = radial_rule(a, 14.0, 128)
-        lhs = np.sum(rule.weights * (vf(rule.nodes) * g(rule.nodes) + vf(-rule.nodes) * g(-rule.nodes)))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(160)
-        nodes = 14.0 * gl_x
-        weights = 14.0 * gl_w
-        tvg = core.dual_intertwiner_v_grid(a, g, nodes, u_max=400.0)
-        rhs = np.sum(weights * f(nodes) * tvg)
-        reports.append(
-            _report(
-                "duality",
-                {"alpha": a, "pair": "x^2, exp(-x^2)", "lhs": float(np.real(lhs)), "rhs": float(np.real(rhs))},
-                "independent weighted quadratures",
-                _errs(rhs, lhs),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
+        params = {"alpha": a, "pair": "x^2, exp(-x^2)"}
+        reports.append(_check("duality", params, grid, _intertwiner_duality, a, params))
     for (a, b) in config.pair_sweep():
-        start = time.perf_counter()
-        pair = SoninePair.of(a, b)
-        f = PolyFunction.monomial(2)
-        g = gaussian()
-        sf = sonine.sonine_apply(pair, f)
-        rule_b = radial_rule(b, 14.0, 128)
-        lhs = np.sum(rule_b.weights * (sf(rule_b.nodes) * g(rule_b.nodes) + sf(-rule_b.nodes) * g(-rule_b.nodes)))
-        rule_a = radial_rule(a, 14.0, 128)
-        tsg = sonine.dual_sonine_grid(pair, g, rule_a.nodes, u_max=400.0)
-        tsg_neg = sonine.dual_sonine_grid(pair, g, -rule_a.nodes, u_max=400.0)
-        rhs = np.sum(rule_a.weights * (f(rule_a.nodes) * tsg + f(-rule_a.nodes) * tsg_neg))
-        reports.append(
-            _report(
-                "duality",
-                {"alpha": a, "beta": b, "pair": "x^2, exp(-x^2)", "lhs": float(np.real(lhs)), "rhs": float(np.real(rhs))},
-                "independent weighted quadratures",
-                _errs(rhs, lhs),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
+        params = {"alpha": a, "beta": b, "pair": "x^2, exp(-x^2)"}
+        reports.append(_check("duality", params, grid, _sonine_duality, a, b, params))
     return reports
 
 
-def suite_sonine_product(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("sonine-product")
-    reports = []
-    for (a, b) in config.pair_sweep():
-        start = time.perf_counter()
-        pair = SoninePair.of(a, b)
-        worst = 0.0
-        for lam in (1.0, 2j):
-            ka = KernelFunction(a, lam)
-            kb = KernelFunction(b, lam)
-            for x in (0.3, 1.0, 2.5):
-                got = sonine.sonine_apply(pair, ka, x)
-                want = kb(x)
-                worst = max(worst, abs(got - want) / abs(want))
-        reports.append(
-            _report(
-                "sonine-product",
-                {"alpha": a, "beta": b},
-                "lam in {1, 2i}, x in {0.3, 1, 2.5}",
-                (worst, worst),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
-    return reports
+def _sonine_product_spread(a: float, b: float) -> tuple[float, float]:
+    pair = SoninePair.of(a, b)
+    worst = 0.0
+    for lam in (1.0, 2j):
+        ka = KernelFunction(a, lam)
+        kb = KernelFunction(b, lam)
+        for x in (0.3, 1.0, 2.5):
+            got = sonine.sonine_apply(pair, ka, x)
+            want = kb(x)
+            worst = max(worst, abs(got - want) / abs(want))
+    return worst, worst
 
 
-def suite_sonine_monomial(config: RunConfig, cache: _PlanCache) -> list:
+def suite_sonine_product(config: RunConfig, ctx: RunContext) -> list:
+    grid = "lam in {1, 2i}, x in {0.3, 1, 2.5}"
+    return [
+        _check("sonine-product", {"alpha": a, "beta": b}, grid, _sonine_product_spread, a, b)
+        for (a, b) in config.pair_sweep()
+    ]
+
+
+def _sonine_monomial_spread(a: float, b: float) -> tuple[float, float]:
+    pair = SoninePair.of(a, b)
+    worst = 0.0
+    for n in range(0, 21):
+        want = b_coeff(n, a) / b_coeff(n, b)
+        got = sonine.sonine_apply(pair, PolyFunction.monomial(n), 1.3) / 1.3**n
+        worst = max(worst, abs(got - want) / abs(want))
+    return worst, worst
+
+
+def _sonine_route_spread(a: float, b: float) -> tuple[float, float]:
+    pair = SoninePair.of(a, b)
+    p = PolyFunction(np.random.default_rng(11).standard_normal(21))
+    direct = sonine.sonine_apply(pair, p)
+    routed = sonine.sonine_via_intertwiners(pair, p)
+    err = float(np.max(np.abs(direct.coeffs - routed.coeffs)) / np.max(np.abs(direct.coeffs)))
+    return err, err
+
+
+def suite_sonine_monomial(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for (a, b) in config.pair_sweep():
-        start = time.perf_counter()
-        pair = SoninePair.of(a, b)
-        worst_quad = 0.0
-        for n in range(0, 21):
-            want = b_coeff(n, a) / b_coeff(n, b)
-            got = sonine.sonine_apply(pair, PolyFunction.monomial(n), 1.3) / 1.3**n
-            worst_quad = max(worst_quad, abs(got - want) / abs(want))
-        rng = np.random.default_rng(11)
-        p = PolyFunction(rng.standard_normal(21))
-        direct = sonine.sonine_apply(pair, p)
-        routed = sonine.sonine_via_intertwiners(pair, p)
-        route_err = float(np.max(np.abs(direct.coeffs - routed.coeffs)) / np.max(np.abs(direct.coeffs)))
-        reports.append(
-            _report(
-                "sonine-monomial",
-                {"alpha": a, "beta": b, "route_err": route_err},
-                "monomials n <= 20",
-                (worst_quad, max(worst_quad, 0.0)),
-                time.perf_counter() - start,
-                config.tol("sonine-monomial"),
-            )
-        )
-        reports.append(
-            _report(
-                "sonine-routes",
-                {"alpha": a, "beta": b},
-                "random degree-20 polynomial",
-                (route_err, route_err),
-                time.perf_counter() - start,
-                config.tol("sonine-routes"),
-            )
-        )
+        routes = _check("sonine-routes", {"alpha": a, "beta": b}, "random degree-20 polynomial", _sonine_route_spread, a, b)
+        params = {"alpha": a, "beta": b, "route_err": routes.max_rel_err}
+        reports.append(_check("sonine-monomial", params, "monomials n <= 20", _sonine_monomial_spread, a, b))
+        reports.append(routes)
     return reports
 
 
-def suite_translation_product(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("translation-product")
+def _translation_spread(a: float) -> tuple[float, float]:
+    worst = 0.0
+    for lam in (1.2, 1.5j):
+        kf = KernelFunction(a, lam)
+        for (x, y) in ((0.7, -1.1), (0.0, 0.9), (1.3, 1.3), (-0.4, 2.0)):
+            got = core.translation(a, kf, x, y)
+            want = kf(x) * kf(y)
+            worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+    return worst, worst
+
+
+def suite_translation_product(config: RunConfig, ctx: RunContext) -> list:
+    grid = "kernel eigenfunctions, 4 point pairs, 2 frequencies"
+    return [_check("translation-product", {"alpha": a}, grid, _translation_spread, a) for a in config.order_sweep()]
+
+
+def _convolution_spread(a: float) -> tuple[float, float]:
+    f = gaussian()
+    g = PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0)
+    worst = 0.0
+    for x in (0.0, 0.8, -1.5):
+        fg = core.convolution(a, f, g, x)
+        gf = core.convolution(a, g, f, x)
+        worst = max(worst, abs(fg - gf) / max(abs(fg), 1e-300))
+    closed = math.gamma(a + 1.0) * 2.0 ** (-(a + 1.0)) * np.exp(-0.8**2 / 2.0)
+    got = core.convolution(a, f, f, 0.8)
+    worst = max(worst, abs(got - closed) / closed)
+    return worst, worst
+
+
+def suite_convolution(config: RunConfig, ctx: RunContext) -> list:
+    grid = "commutativity at 3 points + gaussian closed form"
+    return [_check("convolution", {"alpha": a}, grid, _convolution_spread, a) for a in config.order_sweep()]
+
+
+def _gaussian_oracle(a: float, plan: transform.TransformPlan, mask: np.ndarray) -> tuple[float, float]:
+    spec = transform.forward(plan, plan.sample(lambda x: np.exp(-(x**2))))
+    want = math.gamma(a + 1.0) * np.exp(-plan.lambda_nodes[mask] ** 2 / 4.0)
+    sup = float(np.max(np.abs(spec.values[mask] - want)))
+    return sup, sup
+
+
+def _transform_derivative(a: float, plan: transform.TransformPlan, mask: np.ndarray) -> tuple[float, float]:
+    f = monomial_gaussian(1)
+    lf = core.dunkl_operator(a, f)
+    spec_f = transform.forward(plan, plan.sample(f))
+    spec_lf = transform.forward(plan, plan.sample(lf))
+    return _errs(1j * plan.lambda_nodes[mask] * spec_f.values[mask], spec_lf.values[mask])
+
+
+def suite_transform_oracles(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for a in config.order_sweep():
-        start = time.perf_counter()
-        worst = 0.0
-        for lam in (1.2, 1.5j):
-            kf = KernelFunction(a, lam)
-            for (x, y) in ((0.7, -1.1), (0.0, 0.9), (1.3, 1.3), (-0.4, 2.0)):
-                got = core.translation(a, kf, x, y)
-                want = kf(x) * kf(y)
-                worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-        reports.append(
-            _report(
-                "translation-product",
-                {"alpha": a},
-                "kernel eigenfunctions, 4 point pairs, 2 frequencies",
-                (worst, worst),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
-    return reports
-
-
-def suite_convolution(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("convolution")
-    reports = []
-    for a in config.order_sweep():
-        start = time.perf_counter()
-        f = gaussian()
-        g = PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0)
-        worst = 0.0
-        for x in (0.0, 0.8, -1.5):
-            fg = core.convolution(a, f, g, x)
-            gf = core.convolution(a, g, f, x)
-            worst = max(worst, abs(fg - gf) / max(abs(fg), 1e-300))
-        import math
-
-        closed = math.gamma(a + 1.0) * 2.0 ** (-(a + 1.0)) * np.exp(-0.8**2 / 2.0)
-        got = core.convolution(a, f, f, 0.8)
-        worst = max(worst, abs(got - closed) / closed)
-        reports.append(
-            _report(
-                "convolution",
-                {"alpha": a},
-                "commutativity at 3 points + gaussian closed form",
-                (worst, worst),
-                time.perf_counter() - start,
-                tol,
-            )
-        )
-    return reports
-
-
-def suite_transform_oracles(config: RunConfig, cache: _PlanCache) -> list:
-    import math
-
-    reports = []
-    for a in config.order_sweep():
-        plan = cache.plan(a)
-        start = time.perf_counter()
+        plan = ctx.plan(a)
         mask = np.abs(plan.lambda_nodes) <= 8.0
-        spec = transform.forward(plan, plan.sample(lambda x: np.exp(-(x**2))))
-        want = math.gamma(a + 1.0) * np.exp(-plan.lambda_nodes[mask] ** 2 / 4.0)
-        sup = float(np.max(np.abs(spec.values[mask] - want)))
+        n = int(mask.sum())
         reports.append(
-            _report(
-                "transform-oracles",
-                {"alpha": a, "oracle": "gaussian"},
-                f"sup over |lambda| <= 8 ({int(mask.sum())} nodes)",
-                (sup, sup),
-                time.perf_counter() - start,
-                config.tol("transform-oracles"),
-            )
+            _check("transform-oracles", {"alpha": a, "oracle": "gaussian"}, f"sup over |lambda| <= 8 ({n} nodes)",
+                   _gaussian_oracle, a, plan, mask)
         )
-        start = time.perf_counter()
-        f = monomial_gaussian(1)
-        lf = core.dunkl_operator(a, f)
-        spec_f = transform.forward(plan, plan.sample(f))
-        spec_lf = transform.forward(plan, plan.sample(lf))
-        want_vals = 1j * plan.lambda_nodes[mask] * spec_f.values[mask]
         reports.append(
-            _report(
-                "transform-derivative",
-                {"alpha": a, "input": "x*exp(-x^2)"},
-                f"|lambda| <= 8 ({int(mask.sum())} nodes)",
-                _errs(want_vals, spec_lf.values[mask]),
-                time.perf_counter() - start,
-                config.tol("transform-derivative"),
-            )
+            _check("transform-derivative", {"alpha": a, "input": "x*exp(-x^2)"}, f"|lambda| <= 8 ({n} nodes)",
+                   _transform_derivative, a, plan, mask)
         )
     return reports
 
 
-def suite_plancherel_classic(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("plancherel-classic")
+def suite_plancherel_classic(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for a in config.order_sweep():
-        plan = cache.plan(a)
+        plan = ctx.plan(a)
         for fname, f in (("exp(-x^2)", lambda x: np.exp(-(x**2))), ("x*exp(-x^2)", lambda x: x * np.exp(-(x**2)))):
             rep = transform.plancherel_check(plan, plan.sample(f))
-            rep.params.update({"input": fname, "tol": tol})
+            rep.params["input"] = fname
             rep.name = "plancherel-classic"
             reports.append(rep)
     return reports
 
 
-def suite_decomposition(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("decomposition")
+def _decomposition_errs(pair: SoninePair, plan_a, plan_b, g, lam_pts: np.ndarray) -> tuple[float, float]:
+    beta_side = transform.forward_at(plan_b, plan_b.sample(g).values, lam_pts)
+    ts_vals = sonine.dual_sonine_grid(pair, g, plan_a.x_nodes, u_max=500.0)
+    return _errs(beta_side, transform.forward_at(plan_a, ts_vals, lam_pts))
+
+
+def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for (a, b) in config.pair_sweep():
         pair = SoninePair.of(a, b)
-        plan_a = cache.plan(a)
-        plan_b = cache.plan(b)
+        plan_a = ctx.plan(a)
+        plan_b = ctx.plan(b)
+        lam_pts = plan_b.lambda_nodes[np.abs(plan_b.lambda_nodes) <= 8.0]
         for gname, g in (("exp(-x^2)", gaussian()), ("x*exp(-x^2)", monomial_gaussian(1))):
-            start = time.perf_counter()
-            mask = np.abs(plan_b.lambda_nodes) <= 8.0
-            lam_pts = plan_b.lambda_nodes[mask]
-            beta_side = transform.forward_at(plan_b, plan_b.sample(g).values, lam_pts)
-            ts_vals = sonine.dual_sonine_grid(pair, g, plan_a.x_nodes, u_max=500.0)
-            alpha_side = transform.forward_at(plan_a, ts_vals, lam_pts)
             reports.append(
-                _report(
-                    "decomposition",
-                    {"alpha": a, "beta": b, "input": gname},
-                    f"|lambda| <= 8 ({lam_pts.size} nodes)",
-                    _errs(beta_side, alpha_side),
-                    time.perf_counter() - start,
-                    tol,
-                )
+                _check("decomposition", {"alpha": a, "beta": b, "input": gname}, f"|lambda| <= 8 ({lam_pts.size} nodes)",
+                       _decomposition_errs, pair, plan_a, plan_b, g, lam_pts)
             )
     return reports
 
 
-def suite_power_weight(config: RunConfig, cache: _PlanCache) -> list:
+def suite_power_weight(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for a in config.order_sweep():
-        plan = cache.plan(a)
+        plan = ctx.plan(a)
         strip = -(2.0 * a + 2.0)
-        lams = [0.35 * strip, 0.6 * strip, 0.85 * strip]
-        for lam in lams:
-            rep = fractional.power_weight_identity(a, lam, gaussian(), plan)
-            rep.params["tol"] = config.tol("power-weight-transform")
-            reports.append(rep)
+        for lam in (0.35 * strip, 0.6 * strip, 0.85 * strip):
+            reports.append(fractional.power_weight_identity(a, lam, gaussian(), plan))
         # zero-constant case: even probe with vanishing matching residue;
         # the slow decay keeps its spectrum narrow, so the high-power pairing
         # weight never amplifies transform-tail noise
         probe = PolyGaussian(PolyFunction.monomial(4), 0.5)
         rep = fractional.power_weight_identity(a, 2.0, probe, plan)
         rep.name = "power-weight-degenerate"
-        rep.params["tol"] = config.tol("power-weight-degenerate")
         reports.append(rep)
     return reports
 
 
-def suite_fractional_cross_route(config: RunConfig, cache: _PlanCache) -> list:
-    tol = config.tol("fractional-cross-route")
-    reports = []
-    for a in (0.5, 1.5):
-        plan = cache.plan(a)
-        f_grid = plan.sample(lambda x: np.exp(-(x**2)))
-        for lam in (-0.3, -0.5):
-            start = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                mult = transform.apply_multiplier_fn(plan, f_grid, transform.MultiplierSpec(2.0 * lam, 1.0))
-            worst = 0.0
-            for x in (0.0, 1.0, 2.2):
-                km = float(np.real(mult(np.asarray([x]))[0]))
-                kk = fractional.frac_power_kernel(a, lam, gaussian(), x)
-                worst = max(worst, abs(km - kk) / abs(km))
-            reports.append(
-                _report(
-                    "fractional-cross-route",
-                    {"alpha": a, "lam": lam},
-                    "x in {0, 1, 2.2}",
-                    (worst, worst),
-                    time.perf_counter() - start,
-                    tol,
-                )
-            )
-    return reports
+def _cross_route_spread(a: float, plan: transform.TransformPlan, lam: float) -> tuple[float, float]:
+    f_grid = plan.sample(lambda x: np.exp(-(x**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mult = transform.apply_multiplier_fn(plan, f_grid, transform.MultiplierSpec(2.0 * lam, 1.0))
+    worst = 0.0
+    for x in (0.0, 1.0, 2.2):
+        km = float(np.real(mult(np.asarray([x]))[0]))
+        kk = fractional.frac_power_kernel(a, lam, gaussian(), x)
+        worst = max(worst, abs(km - kk) / abs(km))
+    return worst, worst
 
 
-def _pipeline_reports(config: RunConfig, cache: _PlanCache, orders: tuple) -> list:
-    reports = []
-    for (a, b) in config.pipeline_pairs():
-        pair = SoninePair.of(a, b)
-        plan_a = cache.witness_plan(a)
-        plan_b = cache.witness_plan(b)
-        shared: dict = {}
-        for m in (0, 1):
-            wb = cache.witness(b, m)
-            wa = cache.witness(a, m)
-            for order in orders:
-                wit = wb if order in ("s-k1-ts", "k2-s-ts") else wa
-                rep = lizorkin.inversion_check(pair, plan_a, plan_b, wit, order, shared=shared)
-                rep.params["tol"] = config.tol("inversion")
-                reports.append(rep)
-    return reports
+def suite_fractional_cross_route(config: RunConfig, ctx: RunContext) -> list:
+    return [
+        _check("fractional-cross-route", {"alpha": a, "lam": lam}, "x in {0, 1, 2.2}", _cross_route_spread, a, ctx.plan(a), lam)
+        for a in (0.5, 1.5)
+        for lam in (-0.3, -0.5)
+    ]
 
 
-def suite_inversion(config: RunConfig, cache: _PlanCache, order: str) -> list:
-    return _pipeline_reports(config, cache, (order,))
+def suite_inversion(config: RunConfig, ctx: RunContext, order: str) -> list:
+    # s-k1-ts and k2-s-ts reconstruct a beta-witness, the other two an alpha-witness
+    at_beta = order in ("s-k1-ts", "k2-s-ts")
+    return [
+        lizorkin.inversion_check(*ctx.pipeline(a, b), ctx.witness(b if at_beta else a, m), order)
+        for (a, b) in config.pipeline_pairs()
+        for m in (0, 1)
+    ]
 
 
-def suite_multiplier_commutation(config: RunConfig, cache: _PlanCache) -> list:
-    reports = []
-    for (a, b) in config.pipeline_pairs():
-        pair = SoninePair.of(a, b)
-        rep = lizorkin.multiplier_commutation_check(
-            pair, cache.witness_plan(a), cache.witness_plan(b), cache.witness(b, 0)
-        )
-        rep.params["tol"] = config.tol("multiplier-commutation")
-        reports.append(rep)
-    return reports
+def suite_multiplier_commutation(config: RunConfig, ctx: RunContext) -> list:
+    return [
+        lizorkin.multiplier_commutation_check(*ctx.pipeline(a, b), ctx.witness(b, 0))
+        for (a, b) in config.pipeline_pairs()
+    ]
 
 
-def suite_plancherel_dual(config: RunConfig, cache: _PlanCache) -> list:
-    reports = []
-    for (a, b) in config.pipeline_pairs():
-        pair = SoninePair.of(a, b)
-        rep = lizorkin.plancherel_dual_check(
-            pair, cache.witness_plan(a), cache.witness_plan(b), cache.witness(b, 0)
-        )
-        rep.params["tol"] = config.tol("plancherel-dual")
-        reports.append(rep)
-    return reports
+def suite_plancherel_dual(config: RunConfig, ctx: RunContext) -> list:
+    return [
+        lizorkin.plancherel_dual_check(*ctx.pipeline(a, b), ctx.witness(b, 0))
+        for (a, b) in config.pipeline_pairs()
+    ]
 
 
 SUITES: dict[str, Callable] = {
@@ -580,10 +481,10 @@ SUITES: dict[str, Callable] = {
     "decomposition": suite_decomposition,
     "power-weight-transform": suite_power_weight,
     "fractional-cross-route": suite_fractional_cross_route,
-    "inversion-s-k1-ts": lambda c, p: suite_inversion(c, p, "s-k1-ts"),
-    "inversion-ts-k2-s": lambda c, p: suite_inversion(c, p, "ts-k2-s"),
-    "inversion-k1-ts-s": lambda c, p: suite_inversion(c, p, "k1-ts-s"),
-    "inversion-k2-s-ts": lambda c, p: suite_inversion(c, p, "k2-s-ts"),
+    "inversion-s-k1-ts": lambda c, ctx: suite_inversion(c, ctx, "s-k1-ts"),
+    "inversion-ts-k2-s": lambda c, ctx: suite_inversion(c, ctx, "ts-k2-s"),
+    "inversion-k1-ts-s": lambda c, ctx: suite_inversion(c, ctx, "k1-ts-s"),
+    "inversion-k2-s-ts": lambda c, ctx: suite_inversion(c, ctx, "k2-s-ts"),
     "multiplier-commutation": suite_multiplier_commutation,
     "plancherel-dual": suite_plancherel_dual,
 }
@@ -593,12 +494,10 @@ def suite_names() -> list:
     return list(SUITES)
 
 
-def run_suites(config: RunConfig, names: Optional[Iterable[str]] = None, max_workers: int = 1) -> SuiteResult:
-    """Run the requested suites; 'all' expands to every registered suite.
-
-    Suites may run on a thread pool; reports land in per-suite slots and are
-    serialized in registry order, so the output is independent of scheduling.
-    """
+def run_suites(config: RunConfig, names: Optional[Iterable[str]] = None) -> list:
+    """Run the requested suites serially in registry order ('all' expands to
+    every registered suite), all on one RunContext, and set each report's
+    ``tol`` parameter from its name."""
     if names is None:
         names = config.suites
     requested = set()
@@ -609,19 +508,8 @@ def run_suites(config: RunConfig, names: Optional[Iterable[str]] = None, max_wor
             requested.add(n)
         else:
             raise KeyError(f"unknown suite {n!r}; available: {', '.join(SUITES)}")
-    ordered = [n for n in SUITES if n in requested]
-
-    cache = _PlanCache(config)
-    slots: dict[str, list] = {}
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {n: pool.submit(SUITES[n], config, cache) for n in ordered}
-            for n in ordered:
-                slots[n] = futures[n].result()
-    else:
-        for n in ordered:
-            slots[n] = SUITES[n](config, cache)
-    reports = [r for n in ordered for r in slots[n]]
-    return SuiteResult.collect(reports)
+    ctx = RunContext(config)
+    reports = [r for n in SUITES if n in requested for r in SUITES[n](config, ctx)]
+    for r in reports:
+        r.params["tol"] = config.tol(r.name)
+    return reports

@@ -290,18 +290,17 @@ def test_criterion_10_pipelines():
     for (a, b) in PIPELINE_PAIRS:
         pair = SoninePair.of(a, b)
         plan_a, plan_b = witness_plan(a), witness_plan(b)
-        shared: dict = {}
         for m in (0, 1):
             wb = make_witness(b, plan_b, m=m)
             wa = make_witness(a, plan_a, m=m)
             for order in INVERSION_ORDERS:
                 wit = wb if order in ("s-k1-ts", "k2-s-ts") else wa
-                rep = inversion_check(pair, plan_a, plan_b, wit, order, shared=shared)
+                rep = inversion_check(pair, plan_a, plan_b, wit, order)
                 worst_inv = max(worst_inv, rep.max_rel_err)
             if m == 0:
-                rep = multiplier_commutation_check(pair, plan_a, plan_b, wb, shared=shared)
+                rep = multiplier_commutation_check(pair, plan_a, plan_b, wb)
                 worst_comm = max(worst_comm, rep.max_rel_err)
-                rep = plancherel_dual_check(pair, plan_a, plan_b, wb, shared=shared)
+                rep = plancherel_dual_check(pair, plan_a, plan_b, wb)
                 worst_pl = max(worst_pl, rep.max_rel_err)
     elapsed = time.perf_counter() - start
     ok = worst_comm <= 1e-4 and worst_inv <= 1e-3 and worst_pl <= 1e-3 and elapsed < 60.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dunkl.cli import main
+from dunkl.suites import DEFAULT_TOLERANCES, RunConfig
 
 
 def run_cli(args, **kw):
@@ -164,6 +165,13 @@ class TestVerifyCommand:
         code = main(["verify", "--tol", "bogus=1", "--suites", "sonine-product"])
         assert code == 2
 
+    def test_tolerance_key_of_report_names(self):
+        cfg = RunConfig(tolerances={"inversion": 1e-9})
+        assert cfg.tol("inversion-k2-s-ts") == 1e-9
+        assert cfg.tol("plancherel-dual") == DEFAULT_TOLERANCES["plancherel-dual"]
+        with pytest.raises(KeyError):
+            cfg.tol("no-such-identity")
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {
             "alpha": 0.5,
@@ -187,17 +195,6 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[0] == "name,params,grid,max_abs_err,max_rel_err,elapsed_s"
-
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DUNKL_THREADS", "2")
-        out_path = tmp_path / "rep.json"
-        code = main(
-            ["verify", "--alpha", "0.5", "--beta", "1.5",
-             "--suites", "kernel-consistency,sonine-product", "--out", str(out_path)]
-        )
-        assert code == 0
-        names = {r["name"] for r in json.loads(out_path.read_text())}
-        assert names == {"kernel-consistency", "sonine-product"}
 
 
 class TestReportCommand:

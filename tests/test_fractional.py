@@ -68,7 +68,7 @@ class TestCrossRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mult = apply_multiplier_fn(plan, f_grid, MultiplierSpec(2.0 * lam, 1.0))
-        for x in (0.0, 1.0, 2.2):
+        for x in (0.0, 1.0, 2.2, 0.37):
             km = float(np.real(mult(np.array([x]))[0]))
             kk = frac_power_kernel(alpha, lam, gaussian(), x)
             assert abs(km - kk) <= 1e-4 * abs(km)

@@ -7,6 +7,7 @@ exercises every pipeline order plus the membership diagnostics.
 import numpy as np
 import pytest
 
+from dunkl import lizorkin
 from dunkl.functions import GridFunction
 from dunkl.lizorkin import (
     INVERSION_ORDERS,
@@ -167,3 +168,28 @@ class TestCommutationAndPlancherel:
         rep2 = plancherel_dual_check(pair, plan_a, plan_b, doubled)
         assert rep2.params["lhs"] == pytest.approx(4.0 * rep1.params["lhs"], rel=1e-12)
         assert rep2.params["rhs"] == pytest.approx(4.0 * rep1.params["rhs"], rel=1e-10)
+
+    def test_dual_sonine_image_built_once_per_witness(self, setup, witness_plan_factory, monkeypatch):
+        # no other test applies the pair (0, 1.5) to this shared fixture
+        # witness, so the image is not stored on it yet
+        pair, plan_a, plan_b = SoninePair.of(0.0, PAIR[1]), witness_plan_factory(0.0), setup["plan_b"]
+        wit = setup["wb"]
+        original = lizorkin.dual_sonine_grid
+        calls = []
+
+        def counting(pair_, f, *args, **kwargs):
+            calls.append(f is wit.fn)
+            return original(pair_, f, *args, **kwargs)
+
+        monkeypatch.setattr(lizorkin, "dual_sonine_grid", counting)
+        reports = [
+            multiplier_commutation_check(pair, plan_a, plan_b, wit),
+            plancherel_dual_check(pair, plan_a, plan_b, wit),
+        ]
+        assert sum(calls) == 1
+        fresh = make_witness(pair.beta, plan_b, m=0)
+        want = [
+            multiplier_commutation_check(pair, plan_a, plan_b, fresh),
+            plancherel_dual_check(pair, plan_a, plan_b, fresh),
+        ]
+        assert [r.to_wire() for r in reports] == [r.to_wire() for r in want]
