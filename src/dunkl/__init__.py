@@ -15,7 +15,7 @@ from .special import (
     a_sonine,
     as_order,
     b_coeff,
-    bessel_mod,
+    bessel_mod_array,
     c_const,
     d_const,
     inverse_intertwiner_const,

@@ -220,39 +220,36 @@ class GridFunction:
 
 class KernelFunction:
     """x -> E_alpha(lam x) as a smooth function object with exact derivative,
-    odd quotient and Taylor data, all through the normalized Bessel series.
+    odd quotient and Taylor data.
 
     E_alpha(z) = B_alpha(z) + z/(2(alpha+1)) B_{alpha+1}(z) where B is the
-    even entire function bessel_mod.
+    even entire function bessel_mod_array.
     """
 
     def __init__(self, alpha: OrderParam | float, lam: complex):
         self.order = as_order(alpha)
         self.lam = complex(lam)
 
-    def _b(self, shift: int, z: np.ndarray) -> np.ndarray:
-        return bessel_mod_array(self.order.alpha + shift, z)
-
     def __call__(self, x):
         a = self.order.alpha
         z = self.lam * np.asarray(x, dtype=complex)
-        return self._b(0, z) + z / (2.0 * (a + 1.0)) * self._b(1, z)
+        return bessel_mod_array(a, z) + z / (2.0 * (a + 1.0)) * bessel_mod_array(a + 1.0, z)
 
     def derivative(self, x):
         # E'(z) = [(z+1) B_{a+1}(z) + z^2 B_{a+2}(z)/(2(a+2))] / (2(a+1))
         a = self.order.alpha
         z = self.lam * np.asarray(x, dtype=complex)
-        ez = ((z + 1.0) * self._b(1, z) + z**2 * self._b(2, z) / (2.0 * (a + 2.0))) / (2.0 * (a + 1.0))
+        b1, b2 = bessel_mod_array(a + 1.0, z), bessel_mod_array(a + 2.0, z)
+        ez = ((z + 1.0) * b1 + z**2 * b2 / (2.0 * (a + 2.0))) / (2.0 * (a + 1.0))
         return self.lam * ez
 
     def odd_quotient(self, x):
         a = self.order.alpha
         z = self.lam * np.asarray(x, dtype=complex)
-        return self.lam * self._b(1, z) / (2.0 * (a + 1.0))
+        return self.lam * bessel_mod_array(a + 1.0, z) / (2.0 * (a + 1.0))
 
     def even_part(self, x):
-        z = self.lam * np.asarray(x, dtype=complex)
-        return self._b(0, z)
+        return bessel_mod_array(self.order.alpha, self.lam * np.asarray(x, dtype=complex))
 
     def taylor_coeff(self, k: int) -> complex:
         return self.lam**k * math.exp(-log_b_coeff(k, self.order))

@@ -88,13 +88,17 @@ class LizorkinWitness:
     fn: SpectralFunction = field(repr=False)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def dual_sonine_image(self, pair: SoninePair, plan_alpha: TransformPlan, u_max: float) -> np.ndarray:
-        """tS w on the x-nodes of ``plan_alpha``, built once per pair, plan
-        and truncation radius and kept on the witness.  The plan enters the
-        key through the parameters that fix its x-nodes."""
-        key = (pair.a, pair.b, plan_alpha.alpha, plan_alpha.half_width, plan_alpha.x_nodes.size, u_max)
+    def image(self, pair: SoninePair, plan: TransformPlan, u_max: float | None = None) -> np.ndarray:
+        """S w on the x-nodes of ``plan``, or tS w truncated at ``u_max`` when
+        that is given, built once per direction, pair, plan and radius and
+        kept on the witness.  The plan enters the key through the parameters
+        that fix its x-nodes."""
+        key = (pair.a, pair.b, plan.alpha, plan.half_width, plan.x_nodes.size, u_max)
         if key not in self._images:
-            image = dual_sonine_grid(pair, self.fn, plan_alpha.x_nodes, u_max=u_max)
+            if u_max is None:
+                image = sonine_grid(pair, self.fn, plan.x_nodes)
+            else:
+                image = dual_sonine_grid(pair, self.fn, plan.x_nodes, u_max=u_max)
             image.flags.writeable = False  # every later caller gets this same array
             self._images[key] = image
         return self._images[key]
@@ -223,11 +227,10 @@ def inversion_check(
     Errors are reported where the witness exceeds 1e-3 of its peak.
     """
     start = time.perf_counter()
-    w_fn = witness.fn
     u_max = _u_max_for(plan_beta)
 
     if order == "s-k1-ts":
-        ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
+        ts_values = witness.image(pair, plan_alpha, u_max)
         k_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
         ref_grid, ref_vals = witness.plan.x_nodes, witness.values.values
         mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
@@ -235,7 +238,7 @@ def inversion_check(
         reference = ref_vals[mask][::thin]
         recon = sonine_grid(pair, k_img, points)
     elif order == "ts-k2-s":
-        s_values = sonine_grid(pair, w_fn, plan_beta.x_nodes)
+        s_values = witness.image(pair, plan_beta)
         k_img = k_operator("beta-full", pair, plan_alpha, plan_beta, GridFunction(plan_beta.x_nodes, s_values, "schwartz"))
         ref_grid, ref_vals = witness.plan.x_nodes, witness.values.values
         mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
@@ -243,7 +246,7 @@ def inversion_check(
         reference = ref_vals[mask][::thin]
         recon = dual_sonine_grid(pair, k_img, points, u_max=u_max)
     elif order == "k1-ts-s":
-        s_values = sonine_grid(pair, w_fn, plan_beta.x_nodes)
+        s_values = witness.image(pair, plan_beta)
         s_fn = SpectralFunction.from_spectrum(plan_beta, forward(plan_beta, s_values).values)
         ts_values = dual_sonine_grid(pair, s_fn, plan_alpha.x_nodes, u_max=u_max)
         k_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
@@ -253,7 +256,7 @@ def inversion_check(
         reference = ref_vals[mask][::thin]
         recon = k_img(points)
     elif order == "k2-s-ts":
-        ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
+        ts_values = witness.image(pair, plan_alpha, u_max)
         ts_fn = SpectralFunction.from_spectrum(plan_alpha, forward(plan_alpha, ts_values).values)
         s_values = sonine_grid(pair, ts_fn, plan_beta.x_nodes)
         k_img = k_operator("beta-full", pair, plan_alpha, plan_beta, GridFunction(plan_beta.x_nodes, s_values, "schwartz"))
@@ -285,7 +288,7 @@ def multiplier_commutation_check(
     """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness."""
     start = time.perf_counter()
     u_max = _u_max_for(plan_beta)
-    ts_values = witness.dual_sonine_image(pair, plan_alpha, u_max)
+    ts_values = witness.image(pair, plan_alpha, u_max)
     lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
     lhs = lhs_img(plan_alpha.x_nodes)
 
@@ -313,7 +316,7 @@ def plancherel_dual_check(
     half-power image of its dual-Sonine transform."""
     start = time.perf_counter()
     lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
-    ts_values = witness.dual_sonine_image(pair, plan_alpha, _u_max_for(plan_beta))
+    ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
     k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
     rhs = float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))
     abs_err = abs(lhs - rhs)

@@ -101,7 +101,7 @@ class RunConfig:
 class RunContext:
     """What one run builds once and its suites share: transform plans,
     witness plans and witnesses, memoized by value.  A witness keeps its own
-    dual-Sonine images (LizorkinWitness.dual_sonine_image)."""
+    Sonine and dual-Sonine images (LizorkinWitness.image)."""
 
     def __init__(self, config: RunConfig):
         self.config = config

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import jv
 
 from .functions import GridFunction
 from .quadrature import jacobi_rule
 from .report import IdentityReport
-from .special import OrderParam, as_order, c_const, log_b_coeff
+from .special import OrderParam, as_order, c_const, j_norm, log_b_coeff
 
 __all__ = [
     "TransformPlan",
@@ -44,44 +43,13 @@ __all__ = [
     "apply_multiplier_fn",
 ]
 
-_SMALL_U = 0.35
-
 
 class PlanSelfTestError(RuntimeError):
     """The build-time Gaussian self-test missed the requested tolerance."""
 
 
-def _j_norm(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Normalized oscillatory Bessel function: even, entire, 1 at u = 0.
-
-    Equals Gamma(alpha+1) (2/|u|)^alpha J_alpha(|u|) away from 0; a short
-    even series below |u| = 0.35 avoids the 0^alpha quotient.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=float)
-    au = np.abs(u)
-    small = au < _SMALL_U
-    if np.any(small):
-        w = (u[small] / 2.0) ** 2
-        term = np.ones_like(w)
-        acc = term.copy()
-        for n in range(1, 12):
-            term = term * (-w) / (n * (n + alpha))
-            acc += term
-        out[small] = acc
-    if np.any(~small):
-        ub = au[~small]
-        out[~small] = math.exp(math.lgamma(alpha + 1.0)) * (2.0 / ub) ** alpha * jv(alpha, ub)
-    return out
-
-
-def _q_norm(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Odd-part quotient of the unitary kernel: E_alpha(iu) = j(u) + i u q(u)."""
-    return _j_norm(alpha + 1.0, u) / (2.0 * (alpha + 1.0))
-
-
 class _JNormTable:
-    """Uniform cubic-spline table of _j_norm for one order on [0, u_cap].
+    """Uniform cubic-spline table of j_norm for one order on [0, u_cap].
 
     Synthesis sums evaluate the same fixed-order kernel tens of millions of
     times; a dense spline is ~10x faster than direct Bessel evaluation at
@@ -97,7 +65,7 @@ class _JNormTable:
         self.alpha = alpha
         self.u_cap = float(u_cap)
         grid = np.arange(0.0, self.u_cap + 4 * self.STEP, self.STEP)
-        self._spline = CubicSpline(grid, _j_norm(alpha, grid))
+        self._spline = CubicSpline(grid, j_norm(alpha, grid))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         au = np.abs(np.asarray(u, dtype=float))
@@ -106,15 +74,14 @@ class _JNormTable:
             return self._spline(au)
         out = np.empty(au.shape, dtype=float)
         out[inside] = self._spline(au[inside])
-        out[~inside] = _j_norm(self.alpha, au[~inside])
+        out[~inside] = j_norm(self.alpha, au[~inside])
         return out
 
 
 def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
     """E_alpha(sign * i u) for real u, vectorized."""
-    j = _j_norm(alpha, u)
-    q = _q_norm(alpha, u)
-    return j + (1j * sign) * u * q
+    q = j_norm(alpha + 1.0, u) / (2.0 * (alpha + 1.0))
+    return j_norm(alpha, u) + (1j * sign) * u * q
 
 
 def mirrored_weighted_rule(
@@ -317,7 +284,7 @@ class SpectralFunction:
     def _j(self, shift: int, u: np.ndarray) -> np.ndarray:
         if self._tables is not None:
             return self._tables(shift)(u)
-        return _j_norm(self.order.alpha + shift, u)
+        return j_norm(self.order.alpha + shift, u)
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":

@@ -42,6 +42,19 @@ class TestKernelCommand:
         assert code == 2
         assert "alpha > -1/2" in err
 
+    def test_oscillatory_axis_value(self, capsys):
+        code = main(["kernel", "--alpha", "0.5", "--z", "59j"])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert code == 0
+        z = 59j
+        want = np.sinh(z) / z + (np.cosh(z) - np.sinh(z) / z) / z  # order-1/2 closed form
+        assert abs(complex(float(row[2]), float(row[3])) - want) <= 1e-12 * abs(want)
+
+    def test_series_mode_rejects_oscillatory_axis(self, capsys):
+        code = main(["kernel", "--alpha", "0.5", "--z", "40j", "--mode", "series"])
+        assert code != 0
+        assert "mode='bessel'" in capsys.readouterr().err
+
     def test_json_format(self, capsys):
         code = main(["kernel", "--alpha", "0.5", "--z", "2j", "--format", "json"])
         out = capsys.readouterr().out

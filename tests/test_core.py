@@ -57,7 +57,7 @@ class TestKernel:
             assert max(abs(v - w) for v in vals for w in vals) <= 1e-10 * scale
 
     def test_half_integer_closed_form(self):
-        for z in (0.7, -2.0, 1.5j, 2.0 + 1.0j):
+        for z in (0.7, -2.0, 1.5j, 2.0 + 1.0j, 40j, 59j, -59j, 10 + 50j):
             got = dunkl_kernel(0.5, z)
             want = kernel_half_closed(z)
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -65,6 +65,35 @@ class TestKernel:
     def test_series_radius_error(self):
         with pytest.raises(ValueError, match="bochner"):
             dunkl_kernel(0.5, 100.0, "series")
+
+    def test_series_rejects_oscillatory_band(self):
+        with pytest.raises(ValueError, match="bessel"):
+            dunkl_kernel(0.5, 20j, "series")
+        assert dunkl_kernel(0.5, 10j, "series") == pytest.approx(kernel_half_closed(10j), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_oscillatory_axis_against_mpmath(self, alpha):
+        import mpmath
+
+        mpmath.mp.dps = 30
+
+        def b(shift, z):
+            return complex(mpmath.hyp0f1(alpha + shift + 1, mpmath.mpc(z) ** 2 / 4))
+
+        for z in (20j, 30j, 40j, 59j, -59j, 10 + 50j, -30 + 20j):
+            q1, q2 = b(1, z) / (2 * (alpha + 1)), b(2, z) / (4 * (alpha + 1) * (alpha + 2))
+            kernel = b(0, z) + z * q1
+            kf = KernelFunction(alpha, z)
+            pairs = [
+                (dunkl_kernel(alpha, z), kernel),
+                (dunkl_kernel(alpha, z, "bessel"), kernel),
+                (kf(1.0), kernel),
+                (kf.even_part(1.0), b(0, z)),
+                (kf.odd_quotient(1.0), z * q1),
+                (kf.derivative(1.0), z * (q1 + z * q1 + z * z * q2)),
+            ]
+            for got, want in pairs:
+                assert abs(complex(got) - want) <= 1e-12 * abs(want), (z, got, want)
 
     def test_bochner_large_argument(self):
         # beyond the series radius the integral representation still works

@@ -193,3 +193,20 @@ class TestCommutationAndPlancherel:
             plancherel_dual_check(pair, plan_a, plan_b, fresh),
         ]
         assert [r.to_wire() for r in reports] == [r.to_wire() for r in want]
+
+    def test_sonine_image_built_once_per_witness(self, setup, witness_plan_factory, witness_factory, monkeypatch):
+        # no other test applies the pair (0, 1.5) to the order-0 session
+        # witness, so its Sonine image is not stored on it yet
+        pair, plan_a, plan_b = SoninePair.of(0.0, PAIR[1]), witness_plan_factory(0.0), setup["plan_b"]
+        wit = witness_factory(0.0, 0)
+        original = lizorkin.sonine_grid
+        calls = []
+
+        def counting(pair_, f, *args, **kwargs):
+            calls.append(f is wit.fn)
+            return original(pair_, f, *args, **kwargs)
+
+        monkeypatch.setattr(lizorkin, "sonine_grid", counting)
+        reports = [inversion_check(pair, plan_a, plan_b, wit, order) for order in ("ts-k2-s", "k1-ts-s")]
+        assert sum(calls) == 1
+        assert all(r.max_rel_err <= 1e-3 for r in reports)

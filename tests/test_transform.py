@@ -8,6 +8,7 @@ import pytest
 
 from dunkl.core import dunkl_operator
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
+from dunkl.special import j_norm
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
@@ -22,6 +23,20 @@ from dunkl.transform import (
 )
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.5)
+
+
+class TestJNorm:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_table_range_against_mpmath(self, alpha):
+        # synthesis tables sample j_norm on [0, lambda_max * 1.4 * L] = [0, 269]
+        # at the orders alpha, alpha + 1 and alpha + 2
+        import mpmath
+
+        mpmath.mp.dps = 30
+        u = np.linspace(0.0, 269.0, 601)
+        for shift in (0, 1, 2):
+            want = np.array([float(mpmath.hyp0f1(alpha + shift + 1, -(mpmath.mpf(v) ** 2) / 4)) for v in u])
+            assert np.max(np.abs(j_norm(alpha + shift, u) - want)) <= 5e-14
 
 
 class TestPlanBuild:
