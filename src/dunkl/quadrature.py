@@ -13,6 +13,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -91,18 +92,28 @@ def jacobi_rule(a_exp: float, b_exp: float, n: int = DEFAULT_JACOBI_NODES) -> Qu
 
     Exact on polynomials up to degree 2n-1; both exponents must exceed -1
     (otherwise the weight is not integrable, e.g. a Sonine exponent
-    beta - alpha - 1 <= -1 meaning beta <= alpha).
+    beta - alpha - 1 <= -1 meaning beta <= alpha).  Rules are memoized on
+    (a_exp, b_exp, n) and shared between callers, so their arrays are
+    read-only.
     """
     if not (a_exp > -1.0 and b_exp > -1.0):
         raise ValueError(f"non-integrable weight: exponents ({a_exp}, {b_exp}) must exceed -1")
     if n < 1:
         raise ValueError("rule size must be positive")
+    return _jacobi_rule(float(a_exp), float(b_exp), int(n))
+
+
+@functools.lru_cache(maxsize=1024)
+def _jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadRule:
     x, w = roots_jacobi(n, a_exp, b_exp)
     s = 0.5 * (x + 1.0)
     # transport (1-x)^a (1+x)^b dx on [-1,1] to (1-s)^a s^b ds on [0,1]
     w = w / 2.0 ** (a_exp + b_exp + 1.0)
     order = np.argsort(s)
-    return QuadRule(nodes=s[order], weights=w[order], kind=f"gauss_jacobi({a_exp},{b_exp})")
+    rule = QuadRule(nodes=s[order], weights=w[order], kind=f"gauss_jacobi({a_exp},{b_exp})")
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def theta_rule(alpha: OrderParam | float, n: int = DEFAULT_JACOBI_NODES) -> QuadRule:
@@ -372,19 +383,19 @@ def weyl_integral(
     u_heads = s_values[:, None] + head_span[:, None] * head.nodes[None, :]
     h_heads = [np.asarray(h(u_heads.ravel())).reshape(u_heads.shape) for h in h_fns]
 
-    out = np.zeros(
-        (len(h_fns), s_values.size),
-        dtype=np.result_type(*[v.dtype for v in h_panel], float),
-    )
-    for si, s in enumerate(s_values):
-        for fi in range(len(h_fns)):
-            out[fi, si] += head_span[si] ** mu * np.sum(head.weights * h_heads[fi][si])
-        for k in range(int(head_end_idx[si]), n_edges - 1):
-            du = panel_u[k] - s
-            kernel = panel_w[k] * du ** (mu - 1.0)
-            for fi in range(len(h_fns)):
-                out[fi, si] += np.sum(kernel * h_panel[fi][k])
-    return out
+    heads = np.stack([h @ head.weights for h in h_heads]) * head_span**mu
+    # panel k belongs to the tail of s once it starts at or beyond s's head end
+    live = np.arange(n_edges - 1)[None, :] >= head_end_idx[:, None]
+    kernel = _panel_kernel(live, panel_u[None] - s_values[:, None, None], panel_w, mu)
+    return heads + (kernel @ np.stack([h.ravel() for h in h_panel], axis=1)).T
+
+
+def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: float) -> np.ndarray:
+    """Rows of weights w (u - s)^(mu - 1) over every panel node, one row per
+    s, zero on the panels ``live`` (shape (len(s), n_panels)) leaves out."""
+    live = live[:, :, None]
+    kernel = np.where(live, panel_w * np.where(live, du, 1.0) ** (mu - 1.0), 0.0)
+    return kernel.reshape(du.shape[0], du.shape[1] * du.shape[2])
 
 
 def riemann_liouville_integral(
@@ -458,30 +469,24 @@ def riemann_liouville_integral(
         (len(h_fns), s_values.size),
         dtype=np.result_type(*[v.dtype for v in h_panel], float),
     )
-    both_rules: dict[float, QuadRule] = {}
+    big = ~small
     for fi, (h, b_exp) in enumerate(zip(h_fns, left_exponents)):
         if np.any(small):
-            if b_exp not in both_rules:
-                both_rules[b_exp] = jacobi_rule(mu - 1.0, b_exp, head_nodes)
-            rule = both_rules[b_exp]
+            rule = jacobi_rule(mu - 1.0, b_exp, head_nodes)
             s_small = s_values[small]
             u_sm = s_small[:, None] * rule.nodes[None, :]
             vals = np.asarray(h(u_sm.ravel())).reshape(u_sm.shape)
             out[fi, small] = (vals @ rule.weights) * s_small ** (mu + b_exp)
-        big = ~small
         if np.any(big):
             vals = np.asarray(h(u_heads[big].ravel())).reshape((-1, head_nodes))
             weighted = vals * u_heads[big] ** b_exp
             out[fi, big] = (weighted @ head.weights) * span[big] ** mu
-    for si, s in enumerate(s_values):
-        if small[si]:
-            continue
-        j = int(j_idx[si])
-        for fi in range(len(h_fns)):
-            out[fi, si] += np.sum(first_wt[fi] * (s - first_u[fi]) ** (mu - 1.0) * h_first[fi])
-        for k in range(1, j - 1):
-            du = s - panel_u[k]
-            kernel = panel_w[k] * du ** (mu - 1.0)
-            for fi, b_exp in enumerate(left_exponents):
-                out[fi, si] += np.sum(kernel * panel_u[k] ** b_exp * h_panel[fi][k])
+    s_big = s_values[big]
+    # panels 1 .. j-2 lie between the first panel and the head of s
+    k = np.arange(n_panels)[None, :]
+    live = (k >= 1) & (k < j_idx[big][:, None] - 1)
+    kernel = _panel_kernel(live, s_big[:, None, None] - panel_u[None], panel_w, mu)
+    for fi, b_exp in enumerate(left_exponents):
+        first = (first_wt[fi] * (s_big[:, None] - first_u[fi]) ** (mu - 1.0)) @ h_first[fi]
+        out[fi, big] += first + kernel @ (panel_u**b_exp * h_panel[fi]).ravel()
     return out

@@ -146,15 +146,16 @@ class TransformPlan:
         u = np.outer(lambda_nodes, x_nodes)
         self.forward_matrix = kernel_unitary(self.alpha, u, sign=-1) * x_weights
         self.inverse_matrix = (kernel_unitary(self.alpha, u, sign=+1).T * lambda_weights) * self.c_alpha
+        self.synthesis_radius = 1.4 * self.half_width
         self.self_test: dict[str, float] = {}
         self._jnorm_tables: dict[int, _JNormTable] = {}
 
     def jnorm_table(self, shift: int) -> _JNormTable:
         """Shared spline table of the order-(alpha+shift) kernel component,
-        sized for synthesis out to ~1.4 half_width."""
+        sized for synthesis out to the synthesis radius 1.4 half_width."""
         table = self._jnorm_tables.get(shift)
         if table is None:
-            u_cap = self.lambda_max * 1.4 * self.half_width
+            u_cap = self.lambda_max * self.synthesis_radius
             table = _JNormTable(self.alpha + shift, u_cap)
             self._jnorm_tables[shift] = table
         return table
@@ -260,13 +261,71 @@ def inverse_at(plan: TransformPlan, g, x_points: np.ndarray) -> np.ndarray:
     return plan.c_alpha * (kernel_unitary(plan.alpha, u, sign=+1) @ (plan.lambda_weights * values))
 
 
+class _ChebProxy:
+    """Piecewise-Chebyshev interpolant of a synthesized function's even part
+    and odd quotient in y = |x| on [0, radius].
+
+    Both parts are even in x and band-limited by the largest spectral node
+    nu_max, so on panels of width h <= PANEL_WIDTH a degree of
+    ceil(nu_max h / 2) + 20 resolves them.  Panel k is centred on y = k h;
+    the first one is symmetric about 0, so no panel edge sits at the origin,
+    where Chebyshev interpolation would be least accurate.  Each panel
+    carries its own coefficients, so the interpolation error follows the
+    local size of the function and the small tails keep their relative
+    accuracy.  Coefficients come from a DCT of samples at first-kind
+    Chebyshev points; evaluation is Clenshaw's recurrence.
+    """
+
+    PANEL_WIDTH = 4.0
+
+    def __init__(self, radius: float, nu_max: float):
+        self.radius = float(radius)
+        self.n_panels = math.ceil(self.radius / self.PANEL_WIDTH + 0.5)
+        self.width = self.radius / (self.n_panels - 0.5)
+        self.n = math.ceil(nu_max * self.width / 2.0) + 21  # degree + 1 points per panel
+        self.size = 2 * self.n_panels * self.n  # direct sums of a build: both parts at every sample
+        self.coeffs: tuple[np.ndarray, ...] = ()
+
+    def sample_points(self) -> np.ndarray:
+        t = np.cos(math.pi * (np.arange(self.n) + 0.5) / self.n)
+        return ((np.arange(self.n_panels)[:, None] + 0.5 * t) * self.width).ravel()
+
+    def fit(self, *samples: np.ndarray) -> None:
+        from scipy.fft import dct
+
+        coeffs = []
+        for values in samples:
+            c = dct(values.reshape(self.n_panels, self.n), type=2, axis=1) / self.n
+            c[:, 0] *= 0.5
+            coeffs.append(np.ascontiguousarray(c.T))  # (degree + 1, n_panels)
+        self.coeffs = tuple(coeffs)
+
+    def __call__(self, part: int, x: np.ndarray) -> np.ndarray:
+        scaled = np.abs(x) / self.width
+        panel = np.minimum((scaled + 0.5).astype(int), self.n_panels - 1)
+        t2 = 4.0 * (scaled - panel)  # 2t, t in [-1, 1] on the panel
+        c = self.coeffs[part][:, panel]
+        b1 = np.zeros_like(c[0])
+        b2 = np.zeros_like(c[0])
+        for k in range(self.n - 1, 0, -1):
+            b1, b2 = c[k] + t2 * b1 - b2, b1
+        return c[0] + 0.5 * t2 * b1 - b2
+
+
 class SpectralFunction:
     """Smooth function synthesized from a weighted spectrum.
 
     value(x) = sum_i E_alpha(i nu_i x) wspec_i with wspec folded from the
     spectral rule weights; derivative, odd quotient and Taylor data all come
     from the same sum, so the object is consistent to machine precision with
-    its grid samples.
+    its grid samples.  The value is even part plus x times odd quotient.
+
+    An object built from a plan evaluates its kernels through the plan's
+    spline tables.  A call on more points than the direct sums that build
+    its ``_ChebProxy`` (both parts at every sample point), all within the
+    plan's synthesis radius, takes the even part and odd quotient from that
+    proxy, built once per object; so no call pays more for the build than
+    for its own direct sum.  Every other call sums directly.
     """
 
     def __init__(
@@ -274,44 +333,60 @@ class SpectralFunction:
         alpha: OrderParam | float,
         nodes: np.ndarray,
         weighted_spectrum: np.ndarray,
-        table_source=None,
+        plan: Optional[TransformPlan] = None,
     ):
         self.order = as_order(alpha)
         self.nodes = np.asarray(nodes, dtype=float)
         self.wspec = np.asarray(weighted_spectrum)
-        self._tables = table_source
+        self._plan = plan
+        self._proxy = None
+        if plan is not None and self.nodes.size:
+            self._proxy = _ChebProxy(plan.synthesis_radius, float(np.max(np.abs(self.nodes))))
 
     def _j(self, shift: int, u: np.ndarray) -> np.ndarray:
-        if self._tables is not None:
-            return self._tables(shift)(u)
+        if self._plan is not None:
+            return self._plan.jnorm_table(shift)(u)
         return j_norm(self.order.alpha + shift, u)
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":
         values = plan._values_on_lambda(spectrum)
-        return cls(
-            plan.order,
-            plan.lambda_nodes,
-            plan.c_alpha * plan.lambda_weights * values,
-            table_source=plan.jnorm_table,
-        )
+        return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
+
+    def _direct(self, part: int, x: np.ndarray) -> np.ndarray:
+        u = np.outer(x, self.nodes)
+        if part == 0:
+            return self._j(0, u) @ self.wspec
+        a = self.order.alpha
+        return (1j * self._j(1, u) / (2.0 * (a + 1.0)) * self.nodes) @ self.wspec
+
+    def _build_proxy(self) -> None:
+        y = self._proxy.sample_points()
+        self._proxy.fit(self._direct(0, y), self._direct(1, y))
+
+    def _part(self, part: int, x: np.ndarray) -> np.ndarray:
+        """Even part (0) or odd quotient (1) at the points of a 1-d array."""
+        proxy = self._proxy
+        if proxy is None or x.size <= proxy.size or not np.max(np.abs(x)) <= proxy.radius:
+            return self._direct(part, x)
+        if not proxy.coeffs:
+            self._build_proxy()
+        return proxy(part, x)
+
+    def _pointwise(self, x, fn):
+        x = np.asarray(x, dtype=float)
+        vals = fn(np.atleast_1d(x).ravel())
+        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
     def __call__(self, x):
-        a = self.order.alpha
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = np.outer(np.atleast_1d(x), self.nodes)
-        kernel = self._j(0, u) + 1j * u * self._j(1, u) / (2.0 * (a + 1.0))
-        vals = kernel @ self.wspec
-        return vals[0] if scalar else vals.reshape(x.shape)
+        return self._pointwise(x, lambda v: self._part(0, v) + v * self._part(1, v))
 
     def even_part(self, x):
         """(f(x) + f(-x))/2 from the even kernel component alone."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = np.outer(np.atleast_1d(x), self.nodes)
-        vals = self._j(0, u) @ self.wspec
-        return vals[0] if scalar else vals.reshape(x.shape)
+        return self._pointwise(x, lambda v: self._part(0, v))
+
+    def odd_quotient(self, x):
+        return self._pointwise(x, lambda v: self._part(1, v))
 
     def derivative(self, x):
         a = self.order.alpha
@@ -322,14 +397,6 @@ class SpectralFunction:
         qp = -u * self._j(2, u) / (2.0 * (a + 2.0)) / (2.0 * (a + 1.0))
         dkernel = -u * q + 1j * (q + u * qp)
         vals = (dkernel * self.nodes) @ self.wspec
-        return vals[0] if scalar else vals.reshape(x.shape)
-
-    def odd_quotient(self, x):
-        a = self.order.alpha
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = np.outer(np.atleast_1d(x), self.nodes)
-        vals = (1j * self._j(1, u) / (2.0 * (a + 1.0)) * self.nodes) @ self.wspec
         return vals[0] if scalar else vals.reshape(x.shape)
 
     def taylor_coeff(self, k: int) -> complex:
@@ -379,7 +446,7 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
         plan.order,
         nodes,
         plan.c_alpha * m.scale * weights * spectrum,
-        table_source=plan.jnorm_table,
+        plan=plan,
     )
 
 

@@ -41,3 +41,12 @@ def witness_factory(witness_plan_factory):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def verify_all_run(tmp_path_factory):
+    """One default ``dunkl verify --suites all`` run: (exit code, report path)."""
+    from dunkl.cli import main
+
+    out = tmp_path_factory.mktemp("verify-all") / "report.json"
+    return main(["verify", "--suites", "all", "--out", str(out)]), out

@@ -313,12 +313,10 @@ def test_criterion_10_pipelines():
     assert elapsed < 60.0
 
 
-def test_criterion_11_cli_contract(tmp_path):
-    out1 = tmp_path / "r1.json"
+def test_criterion_11_cli_contract(tmp_path, verify_all_run):
+    code1, out1 = verify_all_run
     out2 = tmp_path / "r2.json"
-    args = ["verify", "--suites", "all", "--out"]
-    code1 = cli_main([*args, str(out1)])
-    code2 = cli_main([*args, str(out2)])
+    code2 = cli_main(["verify", "--suites", "all", "--out", str(out2)])
     identical = out1.read_bytes() == out2.read_bytes()
     bad = cli_main(["verify", "--alpha", "1.0", "--beta", "0.5", "--suites", "sonine-product"])
     ok = code1 == 0 and code2 == 0 and identical and bad == 2

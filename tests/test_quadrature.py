@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dunkl.functions import gaussian, monomial_gaussian
+from dunkl.functions import PolyGaussian, gaussian, monomial_gaussian
 from dunkl.quadrature import (
     TailNonConvergence,
     homogeneous_pairing,
@@ -17,6 +17,72 @@ from dunkl.quadrature import (
     theta_rule,
     weyl_integral,
 )
+
+
+def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=48, panel_nodes=48, first_edge=1.0):
+    """Per-s loop form of ``weyl_integral``: the same rules, heads and
+    truncation, summed one s and one panel at a time."""
+    s_values = np.asarray(s_values, dtype=float)
+    edges = [0.0, float(first_edge)]
+    while edges[-1] < u_max:
+        edges.append(min(edges[-1] * 2.0, float(u_max)))
+    edges = np.asarray(edges)
+    n_edges = edges.size
+    head = jacobi_rule(0.0, mu - 1.0, head_nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
+    panel_u = np.asarray([a + (b - a) * 0.5 * (gl_x + 1.0) for a, b in zip(edges[:-1], edges[1:])])
+    panel_w = np.asarray([gl_w * 0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])])
+    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
+    head_end_idx = np.minimum(np.searchsorted(edges, s_values, side="right") + 1, n_edges - 1)
+    head_span = edges[head_end_idx] - s_values
+    u_heads = s_values[:, None] + head_span[:, None] * head.nodes[None, :]
+    h_heads = [np.asarray(h(u_heads.ravel())).reshape(u_heads.shape) for h in h_fns]
+    out = np.zeros((len(h_fns), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
+    for si, s in enumerate(s_values):
+        for fi in range(len(h_fns)):
+            out[fi, si] += head_span[si] ** mu * np.sum(head.weights * h_heads[fi][si])
+        for k in range(int(head_end_idx[si]), n_edges - 1):
+            kernel = panel_w[k] * (panel_u[k] - s) ** (mu - 1.0)
+            for fi in range(len(h_fns)):
+                out[fi, si] += np.sum(kernel * h_panel[fi][k])
+    return out
+
+
+def _riemann_liouville_reference(h_fns, left_exponents, mu, s_values, panel_width=0.75, head_nodes=24, panel_nodes=24):
+    """Per-s loop form of ``riemann_liouville_integral``: the same rules,
+    heads and panels, summed one s and one panel at a time."""
+    s_values = np.asarray(s_values, dtype=float)
+    y_max = math.sqrt(float(np.max(s_values)))
+    n_panels = max(int(math.ceil(y_max / panel_width)), 2)
+    edges = np.linspace(0.0, y_max, n_panels + 1) ** 2
+    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
+    head = jacobi_rule(0.0, mu - 1.0, head_nodes)
+    panel_u = np.asarray([edges[k] + (edges[k + 1] - edges[k]) * 0.5 * (gl_x + 1.0) for k in range(n_panels)])
+    panel_w = np.asarray([gl_w * 0.5 * (edges[k + 1] - edges[k]) for k in range(n_panels)])
+    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
+    first = []
+    for h, b_exp in zip(h_fns, left_exponents):
+        rule0 = jacobi_rule(0.0, b_exp, panel_nodes)
+        u0 = rule0.nodes * edges[1]
+        first.append((u0, rule0.weights * edges[1] ** (b_exp + 1.0), np.asarray(h(u0))))
+    j_idx = np.minimum(np.searchsorted(edges, s_values, side="right") - 1, n_panels - 1)
+    out = np.zeros((len(h_fns), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
+    for si, s in enumerate(s_values):
+        j = int(j_idx[si])
+        for fi, (h, b_exp) in enumerate(zip(h_fns, left_exponents)):
+            if j < 2:
+                rule = jacobi_rule(mu - 1.0, b_exp, head_nodes)
+                out[fi, si] = np.sum(rule.weights * h(s * rule.nodes)) * s ** (mu + b_exp)
+                continue
+            lo = edges[j - 1]
+            u_head = s - (s - lo) * head.nodes
+            out[fi, si] = np.sum(head.weights * h(u_head) * u_head**b_exp) * (s - lo) ** mu
+            u0, w0, h0 = first[fi]
+            out[fi, si] += np.sum(w0 * (s - u0) ** (mu - 1.0) * h0)
+            for k in range(1, j - 1):
+                kernel = panel_w[k] * (s - panel_u[k]) ** (mu - 1.0)
+                out[fi, si] += np.sum(kernel * panel_u[k] ** b_exp * h_panel[fi][k])
+    return out
 
 
 def beta_fn(x, y):
@@ -193,3 +259,53 @@ class TestRiemannLiouville:
                 epsrel=1e-13,
             )
             assert got == pytest.approx(want, rel=2e-10, abs=1e-11)
+
+
+class TestJacobiRuleMemo:
+    def test_same_read_only_rule_comes_back(self):
+        from dunkl.quadrature import _jacobi_rule
+
+        rule = jacobi_rule(0.5, 1.25, 40)
+        assert jacobi_rule(0.5, 1.25, 40) is rule
+        assert jacobi_rule(np.float64(0.5), 1.25, np.int64(40)) is rule
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        fresh = _jacobi_rule.__wrapped__(0.5, 1.25, 40)
+        assert fresh is not rule
+        assert np.array_equal(fresh.nodes, rule.nodes)
+        assert np.array_equal(fresh.weights, rule.weights)
+        assert fresh.kind == rule.kind
+
+
+def _poly_gaussian_parts():
+    f = PolyGaussian(np.array([0.7, -0.4, 1.1, 0.25, -0.05]), rate=0.6)
+    return [lambda u: f.even_part(np.sqrt(u)), lambda u: (1.0 - 0.5j) * f.odd_quotient(np.sqrt(u))]
+
+
+class TestVectorizedAgainstLoops:
+    """The panel-masked integrals against their per-s loop forms."""
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-300)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.0])
+    def test_weyl(self, mu):
+        # s = 0, s inside the first two panels, s on the edges 1, 2, 4, 64
+        s = np.array([0.0, 0.2, 0.99, 1.0, 1.5, 2.0, 3.7, 4.0, 10.0, 64.0, 100.0, 300.0])
+        h_fns = _poly_gaussian_parts()
+        for kw in ({}, {"head_nodes": 32, "panel_nodes": 40}):
+            self._close(weyl_integral(h_fns, mu, s, u_max=512.0, **kw), _weyl_reference(h_fns, mu, s, 512.0, **kw))
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_riemann_liouville(self, mu):
+        # y_max = 6 gives 8 panels with edges (0.75 k)^2: s inside the first
+        # two panels, on the edges k = 2, 3, 5, 8, and between edges
+        edges = (0.75 * np.arange(9)) ** 2
+        s = np.array([0.05, 0.4, edges[1], 1.0, edges[2], 2.0, edges[3], 7.1, edges[5], 20.0, edges[8]])
+        h_fns = _poly_gaussian_parts()
+        got = riemann_liouville_integral(h_fns, [0.5, 1.5], mu, s)
+        self._close(got, _riemann_liouville_reference(h_fns, [0.5, 1.5], mu, s))

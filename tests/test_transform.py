@@ -14,6 +14,7 @@ from dunkl.transform import (
     PlanSelfTestError,
     SpectralFunction,
     apply_multiplier,
+    apply_multiplier_fn,
     build_plan,
     forward,
     forward_at,
@@ -212,3 +213,101 @@ class TestSpectralFunction:
         fn = SpectralFunction.from_spectrum(plan, spec)
         assert fn.taylor_coeff(0) == pytest.approx(1.0, rel=1e-10)
         assert np.real(fn.taylor_coeff(2)) == pytest.approx(-1.0, rel=1e-8)
+
+
+PIPELINE_ORDERS = (0.0, 0.5, 1.5, 2.0)
+
+
+def _exact_parts(fn, y):
+    """Even part and odd quotient by direct synthesis with the exact kernel."""
+    a = fn.order.alpha
+    u = np.outer(y, fn.nodes)
+    even = j_norm(a, u) @ fn.wspec
+    odd_q = (1j * j_norm(a + 1.0, u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
+    return even, odd_q
+
+
+def _table_parts(fn, plan, y):
+    """Even part and odd quotient by direct synthesis through the plan's tables."""
+    a = fn.order.alpha
+    u = np.outer(y, fn.nodes)
+    even = plan.jnorm_table(0)(u) @ fn.wspec
+    odd_q = (1j * plan.jnorm_table(1)(u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
+    return even, odd_q
+
+
+class TestSynthesisProxy:
+    """Witness-size calls take a piecewise-Chebyshev proxy; the rest sum directly."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        original = SpectralFunction._build_proxy
+
+        def counted(fn):
+            count.append(fn)
+            original(fn)
+
+        monkeypatch.setattr(SpectralFunction, "_build_proxy", counted)
+        return count
+
+    @pytest.mark.parametrize("alpha", PIPELINE_ORDERS)
+    def test_panel_errors_within_table_route(self, witness_plan_factory, witness_factory, alpha):
+        plan = witness_plan_factory(alpha)
+        fns = [SpectralFunction.from_spectrum(plan, witness_factory(alpha, m).spectrum) for m in (0, 1)]
+        fns.append(apply_multiplier_fn(plan, witness_factory(alpha, 0).values, MultiplierSpec(1.0, 1.0)))
+        radius = plan.synthesis_radius
+        y = np.linspace(0.0, radius, 2001)
+        for fn in fns:
+            exact = _exact_parts(fn, y)
+            table = _table_parts(fn, plan, y)
+            proxy = (fn.even_part(y), fn.odd_quotient(y))
+            # bins of width 2 in y, whatever panels the proxy uses; the last
+            # one takes the endpoint y = radius
+            panels = np.minimum(y // 2.0, math.ceil(radius / 2.0) - 1)
+            for want, tab, got in zip(exact, table, proxy):
+                peak = np.max(np.abs(want))
+                for k in np.unique(panels):
+                    on = panels == k
+                    table_err = np.max(np.abs(tab[on] - want[on]))
+                    assert np.max(np.abs(got[on] - want[on])) <= 10.0 * table_err + 1e-17 * peak, (alpha, k)
+
+    def test_small_call_is_the_direct_sum(self, witness_plan_factory, witness_factory, builds):
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
+        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size)
+        even, odd_q = _table_parts(fn, plan, x)
+        assert np.array_equal(fn.even_part(x), even)
+        assert np.array_equal(fn.odd_quotient(x), odd_q)
+        assert np.array_equal(fn(x), even + x * odd_q)
+        assert builds == []
+
+    def test_points_beyond_radius_sum_directly(self, witness_plan_factory, witness_factory, builds):
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 0).spectrum)
+        x = np.linspace(0.0, 1.01 * plan.synthesis_radius, fn._proxy.size + 1)
+        even, odd_q = _table_parts(fn, plan, x)
+        assert np.array_equal(fn.even_part(x), even)
+        assert np.array_equal(fn.odd_quotient(x), odd_q)
+        assert builds == []
+
+    def test_built_once_per_object(self, witness_plan_factory, witness_factory, builds):
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
+        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size + 1)
+        even, odd_q = _table_parts(fn, plan, x)
+        peak = np.max(np.abs(even + x * odd_q))
+        for _ in range(2):
+            assert np.max(np.abs(fn.even_part(x) - even)) <= 1e-13 * peak
+            assert np.max(np.abs(fn.odd_quotient(x) - odd_q)) <= 1e-13 * peak
+            assert np.max(np.abs(fn(x) - (even + x * odd_q))) <= 1e-13 * peak
+        assert builds == [fn]
+
+    def test_planless_object_never_builds(self, witness_plan_factory, witness_factory, builds):
+        plan = witness_plan_factory(0.5)
+        w = witness_factory(0.5, 0)
+        fn = SpectralFunction(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * w.spectrum)
+        x = np.linspace(0.0, 20.0, 1300)
+        even, _ = _exact_parts(fn, x)
+        assert np.array_equal(fn.even_part(x), even)
+        assert builds == []
