@@ -8,7 +8,6 @@ verification CLI that machine-checks the identities tying them together.
 """
 
 from .special import (
-    CoeffCache,
     OrderParam,
     Z_MAX,
     a_const,
@@ -38,7 +37,9 @@ from .functions import (
     KernelFunction,
     PolyFunction,
     PolyGaussian,
+    SmoothFunction,
     WrappedFunction,
+    as_smooth,
     gaussian,
     monomial_gaussian,
 )
@@ -53,13 +54,13 @@ from .core import (
     translation,
 )
 from .sonine import (
+    SonineImage,
     SoninePair,
     dual_sonine_apply,
     dual_sonine_grid,
     intertwining_check,
     sonine_apply,
     sonine_grid,
-    sonine_image,
     sonine_via_intertwiners,
 )
 from .transform import (

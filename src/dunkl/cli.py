@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def cmd_transform(args) -> int:
 
 def cmd_sonine(args) -> int:
     try:
-        pair = SoninePair.of(args.alpha, args.beta)
+        pair = SoninePair(OrderParam(args.alpha), args.beta)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     rate = args.rate
@@ -247,6 +248,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Per report name: the largest error, and the tolerance and headroom
+    -log10(max_rel_err / tol) of the check nearest its tolerance, marked !
+    under one digit (or NaN)."""
     reports: list[IdentityReport] = []
     for path in args.results:
         try:
@@ -260,12 +264,27 @@ def cmd_report(args) -> int:
     by_suite: dict[str, list[IdentityReport]] = {}
     for r in reports:
         by_suite.setdefault(r.name, []).append(r)
-    print(f"{'suite':32s} {'checks':>6s} {'max_rel_err':>12s} {'total_s':>8s}  worst parameters")
+    print(f"{'suite':32s} {'checks':>6s} {'max_rel_err':>12s} {'tol':>9s} {'headroom':>8s}  "
+          f"{'total_s':>8s}  worst parameters")
+    thin = False
     for name, rs in by_suite.items():
-        worst = max(rs, key=lambda r: r.max_rel_err)
+        tracked = [r for r in rs if r.tolerance is not None] or rs
+        # np.max and np.argmax rank a NaN error (a failed check) above every number
+        worst = tracked[int(np.argmax([r.max_rel_err / (r.tolerance or 1.0) for r in tracked]))]
+        top = float(np.max([r.max_rel_err for r in rs]))
         total = sum(r.elapsed for r in rs)
         worst_params = {k: v for k, v in worst.params.items() if k in ("alpha", "beta", "lam", "m", "input")}
-        print(f"{name:32s} {len(rs):6d} {worst.max_rel_err:12.3e} {total:8.2f}  {worst_params}")
+        tol, flag = worst.tolerance, " "
+        if tol is None:
+            tol_s = room_s = "-"
+        else:
+            room = math.inf if worst.max_rel_err == 0 else math.log10(tol / worst.max_rel_err)
+            tol_s, room_s = f"{tol:.1e}", f"{room:.2f}"
+            if not room >= 1.0:
+                flag, thin = "!", True
+        print(f"{name:32s} {len(rs):6d} {top:12.3e} {tol_s:>9s} {room_s:>8s}{flag} {total:8.2f}  {worst_params}")
+    if thin:
+        print("! less than one digit of headroom: -log10(max_rel_err / tol) < 1, or a failed check")
     return 0
 
 

@@ -1,10 +1,13 @@
 """The deformed one-dimensional calculus: kernel, difference-differential
 operator, intertwiner and its inverse and dual, translation, convolution.
 
-Monomial actions are exact; every quadrature path is validated against them
-in the tests.  Odd-part quotients (f(x) - f(-x))/(2x) always go through the
-function objects' ``odd_quotient`` hook, which evaluates the removable
-singularity exactly instead of dividing small numbers.
+The intertwiner is the Sonine transform from the classical order:
+V_alpha = S_{-1/2,alpha} and tV_alpha = tS_{-1/2,alpha} (see dunkl.sonine),
+so its routes here are thin wrappers.  Monomial actions are exact; every
+quadrature path is validated against them in the tests.  Inputs are read
+through the SmoothFunction protocol, and bare callables are wrapped by
+``as_smooth``: odd-part quotients come from the objects' ``odd_quotient``,
+which the function classes evaluate exactly at the removable singularity.
 """
 
 from __future__ import annotations
@@ -15,21 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .functions import (
-    GridFunction,
-    PolyFunction,
-    PolyGaussian,
-    WrappedFunction,
-    even_part_of,
-    odd_quotient_of,
-)
-from .quadrature import (
-    QuadRule,
-    integrate_semi_infinite,
-    jacobi_rule,
-    radial_rule,
-    theta_rule,
-    weyl_integral,
+from .functions import GridFunction, PolyFunction, SmoothFunction, as_smooth, dunkl_operator
+from .quadrature import QuadRule, jacobi_rule, radial_rule, theta_rule
+from .sonine import (
+    classical_pair,
+    dual_sonine_apply,
+    dual_sonine_grid,
+    sonine_apply,
+    sonine_diagonal_factors,
 )
 from .special import (
     OrderParam,
@@ -38,7 +34,6 @@ from .special import (
     as_order,
     bessel_mod_array,
     inverse_intertwiner_const,
-    log_b_coeff,
 )
 
 __all__ = [
@@ -111,64 +106,19 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
     raise ValueError(f"unknown kernel mode {mode!r}")
 
 
-def dunkl_operator(alpha: OrderParam | float, f):
-    """First-order difference-differential operator
-    f -> f' + (2 alpha + 1) (f(x) - f(-x)) / (2x).
-
-    Exact on PolyFunction and PolyGaussian; other smooth functions need a
-    derivative evaluator and come back as value-only wrappers.
-    """
-    a = as_order(alpha).alpha
-    if isinstance(f, PolyFunction):
-        c = f.coeffs
-        if len(c) == 1:
-            return PolyFunction(np.zeros(1, dtype=c.dtype))
-        out = np.zeros(len(c) - 1, dtype=np.result_type(c.dtype, float))
-        for n in range(1, len(c)):
-            gain = n if n % 2 == 0 else n + 2.0 * a + 1.0
-            out[n - 1] = gain * c[n]
-        return PolyFunction(out)
-    if isinstance(f, PolyGaussian):
-        deriv = f.derivative_fn()
-        refl = PolyFunction((2.0 * a + 1.0) * f.odd_quotient_fn().poly.coeffs)
-        return PolyGaussian(deriv.poly + refl, f.rate)
-    derivative = getattr(f, "derivative", None)
-    odd_quotient = getattr(f, "odd_quotient", None)
-    if derivative is None or odd_quotient is None or not getattr(f, "has_derivative", True):
-        raise ValueError("dunkl_operator needs a derivative evaluator on non-polynomial inputs")
-    return WrappedFunction(lambda x: derivative(x) + (2.0 * a + 1.0) * odd_quotient(x))
-
-
 def v_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndarray:
     """Diagonal action of the intertwiner on monomials: x^n -> (n!/b_n) x^n."""
-    a = as_order(alpha)
-    return np.array([math.exp(math.lgamma(n + 1) - log_b_coeff(n, a)) for n in range(n_max + 1)])
+    return sonine_diagonal_factors(classical_pair(alpha), n_max)
 
 
 def v_inverse_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndarray:
-    a = as_order(alpha)
-    return np.array([math.exp(log_b_coeff(n, a) - math.lgamma(n + 1)) for n in range(n_max + 1)])
+    return 1.0 / v_diagonal_factors(alpha, n_max)
 
 
 def intertwiner_v(alpha: OrderParam | float, f, x: Optional[float] = None, n: int = 64):
-    """Intertwining operator.
-
-    On PolyFunction (x omitted) the action is the exact diagonal n!/b_n.
-    Otherwise the value at x is computed from the parity-split form
-    a_alpha int_0^1 [f_e(x sqrt(s)) + sqrt(s) f_o(x sqrt(s))] (1-s)^(alpha-1/2) s^(-1/2) ds,
-    whose integrand is smooth in s.
-    """
-    a = as_order(alpha).alpha
-    if isinstance(f, PolyFunction) and x is None:
-        return f.scaled(v_diagonal_factors(a, f.degree))
-    if x is None:
-        raise ValueError("evaluation point required for non-polynomial input")
-    rule = jacobi_rule(a - 0.5, -0.5, n)
-    t = np.sqrt(rule.nodes)
-    up = np.asarray(f(x * t))
-    um = np.asarray(f(-x * t))
-    integrand = 0.5 * (up + um) + t * 0.5 * (up - um)
-    return a_const(a) * np.sum(rule.weights * integrand)
+    """Intertwining operator V_alpha = S_{-1/2,alpha}: the exact diagonal
+    n!/b_n on PolyFunction (x omitted), else the value at x (see sonine_apply)."""
+    return sonine_apply(classical_pair(alpha), f, x, n)
 
 
 def _operator_terms(r: int, even_part: bool) -> list[tuple[int, int, float]]:
@@ -176,27 +126,19 @@ def _operator_terms(r: int, even_part: bool) -> list[tuple[int, int, float]]:
     as sum coeff * B^(j)(x) * x^power."""
     terms: dict[tuple[int, int], float] = {(0, 0): 1.0}
 
-    def inv_x_ddx(ts):
+    def x_pow_ddx(ts, shift: int):
+        """x^shift d/dx: shift -1 for d/(x dx), 0 for d/dx."""
         out: dict[tuple[int, int], float] = {}
         for (j, p), c in ts.items():
-            out[(j + 1, p - 1)] = out.get((j + 1, p - 1), 0.0) + c
+            out[(j + 1, p + shift)] = out.get((j + 1, p + shift), 0.0) + c
             if p != 0:
-                out[(j, p - 2)] = out.get((j, p - 2), 0.0) + c * p
+                out[(j, p + shift - 1)] = out.get((j, p + shift - 1), 0.0) + c * p
         return out
 
-    def ddx(ts):
-        out: dict[tuple[int, int], float] = {}
-        for (j, p), c in ts.items():
-            out[(j + 1, p)] = out.get((j + 1, p), 0.0) + c
-            if p != 0:
-                out[(j, p - 1)] = out.get((j, p - 1), 0.0) + c * p
-        return out
-
-    reps = r if even_part else r + 1
-    for _ in range(reps):
-        terms = inv_x_ddx(terms)
+    for _ in range(r if even_part else r + 1):
+        terms = x_pow_ddx(terms, -1)
     if even_part:
-        terms = ddx(terms)
+        terms = x_pow_ddx(terms, 0)
     return [(j, p, c) for (j, p), c in terms.items() if c != 0.0]
 
 
@@ -269,51 +211,15 @@ def intertwiner_v_inverse(
     return result
 
 
-def dual_intertwiner_v(
-    alpha: OrderParam | float,
-    f,
-    x: float,
-    split: Optional[float] = None,
-    tol: float = 1e-12,
-):
-    """Dual intertwiner at a point, by the substitution v = y^2 - x^2:
-    a_alpha int_0^inf v^(alpha-1/2) [f_e(y) + x (f_o(y)/y)] dv,  y = sqrt(v + x^2).
-    """
-    a = as_order(alpha).alpha
-    x = float(x)
-    if split is None:
-        split = 1.0 + x * x
-
-    def g(v: np.ndarray) -> np.ndarray:
-        y = np.sqrt(v + x * x)
-        fe = 0.5 * (np.asarray(f(y)) + np.asarray(f(-y)))
-        return fe + x * np.asarray(f.odd_quotient(y))
-
-    return a_const(a) * integrate_semi_infinite(g, a - 0.5, split=split, tol=tol)
+def dual_intertwiner_v(alpha: OrderParam | float, f, x: float, split: Optional[float] = None, tol: float = 1e-12):
+    """Dual intertwiner tV_alpha = tS_{-1/2,alpha} at a point (see dual_sonine_apply)."""
+    return dual_sonine_apply(classical_pair(alpha), f, x, split, tol)
 
 
-def dual_intertwiner_v_grid(
-    alpha: OrderParam | float,
-    f,
-    xs: np.ndarray,
-    u_max: float = 512.0,
-    head_nodes: int = 32,
-    panel_nodes: int = 40,
-) -> np.ndarray:
-    """Dual intertwiner on many points at once through the shared-panel
-    fractional tail integral of order alpha + 1/2 in u = y^2."""
-    a = as_order(alpha).alpha
-    xs = np.asarray(xs, dtype=float)
-
-    def h_even(u: np.ndarray) -> np.ndarray:
-        return np.asarray(even_part_of(f, np.sqrt(u)))
-
-    def h_odd(u: np.ndarray) -> np.ndarray:
-        return np.asarray(odd_quotient_of(f, np.sqrt(u)))
-
-    w = weyl_integral([h_even, h_odd], a + 0.5, xs**2, u_max=u_max,
-                      head_nodes=head_nodes, panel_nodes=panel_nodes)
-    return a_const(a) * (w[0] + xs * w[1])
+def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max: float = 512.0,
+                            head_nodes: int = 32, panel_nodes: int = 40) -> np.ndarray:
+    """Dual intertwiner on many points at once (see dual_sonine_grid)."""
+    return dual_sonine_grid(classical_pair(alpha), f, xs, u_max, head_nodes, panel_nodes)
 
 
 def translation(alpha: OrderParam | float, f, x: float, y: float, n: int = 64):
@@ -325,8 +231,11 @@ def translation(alpha: OrderParam | float, f, x: float, y: float, n: int = 64):
     At (0, 0), where the integral form does not apply, f(0) is returned by
     the continuity convention.
     """
-    a = as_order(alpha).alpha
-    x, y = float(x), float(y)
+    return _translate(as_order(alpha).alpha, as_smooth(f), float(x), float(y), n)
+
+
+def _translate(a: float, f: SmoothFunction, x: float, y: float, n: int):
+    """translation's angular integral, f already a SmoothFunction."""
     if x == 0.0 and y == 0.0:
         return np.asarray(f(0.0)).item()
     rule = theta_rule(a, n)
@@ -352,11 +261,12 @@ def convolution(
     absorbed (see radial_rule); both half-lines are folded through it.
     """
     a = as_order(alpha).alpha
+    f, x = as_smooth(f), float(x)
     if y_rule is None:
         y_rule = radial_rule(a, 14.0, 96)
     total = 0.0
     for y, w in zip(y_rule.nodes, y_rule.weights):
-        tau_minus = translation(a, f, x, -y, n=theta_nodes)
-        tau_plus = translation(a, f, x, y, n=theta_nodes)
+        tau_minus = _translate(a, f, x, float(-y), theta_nodes)
+        tau_plus = _translate(a, f, x, float(y), theta_nodes)
         total += w * (tau_minus * np.asarray(g(y)) + tau_plus * np.asarray(g(-y)))
     return total

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
+from .functions import WrappedFunction
 from .quadrature import homogeneous_pairing, jacobi_rule
 from .report import IdentityReport
 from .special import OrderParam, as_order, c_const, log_b_coeff
@@ -235,41 +236,38 @@ def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float
     return abs(lhs - mirrored) / max(abs(mirrored), 1e-300)
 
 
-class _ForwardImage:
+def _forward_image(plan: TransformPlan, phi) -> WrappedFunction:
     """Transform of a test function as a smooth function of the spectral
     variable, with Taylor data from weighted moments.
 
     Beyond the frequency the x-rule can resolve, the synthesis is quadrature
     noise while the true transform of a Schwartz input has long decayed, so
     values there are reported as exact zeros."""
+    values = np.asarray(phi(plan.x_nodes))
+    resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width
+    # adaptive band: where the computed spectrum has fallen below the
+    # double-precision floor, the true transform has long vanished and
+    # the synthesis is pure quadrature noise
+    grid_spec = plan.forward_matrix @ values
+    live = np.abs(grid_spec) > 1e-15 * max(np.max(np.abs(grid_spec)), 1e-300)
+    if np.any(live):
+        support = 1.3 * float(np.max(np.abs(plan.lambda_nodes[live])))
+    else:
+        support = plan.lambda_max
+    band_limit = min(resolvable, support)
 
-    def __init__(self, plan: TransformPlan, phi):
-        self.plan = plan
-        self.values = np.asarray(phi(plan.x_nodes))
-        resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width
-        # adaptive band: where the computed spectrum has fallen below the
-        # double-precision floor, the true transform has long vanished and
-        # the synthesis is pure quadrature noise
-        grid_spec = plan.forward_matrix @ self.values
-        live = np.abs(grid_spec) > 1e-15 * max(np.max(np.abs(grid_spec)), 1e-300)
-        if np.any(live):
-            support = 1.3 * float(np.max(np.abs(plan.lambda_nodes[live])))
-        else:
-            support = plan.lambda_max
-        self.band_limit = min(resolvable, support)
-
-    def __call__(self, xi):
+    def image(xi):
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
         pts = np.atleast_1d(xi)
-        out = forward_at(self.plan, self.values, pts)
-        out = np.where(np.abs(pts) <= self.band_limit, out, 0.0)
-        return out[0] if scalar else out.reshape(xi.shape)
+        out = np.where(np.abs(pts) <= band_limit, forward_at(plan, values, pts), 0.0)
+        return out[0] if xi.ndim == 0 else out.reshape(xi.shape)
 
-    def taylor_coeff(self, k: int) -> complex:
+    def taylor(k: int) -> complex:
         # coefficient of xi^k in sum_n (-i xi x)^n / b_n, integrated in x
-        moment = np.sum(self.plan.x_weights * self.plan.x_nodes**k * self.values)
-        return (-1j) ** k * math.exp(-log_b_coeff(k, self.plan.order)) * moment
+        moment = np.sum(plan.x_weights * plan.x_nodes**k * values)
+        return (-1j) ** k * math.exp(-log_b_coeff(k, plan.order)) * moment
+
+    return WrappedFunction(image, taylor=taylor)
 
 
 def power_weight_identity(
@@ -294,7 +292,7 @@ def power_weight_identity(
         if abs(lam + 2.0 * a + 2.0 * ell + 2.0) < 1e-9:
             raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
 
-    image = _ForwardImage(plan, phi)
+    image = _forward_image(plan, phi)
     lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=taylor_order)
     lhs = float(np.real(lhs_pairing.value))
 

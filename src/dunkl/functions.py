@@ -7,19 +7,29 @@ functions p(x) exp(-a x^2) with exact derivatives, parity splits, odd
 quotients and Taylor data, so no smooth-function code path ever needs finite
 differences for its own inputs.  GridFunction carries sampled data on an
 exactly symmetric grid.
+
+Every routine that acts on smooth functions reads them through one
+protocol, SmoothFunction: value, even part, odd quotient, derivative and
+Taylor coefficients.  The function classes implement it, and ``as_smooth``
+wraps any other callable in a WrappedFunction, which divides for the odd
+quotient and raises where it has no data.  The difference-differential
+operator lives here, next to the classes it is exact on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from .special import OrderParam, as_order, bessel_mod_array, log_b_coeff
 
 __all__ = [
+    "SmoothFunction",
+    "as_smooth",
+    "dunkl_operator",
     "PolyFunction",
     "PolyGaussian",
     "GridFunction",
@@ -38,6 +48,24 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     if nz.size == 0:
         return coeffs[:1] * 0
     return coeffs[: nz[-1] + 1]
+
+
+@runtime_checkable
+class SmoothFunction(Protocol):
+    """What the calculus reads from a smooth function f.  ``odd_quotient`` is
+    (f(x) - f(-x))/(2x) with its removable singularity at 0 evaluated, and
+    ``taylor_coeff(k)`` is f^(k)(0)/k!.  A method raises ValueError where
+    the object has no such data."""
+
+    def __call__(self, x): ...
+
+    def even_part(self, x): ...
+
+    def odd_quotient(self, x): ...
+
+    def derivative(self, x): ...
+
+    def taylor_coeff(self, k: int): ...
 
 
 @dataclass(frozen=True)
@@ -63,9 +91,6 @@ class PolyFunction:
         df = PolyFunction(dcoeffs)
         return df if x is None else df(x)
 
-    def derivative_fn(self) -> "PolyFunction":
-        return self.derivative()
-
     def even_fn(self) -> "PolyFunction":
         c = self.coeffs.copy()
         c[1::2] = 0
@@ -88,6 +113,9 @@ class PolyFunction:
 
     def odd_quotient(self, x):
         return self.odd_quotient_fn()(x)
+
+    def even_part(self, x):
+        return self.even_fn()(x)
 
     def taylor_coeff(self, k: int):
         return self.coeffs[k] if k < len(self.coeffs) else 0.0
@@ -144,9 +172,6 @@ class PolyGaussian:
 
     def even_fn(self) -> "PolyGaussian":
         return PolyGaussian(self.poly.even_fn(), self.rate)
-
-    def odd_fn(self) -> "PolyGaussian":
-        return PolyGaussian(self.poly.odd_fn(), self.rate)
 
     def odd_quotient_fn(self) -> "PolyGaussian":
         return PolyGaussian(self.poly.odd_quotient_fn(), self.rate)
@@ -206,11 +231,6 @@ class GridFunction:
         grid = np.concatenate([-half_grid[::-1], half_grid])
         return cls(grid=grid, values=np.asarray(values), smoothness_hint=hint)
 
-    @classmethod
-    def sample(cls, f: Callable, grid: np.ndarray, hint: str = "generic") -> "GridFunction":
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid=grid, values=np.asarray(f(grid)), smoothness_hint=hint)
-
     def even_values(self) -> np.ndarray:
         return 0.5 * (self.values + self.values[::-1])
 
@@ -256,20 +276,17 @@ class KernelFunction:
 
 
 class WrappedFunction:
-    """Adapter giving a bare callable the smooth-function hooks.
+    """A bare callable as a SmoothFunction, with optional derivative and
+    Taylor evaluators.
 
-    The odd quotient falls back to the removable-singularity rule: for
-    |x| below 1e-8 it returns f'(0), which requires a derivative evaluator.
+    The odd quotient divides f(x) - f(-x) by 2x; for |x| below 1e-8 it
+    returns f'(0) instead, which requires the derivative evaluator.
     """
 
     def __init__(self, f: Callable, df: Optional[Callable] = None, taylor: Optional[Callable] = None):
         self._f = f
         self._df = df
         self._taylor = taylor
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._df is not None
 
     def __call__(self, x):
         return self._f(x)
@@ -281,46 +298,52 @@ class WrappedFunction:
 
     def odd_quotient(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape, dtype=np.result_type(np.asarray(self._f(x[:1])).dtype, float))
         small = np.abs(x) < _ODD_QUOTIENT_EPS
+        if np.any(small) and self._df is None:
+            raise ValueError("odd quotient at |x| < 1e-8 needs a derivative evaluator: wrap f as WrappedFunction(f, df=...)")
+        safe = np.where(small, 1.0, x)
+        out = (np.asarray(self._f(safe)) - np.asarray(self._f(-safe))) / (2.0 * safe)
         if np.any(small):
-            if self._df is None:
-                raise ValueError("odd quotient near 0 needs a derivative evaluator")
-            out[small] = self._df(0.0)
-        big = ~small
-        if np.any(big):
-            xb = x[big]
-            out[big] = (np.asarray(self._f(xb)) - np.asarray(self._f(-xb))) / (2.0 * xb)
-        return out[0] if scalar else out
+            out = np.where(small, self._df(0.0), out)
+        return out[()]
 
     def even_part(self, x):
         x = np.asarray(x)
         return 0.5 * (np.asarray(self._f(x)) + np.asarray(self._f(-x)))
 
     def taylor_coeff(self, k: int):
-        if self._taylor is not None:
-            return self._taylor(k)
-        raise ValueError("wrapped function has no Taylor data")
+        if self._taylor is None:
+            raise ValueError("taylor_coeff: the wrapped function has no Taylor data")
+        return self._taylor(k)
 
 
-def even_part_of(f, x):
-    """Even part through the function's own hook when it has one."""
-    hook = getattr(f, "even_part", None)
-    if hook is not None:
-        return hook(x)
-    x = np.asarray(x)
-    return 0.5 * (np.asarray(f(x)) + np.asarray(f(-x)))
+def as_smooth(f) -> SmoothFunction:
+    """``f`` itself if it implements SmoothFunction, else ``f`` wrapped in a
+    WrappedFunction without derivative or Taylor data."""
+    return f if isinstance(f, SmoothFunction) else WrappedFunction(f)
 
 
-def odd_quotient_of(f, x):
-    hook = getattr(f, "odd_quotient", None)
-    if hook is not None:
-        return hook(x)
-    x = np.asarray(x)
-    return np.where(
-        np.abs(x) < _ODD_QUOTIENT_EPS,
-        0.0,
-        (np.asarray(f(x)) - np.asarray(f(-x))) / np.where(np.abs(x) < _ODD_QUOTIENT_EPS, 1.0, 2.0 * x),
-    )
+def dunkl_operator(alpha: OrderParam | float, f):
+    """First-order difference-differential operator
+    f -> f' + (2 alpha + 1) (f(x) - f(-x)) / (2x).
+
+    Exact on PolyFunction and PolyGaussian.  Any other input comes back as a
+    value-only wrapper; one without a derivative evaluator raises here.
+    """
+    a = as_order(alpha).alpha
+    if isinstance(f, PolyFunction):
+        c = f.coeffs
+        if len(c) == 1:
+            return PolyFunction(np.zeros(1, dtype=c.dtype))
+        out = np.zeros(len(c) - 1, dtype=np.result_type(c.dtype, float))
+        for n in range(1, len(c)):
+            gain = n if n % 2 == 0 else n + 2.0 * a + 1.0
+            out[n - 1] = gain * c[n]
+        return PolyFunction(out)
+    if isinstance(f, PolyGaussian):
+        deriv = f.derivative_fn()
+        refl = PolyFunction((2.0 * a + 1.0) * f.odd_quotient_fn().poly.coeffs)
+        return PolyGaussian(deriv.poly + refl, f.rate)
+    f = as_smooth(f)
+    f.derivative(0.0)  # fails now, not at the first evaluation, without a derivative evaluator
+    return WrappedFunction(lambda x: f.derivative(x) + (2.0 * a + 1.0) * f.odd_quotient(x))

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .functions import as_smooth
 from .special import OrderParam, as_order
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "homogeneous_pairing",
     "weyl_integral",
     "riemann_liouville_integral",
-    "taylor_coeffs_fit",
 ]
 
 DEFAULT_JACOBI_NODES = 64
@@ -222,37 +222,6 @@ def integrate_semi_infinite(
     return SemiInfiniteRule(sing_exp, split=split, tol=tol, **kw).integrate(g)
 
 
-def taylor_coeffs_fit(phi: Callable, k_max: int, radius: float = 0.5) -> np.ndarray:
-    """Estimate Taylor coefficients phi^(k)(0)/k! for k <= k_max by a
-    Chebyshev fit on [-radius, radius].
-
-    Fallback for plain callables; the function classes in
-    :mod:`dunkl.functions` provide exact coefficients instead.
-    """
-    deg = max(2 * k_max + 6, 16)
-    theta = (np.arange(deg + 1) + 0.5) * math.pi / (deg + 1)
-    x = radius * np.cos(theta)
-    y = np.asarray([phi(v) for v in x])
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(x, y, deg, domain=[-radius, radius])
-    power = cheb.convert(kind=np.polynomial.polynomial.Polynomial)
-    coef = power.coef
-    out = np.zeros(k_max + 1, dtype=coef.dtype)
-    out[: min(k_max + 1, coef.size)] = coef[: k_max + 1]
-    return out
-
-
-def _even_taylor(phi, taylor_order: int) -> np.ndarray:
-    """Coefficients c_{2k} = phi^(2k)(0)/(2k)! for 2k <= taylor_order (+ margin)."""
-    k_max = taylor_order + 18  # margin used to evaluate the subtracted remainder stably
-    getter = getattr(phi, "taylor_coeff", None)
-    if getter is not None:
-        coeffs = np.asarray([getter(k) for k in range(k_max + 1)])
-    else:
-        coeffs = taylor_coeffs_fit(phi, k_max)
-    coeffs = coeffs.real if np.isrealobj(coeffs) or np.allclose(coeffs.imag, 0) else coeffs
-    return coeffs
-
-
 def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResult:
     """Analytic continuation of int_R |x|^lam phi(x) dx.
 
@@ -260,13 +229,18 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
     to order ``taylor_order`` is subtracted and integrated in closed form,
     each monomial contributing 2 c_{2k} / (lam + 2k + 1).  Valid for
     lam > -(taylor_order + 2) away from the simple poles -(2l+1); at a pole
-    the residue 2 phi^(2l)(0)/(2l)! is returned instead of a value.
+    the residue 2 phi^(2l)(0)/(2l)! is returned instead of a value.  The
+    coefficients come from ``phi.taylor_coeff``; an input without Taylor
+    data raises ValueError.
     """
+    phi = as_smooth(phi)
     lam = float(lam)
     taylor_order = int(taylor_order) + (int(taylor_order) % 2)  # even
     if lam <= -(taylor_order + 2):
         raise ValueError(f"lam={lam} needs taylor_order > {-lam - 2}")
-    coeffs = _even_taylor(phi, taylor_order)
+    # c_k = phi^(k)(0)/k!, with a margin of 18 orders to evaluate the subtracted remainder stably
+    coeffs = np.asarray([phi.taylor_coeff(k) for k in range(taylor_order + 19)])
+    coeffs = coeffs.real if np.isrealobj(coeffs) or np.allclose(coeffs.imag, 0) else coeffs
 
     for ell in range(taylor_order // 2 + 1):
         if abs(lam + 2 * ell + 1) < _POLE_TOL:

@@ -3,7 +3,11 @@
 S maps the alpha-theory into the beta-theory (beta > alpha): diagonal
 b_n(alpha)/b_n(beta) on monomials, kernel-to-kernel on eigenfunctions.  The
 dual transform tS acts on Schwartz functions through a one-sided fractional
-tail integral of order beta - alpha in u = y^2.
+tail integral of order beta - alpha in u = y^2.  From the classical order
+alpha = -1/2, where E(z) = e^z, S is the intertwiner V_beta and tS its dual.
+
+Every route reads its input through the SmoothFunction protocol; a bare
+callable is wrapped by ``as_smooth``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import dunkl_operator, v_diagonal_factors, v_inverse_diagonal_factors
-from .functions import PolyFunction, even_part_of, odd_quotient_of
+from .functions import PolyFunction, SmoothFunction, as_smooth, dunkl_operator
 from .quadrature import (
     integrate_semi_infinite,
     jacobi_rule,
@@ -24,13 +27,14 @@ from .quadrature import (
     weyl_integral,
 )
 from .report import IdentityReport
-from .special import OrderParam, a_sonine, as_order, log_b_coeff
+from .special import CLASSICAL_ORDER, OrderParam, a_sonine, as_order, as_source_order, log_b_coeff
 
 __all__ = [
     "SoninePair",
+    "SonineImage",
+    "classical_pair",
     "sonine_apply",
     "sonine_grid",
-    "sonine_image",
     "dual_sonine_apply",
     "dual_sonine_grid",
     "sonine_via_intertwiners",
@@ -41,13 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SoninePair:
-    """Validated order pair (alpha, beta) with beta > alpha, both > -1/2."""
+    """Validated order pair (alpha, beta) with beta > alpha > -1/2.  The
+    source order alpha may also be the classical order -1/2."""
 
     alpha: OrderParam
     beta: OrderParam
 
     def __post_init__(self) -> None:
-        a = as_order(self.alpha)
+        a = as_source_order(self.alpha)
         b = as_order(self.beta)
         if not b.alpha > a.alpha:
             raise ValueError(f"Sonine pair requires beta > alpha, got ({a.alpha}, {b.alpha})")
@@ -56,7 +61,7 @@ class SoninePair:
 
     @classmethod
     def of(cls, alpha: float, beta: float) -> "SoninePair":
-        return cls(OrderParam(float(alpha)), OrderParam(float(beta)))
+        return cls(float(alpha), float(beta))
 
     @property
     def a(self) -> float:
@@ -76,6 +81,16 @@ class SoninePair:
         return a_sonine(self.alpha, self.beta)
 
 
+def classical_pair(alpha: OrderParam | float) -> SoninePair:
+    """(-1/2, alpha): S_{-1/2,alpha} is the intertwiner V_alpha."""
+    return SoninePair(CLASSICAL_ORDER, alpha)
+
+
+def _squared_parts(f: SmoothFunction) -> list:
+    """Even part and odd quotient of f as functions of u = y^2."""
+    return [lambda u: np.asarray(f.even_part(np.sqrt(u))), lambda u: np.asarray(f.odd_quotient(np.sqrt(u)))]
+
+
 def sonine_diagonal_factors(pair: SoninePair, n_max: int) -> np.ndarray:
     """x^n -> (b_n(alpha)/b_n(beta)) x^n."""
     return np.array(
@@ -86,8 +101,8 @@ def sonine_diagonal_factors(pair: SoninePair, n_max: int) -> np.ndarray:
 def sonine_apply(pair: SoninePair, f, x: Optional[float] = None, n: int = 64):
     """Sonine transform.
 
-    PolyFunction (x omitted): exact diagonal.  Otherwise the parity-split
-    quadrature form
+    PolyFunction (x omitted): exact diagonal.  At x = 0: f(0).  Otherwise the
+    parity-split quadrature form
 
       a_{alpha,beta} int_0^1 [f_e(x sqrt(s)) + sqrt(s) f_o(x sqrt(s))]
                               (1-s)^(beta-alpha-1) s^alpha ds,
@@ -99,12 +114,15 @@ def sonine_apply(pair: SoninePair, f, x: Optional[float] = None, n: int = 64):
         return f.scaled(sonine_diagonal_factors(pair, f.degree))
     if x is None:
         raise ValueError("evaluation point required for non-polynomial input")
-    rule = jacobi_rule(pair.mu - 1.0, pair.a, n)
-    t = np.sqrt(rule.nodes)
-    args = float(x) * t
-    fe = np.asarray(even_part_of(f, args))
-    oq = np.asarray(odd_quotient_of(f, args))
-    integrand = fe + float(x) * rule.nodes * oq
+    return _sonine_at(pair, as_smooth(f), float(x), jacobi_rule(pair.mu - 1.0, pair.a, n))
+
+
+def _sonine_at(pair: SoninePair, f: SmoothFunction, x: float, rule):
+    """sonine_apply's quadrature form at one point, f already a SmoothFunction."""
+    if x == 0.0:
+        return f(0.0)
+    args = x * np.sqrt(rule.nodes)
+    integrand = np.asarray(f.even_part(args)) + x * rule.nodes * np.asarray(f.odd_quotient(args))
     return pair.prefactor * np.sum(rule.weights * integrand)
 
 
@@ -119,6 +137,7 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray, panel_width: float = 0.75) 
     uniform in y, so oscillatory inputs stay resolved at every x
     simultaneously; pointwise values agree with sonine_apply.
     """
+    f = as_smooth(f)
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.shape, dtype=complex)
     zero = xs == 0.0
@@ -128,15 +147,8 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray, panel_width: float = 0.75) 
     ax = np.abs(xs[live])
     order = np.argsort(ax)
     ax_sorted = ax[order]
-
-    def h_even(u: np.ndarray) -> np.ndarray:
-        return np.asarray(even_part_of(f, np.sqrt(u)))
-
-    def h_odd(u: np.ndarray) -> np.ndarray:
-        return np.asarray(odd_quotient_of(f, np.sqrt(u)))
-
     w = riemann_liouville_integral(
-        [h_even, h_odd],
+        _squared_parts(f),
         [pair.a, pair.a + 1.0],
         pair.mu,
         ax_sorted**2,
@@ -154,52 +166,43 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray, panel_width: float = 0.75) 
 
 
 class SonineImage:
-    """S f as a smooth-function object (value, derivative, odd quotient),
-    with everything differentiated under the integral sign."""
+    """S f as a SmoothFunction, with everything differentiated under the
+    integral sign; its values are sonine_apply's."""
 
     def __init__(self, pair: SoninePair, f, n: int = 64):
         self.pair = pair
-        self.f = f
+        self.f = as_smooth(f)
         self.rule = jacobi_rule(pair.mu - 1.0, pair.a, n)
         self._t = np.sqrt(self.rule.nodes)
 
-    def __call__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 0:
-            return sonine_apply(self.pair, self.f, float(x), n=len(self.rule.nodes))
-        return np.asarray([sonine_apply(self.pair, self.f, float(v), n=len(self.rule.nodes)) for v in x.ravel()]).reshape(x.shape)
-
-    def derivative(self, x):
+    def _map(self, x, fn):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        t, w, f = self._t, self.rule.weights, self.f
-        out = []
-        for v in xs:
-            dp = np.asarray(f.derivative(v * t))
-            dm = np.asarray(f.derivative(-v * t))
-            # (f_e)' = odd part of f', (f_o)' = even part of f'
-            fe_prime = 0.5 * (dp - dm)
-            fo_prime = 0.5 * (dp + dm)
-            out.append(self.pair.prefactor * np.sum(w * (t * fe_prime + self.rule.nodes * fo_prime)))
-        res = np.asarray(out)
-        return res[0] if scalar else res.reshape(x.shape)
+        vals = np.asarray([fn(float(v)) for v in np.atleast_1d(x).ravel()])
+        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+
+    def _quad(self, integrand) -> complex:
+        return self.pair.prefactor * np.sum(self.rule.weights * integrand)
+
+    def __call__(self, x):
+        return self._map(x, lambda v: _sonine_at(self.pair, self.f, v, self.rule))
+
+    def even_part(self, x):
+        return self._map(x, lambda v: self._quad(np.asarray(self.f.even_part(v * self._t))))
 
     def odd_quotient(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        t, w, f = self._t, self.rule.weights, self.f
-        out = []
-        for v in xs:
-            oq = np.asarray(f.odd_quotient(v * t))
-            out.append(self.pair.prefactor * np.sum(w * self.rule.nodes * oq))
-        res = np.asarray(out)
-        return res[0] if scalar else res.reshape(x.shape)
+        return self._map(x, lambda v: self._quad(self.rule.nodes * np.asarray(self.f.odd_quotient(v * self._t))))
 
+    def derivative(self, x):
+        def at(v: float) -> complex:
+            dp = np.asarray(self.f.derivative(v * self._t))
+            dm = np.asarray(self.f.derivative(-v * self._t))
+            # (f_e)' = odd part of f', (f_o)' = even part of f'
+            return self._quad(self._t * (0.5 * (dp - dm)) + self.rule.nodes * (0.5 * (dp + dm)))
 
-def sonine_image(pair: SoninePair, f, n: int = 64) -> SonineImage:
-    return SonineImage(pair, f, n=n)
+        return self._map(x, at)
+
+    def taylor_coeff(self, k: int):
+        return self.f.taylor_coeff(k) * math.exp(log_b_coeff(k, self.pair.alpha) - log_b_coeff(k, self.pair.beta))
 
 
 def dual_sonine_apply(
@@ -214,14 +217,14 @@ def dual_sonine_apply(
       a_{alpha,beta} int_0^inf v^(beta-alpha-1) [f_e(y) + x (f_o(y)/y)] dv,
       y = sqrt(v + x^2).
     """
+    f = as_smooth(f)
     x = float(x)
     if split is None:
         split = 1.0 + x * x
 
     def g(v: np.ndarray) -> np.ndarray:
         y = np.sqrt(v + x * x)
-        fe = 0.5 * (np.asarray(f(y)) + np.asarray(f(-y)))
-        return fe + x * np.asarray(f.odd_quotient(y))
+        return np.asarray(f.even_part(y)) + x * np.asarray(f.odd_quotient(y))
 
     return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=split, tol=tol)
 
@@ -237,25 +240,21 @@ def dual_sonine_grid(
     """Dual Sonine transform on many points through the shared-panel
     fractional tail integral; agrees with dual_sonine_apply pointwise."""
     xs = np.asarray(xs, dtype=float)
-
-    def h_even(u: np.ndarray) -> np.ndarray:
-        return np.asarray(even_part_of(f, np.sqrt(u)))
-
-    def h_odd(u: np.ndarray) -> np.ndarray:
-        return np.asarray(odd_quotient_of(f, np.sqrt(u)))
-
-    w = weyl_integral([h_even, h_odd], pair.mu, xs**2, u_max=u_max,
+    w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max,
                       head_nodes=head_nodes, panel_nodes=panel_nodes)
     return pair.prefactor * (w[0] + xs * w[1])
 
 
 def sonine_via_intertwiners(pair: SoninePair, f: PolyFunction) -> PolyFunction:
-    """Composition route V_beta o V_alpha^{-1} on polynomials; must agree with
-    the direct diagonal exactly."""
+    """Composition route V_beta o V_alpha^{-1} on polynomials, the intertwiners
+    being the Sonine transforms from -1/2 (V_{-1/2} is the identity); must
+    agree with the direct diagonal to rounding."""
     if not isinstance(f, PolyFunction):
         raise TypeError("composition route is the exact polynomial path")
-    step = f.scaled(v_inverse_diagonal_factors(pair.alpha, f.degree))
-    return step.scaled(v_diagonal_factors(pair.beta, step.degree))
+    step = f
+    if pair.alpha is not CLASSICAL_ORDER:
+        step = f.scaled(1.0 / sonine_diagonal_factors(classical_pair(pair.alpha), f.degree))
+    return step.scaled(sonine_diagonal_factors(classical_pair(pair.beta), step.degree))
 
 
 def _fd_derivative(fn, x: float, h: float = 1e-2):
@@ -275,14 +274,8 @@ def intertwining_check(pair: SoninePair, f, grid: Optional[np.ndarray] = None) -
     if isinstance(f, PolyFunction):
         lhs = dunkl_operator(pair.beta, sonine_apply(pair, f))
         rhs = sonine_apply(pair, dunkl_operator(pair.alpha, f))
-        width = max(len(lhs.coeffs), len(rhs.coeffs))
-        lc = np.zeros(width, dtype=complex)
-        rc = np.zeros(width, dtype=complex)
-        lc[: len(lhs.coeffs)] = lhs.coeffs
-        rc[: len(rhs.coeffs)] = rhs.coeffs
-        abs_err = float(np.max(np.abs(lc - rc))) if width else 0.0
-        scale = float(np.max(np.abs(rc))) if width else 1.0
-        rel_err = abs_err / max(scale, 1e-300)
+        abs_err = float(np.max(np.abs((lhs - rhs).coeffs)))
+        rel_err = abs_err / max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
         return IdentityReport(
             name="sonine-intertwining",
             params={"alpha": pair.a, "beta": pair.b, "input": "polynomial", "degree": f.degree},

@@ -17,10 +17,11 @@ from scipy.special import jv
 
 __all__ = [
     "OrderParam",
-    "CoeffCache",
+    "CLASSICAL_ORDER",
     "SeriesNonConvergence",
     "Z_MAX",
     "as_order",
+    "as_source_order",
     "log_gamma",
     "b_coeff",
     "log_b_coeff",
@@ -64,11 +65,28 @@ class OrderParam:
         object.__setattr__(self, "alpha", a)
 
 
+#: The classical order -1/2, where E(z) = e^z and b_n = n!.  It bypasses
+#: OrderParam's check and is admitted only as the source order of a Sonine
+#: pair (see as_source_order); S_{-1/2,alpha} is the intertwiner V_alpha.
+CLASSICAL_ORDER = object.__new__(OrderParam)
+object.__setattr__(CLASSICAL_ORDER, "alpha", -0.5)
+
+
 def as_order(alpha: OrderParam | float) -> OrderParam:
-    """Coerce a bare float to a validated :class:`OrderParam`."""
+    """Coerce a bare float to a validated :class:`OrderParam`; the classical
+    order -1/2 is rejected in either form."""
+    if alpha is CLASSICAL_ORDER:
+        raise ValueError("the classical order -1/2 is only a Sonine source order")
     if isinstance(alpha, OrderParam):
         return alpha
     return OrderParam(float(alpha))
+
+
+def as_source_order(alpha: OrderParam | float) -> OrderParam:
+    """as_order, also admitting -1/2: for SoninePair, log_b_coeff and a_sonine only."""
+    if alpha is CLASSICAL_ORDER or (not isinstance(alpha, OrderParam) and float(alpha) == -0.5):
+        return CLASSICAL_ORDER
+    return as_order(alpha)
 
 
 def log_gamma(x: float) -> float:
@@ -93,7 +111,7 @@ def log_b_coeff(n: int, alpha: OrderParam | float) -> float:
     """
     if n < 0:
         raise ValueError("coefficient index must be nonnegative")
-    a = as_order(alpha).alpha
+    a = as_source_order(alpha).alpha
     if n % 2 == 0:
         m = n // 2
         return 2 * m * math.log(2) + math.lgamma(m + 1) + math.lgamma(m + a + 1) - math.lgamma(a + 1)
@@ -106,24 +124,6 @@ def b_coeff(n: int, alpha: OrderParam | float) -> float:
     return math.exp(log_b_coeff(n, alpha))
 
 
-@dataclass(frozen=True)
-class CoeffCache:
-    """Precomputed b_0..b_N for one order parameter; immutable."""
-
-    order: OrderParam
-    b: tuple[float, ...]
-    log_b: tuple[float, ...]
-
-    @classmethod
-    def build(cls, alpha: OrderParam | float, n_max: int) -> "CoeffCache":
-        order = as_order(alpha)
-        logs = tuple(log_b_coeff(n, order) for n in range(n_max + 1))
-        vals = tuple(math.exp(v) for v in logs)
-        if any(not math.isfinite(v) or v <= 0 for v in vals):
-            raise OverflowError(f"b_n overflowed for alpha={order.alpha}, n_max={n_max}; use log_b")
-        return cls(order=order, b=vals, log_b=logs)
-
-
 def a_const(alpha: OrderParam | float) -> float:
     """Normalization of the compact integral representation of the kernel:
     Gamma(alpha+1) / (sqrt(pi) Gamma(alpha+1/2))."""
@@ -133,7 +133,7 @@ def a_const(alpha: OrderParam | float) -> float:
 
 def a_sonine(alpha: OrderParam | float, beta: OrderParam | float) -> float:
     """Sonine prefactor Gamma(beta+1)/(Gamma(beta-alpha) Gamma(alpha+1)), beta > alpha."""
-    a = as_order(alpha).alpha
+    a = as_source_order(alpha).alpha
     b = as_order(beta).alpha
     if not b > a:
         raise ValueError(f"Sonine prefactor requires beta > alpha, got alpha={a}, beta={b}")

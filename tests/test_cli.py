@@ -232,6 +232,35 @@ class TestReportCommand:
         code = main(["report", "no-such-file.json"])
         assert code == 2
 
+    def test_tolerance_and_headroom_columns(self, tmp_path, capsys):
+        from dunkl.report import IdentityReport, reports_to_json
+
+        reports = [
+            IdentityReport("power-weight-degenerate", {"alpha": 1.5, "tol": 1e-8}, "", 2.6e-9, 2.6e-9),
+            IdentityReport("power-weight-degenerate", {"alpha": 0.5, "tol": 1e-8}, "", 1e-12, 1e-12),
+            IdentityReport("sonine-product", {"alpha": 0.0, "tol": 1e-8}, "", 1e-12, 1e-12),
+            IdentityReport("exact", {"tol": 1e-12}, "", 0.0, 0.0),
+            IdentityReport("untracked", {}, "", 1e-3, 1e-3),
+            IdentityReport("mixed-tols", {"alpha": 0.0, "tol": 1e-6}, "", 5e-9, 5e-9),
+            IdentityReport("mixed-tols", {"alpha": 1.0, "tol": 1e-9}, "", 1e-9, 1e-9),
+            IdentityReport("failed-check", {"alpha": 0.0, "tol": 1e-8}, "", 1e-10, 1e-10),
+            IdentityReport("failed-check", {"alpha": 1.0, "tol": 1e-8}, "", math.nan, math.nan),
+        ]
+        path = tmp_path / "r.json"
+        path.write_text(reports_to_json(reports))
+        assert main(["report", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:6] == ["suite", "checks", "max_rel_err", "tol", "headroom", "total_s"]
+        rows = {line.split()[0]: line.split() for line in lines[1:] if not line.startswith("!")}
+        assert rows["power-weight-degenerate"][1:5] == ["2", "2.600e-09", "1.0e-08", "0.59!"]
+        assert rows["sonine-product"][3:5] == ["1.0e-08", "4.00"]
+        assert rows["exact"][3:5] == ["1.0e-12", "inf"]
+        assert rows["untracked"][3:5] == ["-", "-"]
+        # the largest error of the suite, the headroom of the check nearest its own tolerance
+        assert rows["mixed-tols"][2:5] == ["5.000e-09", "1.0e-09", "0.00!"]
+        assert rows["failed-check"][2:5] == ["nan", "1.0e-08", "nan!"]
+        assert lines[-1].startswith("! less than one digit of headroom")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -112,6 +112,10 @@ class TestPairingIdentity:
         with pytest.raises(ValueError):
             power_weight_identity(0.5, -3.0, gaussian(), plan_factory(0.5))
 
+    def test_bare_callable_without_taylor_data_raises(self, plan_factory):
+        with pytest.raises(ValueError, match="taylor_coeff"):
+            power_weight_identity(0.5, -1.3, lambda x: np.exp(-x**2), plan_factory(0.5))
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
     def test_symbol_constants_consistency(self, alpha):
         for lam in (-0.7, -1.3, -2.2):

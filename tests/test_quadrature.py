@@ -219,6 +219,11 @@ class TestHomogeneousPairing:
         res = homogeneous_pairing(0.6, monomial_gaussian(1))
         assert abs(res.value) < 1e-14
 
+    @pytest.mark.parametrize("lam", (0.6, -11.5))
+    def test_bare_callable_without_taylor_data_raises(self, lam):
+        with pytest.raises(ValueError, match="taylor_coeff"):
+            homogeneous_pairing(lam, lambda x: np.exp(-x**2))
+
 
 class TestWeylIntegral:
     def test_exponential_closed_form(self):

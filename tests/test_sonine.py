@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dunkl.functions import KernelFunction, PolyFunction, PolyGaussian, gaussian, monomial_gaussian
+from dunkl import core
+from dunkl.cli import main
+from dunkl.functions import KernelFunction, PolyFunction, PolyGaussian, WrappedFunction, gaussian, monomial_gaussian
 from dunkl.quadrature import radial_rule
 from dunkl.sonine import (
+    SonineImage,
     SoninePair,
     dual_sonine_apply,
     dual_sonine_grid,
@@ -16,8 +19,8 @@ from dunkl.sonine import (
     sonine_grid,
     sonine_via_intertwiners,
 )
-from dunkl.special import b_coeff
-from dunkl.transform import forward, forward_at
+from dunkl.special import OrderParam, a_const, a_sonine, as_order, b_coeff, c_const
+from dunkl.transform import build_plan, forward, forward_at
 
 PAIRS = ((0.0, 0.5), (0.5, 1.5), (0.0, 2.0), (-0.25, 0.75), (1.5, 3.5))
 
@@ -192,10 +195,101 @@ class TestIntertwining:
         a, b, lam = 0.5, 1.5, 1.2
         pair = SoninePair.of(a, b)
         from dunkl.core import dunkl_operator
-        from dunkl.sonine import sonine_image
+        from dunkl.sonine import SonineImage
 
-        img = sonine_image(pair, KernelFunction(a, lam))
+        img = SonineImage(pair, KernelFunction(a, lam))
         op = dunkl_operator(b, img)
         kb = KernelFunction(b, lam)
         for x in (0.5, 1.4):
             assert op(x) == pytest.approx(lam * kb(x), rel=1e-9)
+
+
+class TestBareCallables:
+    def test_odd_quotient_near_zero_takes_the_derivative(self):
+        f = WrappedFunction(lambda u: np.asarray(u, dtype=float), df=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+        assert sonine_apply(SoninePair.of(0, 1), f, 1e-9) == pytest.approx(5e-10, rel=1e-14)
+
+    def test_odd_quotient_near_zero_without_derivative_raises(self):
+        with pytest.raises(ValueError, match="derivative"):
+            sonine_apply(SoninePair.of(0, 1), WrappedFunction(lambda u: u), 1e-9)
+        with pytest.raises(ValueError, match="derivative"):
+            sonine_apply(SoninePair.of(0, 1), lambda u: u, 1e-9)
+
+    def test_value_at_zero_needs_no_odd_quotient(self):
+        assert core.intertwiner_v(0.5, lambda x: np.exp(-x**2), 0.0) == 1.0
+
+    def test_failure_range_of_a_bare_callable(self):
+        """With the default 64 nodes the smallest argument is about 0.0122 |x|,
+        so a bare callable raises for 0 < |x| below about 8.2e-7."""
+        want = lambda x: KernelFunction(0.5, 1.0)(x).real  # V_alpha e^(.) = E_alpha
+        for x in (1e-6, -1e-6, 1e-3):
+            assert core.intertwiner_v(0.5, np.exp, x) == pytest.approx(want(x), rel=1e-13)
+        for x in (1e-7, -5e-7):
+            with pytest.raises(ValueError, match="derivative"):
+                core.intertwiner_v(0.5, np.exp, x)
+            got = core.intertwiner_v(0.5, WrappedFunction(np.exp, df=np.exp), x)
+            assert got == pytest.approx(want(x), rel=1e-14)
+
+
+class TestSonineImage:
+    def test_parts_and_taylor_data(self):
+        pair = SoninePair.of(0.5, 1.5)
+        img = SonineImage(pair, PolyGaussian(PolyFunction(np.array([1.0, 0.7, 0.0, -0.3])), 1.0))
+        x = np.array([0.4, 1.3])
+        np.testing.assert_allclose(img.even_part(x), 0.5 * (img(x) + img(-x)), rtol=1e-13)
+        np.testing.assert_allclose(x * img.odd_quotient(x), 0.5 * (img(x) - img(-x)), rtol=1e-13)
+        f = PolyFunction(np.random.default_rng(5).standard_normal(9))
+        want = sonine_apply(pair, f).coeffs
+        got = [SonineImage(pair, f).taylor_coeff(k) for k in range(9)]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+class TestClassicalOrder:
+    """S_{-1/2,alpha} is the intertwiner V_alpha, and -1/2 is a Sonine
+    pair's source order only."""
+
+    def test_intertwiner_factors_and_prefactor(self):
+        for a in (-0.25, 0.0, 0.5, 1.5):
+            want = [math.factorial(n) / b_coeff(n, a) for n in range(21)]
+            np.testing.assert_allclose(core.v_diagonal_factors(a, 20), want, rtol=1e-13)
+            assert SoninePair.of(-0.5, a).prefactor == pytest.approx(a_const(a), rel=1e-14)
+
+    def test_transitivity_on_polynomials(self):
+        p = PolyFunction(np.random.default_rng(17).standard_normal(21))
+        for a, b in ((0.0, 1.0), (0.5, 2.0), (-0.25, 1.5)):
+            two_steps = sonine_apply(SoninePair.of(a, b), sonine_apply(SoninePair.of(-0.5, a), p))
+            one_step = sonine_apply(SoninePair.of(-0.5, b), p)
+            np.testing.assert_allclose(two_steps.coeffs, one_step.coeffs, rtol=1e-14)
+            routed = sonine_via_intertwiners(SoninePair.of(-0.5, b), p)
+            np.testing.assert_allclose(routed.coeffs, one_step.coeffs, rtol=1e-14)
+
+    @pytest.mark.parametrize("a,b", ((0.0, 1.0), (0.5, 2.0)))
+    def test_transitivity_through_sonine_image(self, a, b):
+        f = monomial_gaussian(1)
+        inner = SonineImage(SoninePair.of(-0.5, a), f)
+        for x in (-1.7, 0.3, 1.1, 2.4):
+            two_steps = sonine_apply(SoninePair.of(a, b), inner, x)
+            assert two_steps == pytest.approx(sonine_apply(SoninePair.of(-0.5, b), f, x), rel=1e-12)
+
+    def test_negative_half_rejected_elsewhere(self, capsys):
+        with pytest.raises(ValueError):
+            OrderParam(-0.5)
+        with pytest.raises(ValueError):
+            build_plan(-0.5)
+        with pytest.raises(ValueError):
+            SoninePair.of(0.5, -0.5)
+        with pytest.raises(ValueError):
+            SoninePair.of(-0.6, 1)
+        assert main(["kernel", "--alpha", "-0.5", "--z", "1"]) == 2
+        assert main(["sonine", "--alpha", "-0.5", "--beta", "1", "--x", "0.5"]) == 2
+        assert "alpha > -1/2" in capsys.readouterr().err
+
+    def test_classical_source_order_does_not_leak(self):
+        source = SoninePair.of(-0.5, 1.0).alpha
+        for reject in (as_order, build_plan, c_const, a_const, lambda a: KernelFunction(a, 1.0),
+                       lambda a: core.dunkl_kernel(a, 1.0), lambda a: radial_rule(a, 10.0, 8),
+                       lambda a: a_sonine(0.0, a)):
+            with pytest.raises(ValueError):
+                reject(source)
+        assert b_coeff(5, source) == pytest.approx(120.0, rel=1e-14)
+        assert a_sonine(source, 0.5) == pytest.approx(a_const(0.5), rel=1e-14)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dunkl.special import (
-    CoeffCache,
     OrderParam,
     a_const,
     a_sonine,
@@ -88,14 +87,6 @@ class TestBCoeff:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             b_coeff(-1, 0.5)
-
-
-class TestCoeffCache:
-    def test_invariants(self):
-        cache = CoeffCache.build(0.7, 60)
-        assert cache.b[0] == 1.0
-        assert all(v > 0 and math.isfinite(v) for v in cache.b)
-        assert len(cache.b) == 61
 
 
 class TestAConst:
