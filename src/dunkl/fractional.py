@@ -30,11 +30,10 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
-from .functions import WrappedFunction
 from .quadrature import homogeneous_pairing, jacobi_rule
 from .report import IdentityReport
-from .special import OrderParam, as_order, c_const, log_b_coeff
-from .transform import TransformPlan, forward_at
+from .special import OrderParam, as_order, c_const
+from .transform import SpectralFunction, TransformPlan, spectral_support
 
 __all__ = [
     "riesz_prefactor",
@@ -236,38 +235,21 @@ def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float
     return abs(lhs - mirrored) / max(abs(mirrored), 1e-300)
 
 
-def _forward_image(plan: TransformPlan, phi) -> WrappedFunction:
-    """Transform of a test function as a smooth function of the spectral
-    variable, with Taylor data from weighted moments.
+class _ForwardImage(SpectralFunction):
+    """Transform of a test function, sum_j E_alpha(-i xi x_j) w_j phi(x_j) over
+    the plan's x-rule: its even part sums j_norm(alpha) alone, and its Taylor
+    data are the weighted moments.  Beyond the band the x-rule resolves, or
+    where the grid spectrum is below the double-precision floor, the synthesis
+    is quadrature noise and the values are exact zeros."""
 
-    Beyond the frequency the x-rule can resolve, the synthesis is quadrature
-    noise while the true transform of a Schwartz input has long decayed, so
-    values there are reported as exact zeros."""
-    values = np.asarray(phi(plan.x_nodes))
-    resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width
-    # adaptive band: where the computed spectrum has fallen below the
-    # double-precision floor, the true transform has long vanished and
-    # the synthesis is pure quadrature noise
-    grid_spec = plan.forward_matrix @ values
-    live = np.abs(grid_spec) > 1e-15 * max(np.max(np.abs(grid_spec)), 1e-300)
-    if np.any(live):
-        support = 1.3 * float(np.max(np.abs(plan.lambda_nodes[live])))
-    else:
-        support = plan.lambda_max
-    band_limit = min(resolvable, support)
+    def __init__(self, plan: TransformPlan, phi):
+        values = np.asarray(phi(plan.x_nodes))
+        super().__init__(plan.order, -plan.x_nodes, plan.x_weights * values)
+        resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width  # highest frequency the x-rule resolves
+        self.band_limit = min(resolvable, spectral_support(plan, values, 1e-15))
 
-    def image(xi):
-        xi = np.asarray(xi, dtype=float)
-        pts = np.atleast_1d(xi)
-        out = np.where(np.abs(pts) <= band_limit, forward_at(plan, values, pts), 0.0)
-        return out[0] if xi.ndim == 0 else out.reshape(xi.shape)
-
-    def taylor(k: int) -> complex:
-        # coefficient of xi^k in sum_n (-i xi x)^n / b_n, integrated in x
-        moment = np.sum(plan.x_weights * plan.x_nodes**k * values)
-        return (-1j) ** k * math.exp(-log_b_coeff(k, plan.order)) * moment
-
-    return WrappedFunction(image, taylor=taylor)
+    def _part(self, part: int, x: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(x) <= self.band_limit, super()._part(part, x), 0.0)
 
 
 def power_weight_identity(
@@ -292,7 +274,7 @@ def power_weight_identity(
         if abs(lam + 2.0 * a + 2.0 * ell + 2.0) < 1e-9:
             raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
 
-    image = _forward_image(plan, phi)
+    image = _ForwardImage(plan, phi)
     lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=taylor_order)
     lhs = float(np.real(lhs_pairing.value))
 

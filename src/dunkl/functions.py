@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _ODD_QUOTIENT_EPS = 1e-8
+_DF_MEAN_RULE = np.polynomial.legendre.leggauss(12)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -279,8 +280,10 @@ class WrappedFunction:
     """A bare callable as a SmoothFunction, with optional derivative and
     Taylor evaluators.
 
-    The odd quotient divides f(x) - f(-x) by 2x; for |x| below 1e-8 it
-    returns f'(0) instead, which requires the derivative evaluator.
+    The odd quotient divides f(x) - f(-x) by 2x.  Where that difference
+    loses over two digits and |x| < 1e-2, the derivative evaluator gives
+    instead the mean of f' over [-x, x] (12-node Gauss-Legendre); without
+    one, |x| < 1e-8 raises.
     """
 
     def __init__(self, f: Callable, df: Optional[Callable] = None, taylor: Optional[Callable] = None):
@@ -302,9 +305,14 @@ class WrappedFunction:
         if np.any(small) and self._df is None:
             raise ValueError("odd quotient at |x| < 1e-8 needs a derivative evaluator: wrap f as WrappedFunction(f, df=...)")
         safe = np.where(small, 1.0, x)
-        out = (np.asarray(self._f(safe)) - np.asarray(self._f(-safe))) / (2.0 * safe)
-        if np.any(small):
-            out = np.where(small, self._df(0.0), out)
+        fp, fm = np.asarray(self._f(safe)), np.asarray(self._f(-safe))
+        out = (fp - fm) / (2.0 * safe)
+        near = small | ((np.abs(x) < 1e-2) & (100.0 * np.abs(fp - fm) < np.abs(fp) + np.abs(fm)))
+        if self._df is not None and np.any(near):
+            s, w = _DF_MEAN_RULE
+            mean = 0.5 * (np.asarray(self._df(np.outer(x[near], s).ravel())).reshape(-1, s.size) @ w)
+            out = np.array(out, dtype=np.result_type(out, mean))
+            out[near] = mean
         return out[()]
 
     def even_part(self, x):

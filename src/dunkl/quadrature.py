@@ -230,8 +230,8 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
     each monomial contributing 2 c_{2k} / (lam + 2k + 1).  Valid for
     lam > -(taylor_order + 2) away from the simple poles -(2l+1); at a pole
     the residue 2 phi^(2l)(0)/(2l)! is returned instead of a value.  The
-    coefficients come from ``phi.taylor_coeff``; an input without Taylor
-    data raises ValueError.
+    coefficients come from ``phi.taylor_coeff`` and the values from
+    ``phi.even_part``; an input without Taylor data raises ValueError.
     """
     phi = as_smooth(phi)
     lam = float(lam)
@@ -256,11 +256,6 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
     q = taylor_order + 2
     switch = 0.35
 
-    def phi_even(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        vals = (np.asarray(phi(x)) + np.asarray(phi(-x))) * 0.5
-        return np.real(vals)
-
     def smooth_part(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
@@ -277,7 +272,7 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
             poly = np.zeros_like(xb)
             for k in ks_all:
                 poly += np.real(coeffs[k]) * xb**k
-            out[~small] = (phi_even(xb) - poly) / xb**q
+            out[~small] = (np.real(phi.even_part(xb)) - poly) / xb**q
         return out
 
     inner_rule = jacobi_rule(0.0, lam + q, DEFAULT_JACOBI_NODES)
@@ -291,7 +286,7 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
         hi = 2.0 * lo
         x = lo + (hi - lo) * 0.5 * (gl_x + 1.0)
         w = gl_w * 0.5 * (hi - lo)
-        contribution = 2.0 * float(np.sum(w * x**lam * phi_even(x)))
+        contribution = 2.0 * float(np.sum(w * x**lam * np.real(phi.even_part(x))))
         total += contribution
         lo = hi
         if k >= 1 and abs(contribution) <= 1e-15 * max(abs(total), 1e-300):

@@ -385,10 +385,11 @@ def suite_plancherel_classic(config: RunConfig, ctx: RunContext) -> list:
     return reports
 
 
-def _decomposition_errs(pair: SoninePair, plan_a, plan_b, g, lam_pts: np.ndarray) -> tuple[float, float]:
-    beta_side = transform.forward_at(plan_b, plan_b.sample(g).values, lam_pts)
+def _decomposition_errs(pair: SoninePair, plan_a, plan_b, g, mask: np.ndarray) -> tuple[float, float]:
+    # the points are beta-plan nodes, so the beta side is read off its grid transform
+    beta_side = transform.forward(plan_b, plan_b.sample(g)).values[mask]
     ts_vals = sonine.dual_sonine_grid(pair, g, plan_a.x_nodes, u_max=500.0)
-    return _errs(beta_side, transform.forward_at(plan_a, ts_vals, lam_pts))
+    return _errs(beta_side, transform.forward_at(plan_a, ts_vals, plan_b.lambda_nodes[mask]))
 
 
 def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:
@@ -397,11 +398,11 @@ def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:
         pair = SoninePair.of(a, b)
         plan_a = ctx.plan(a)
         plan_b = ctx.plan(b)
-        lam_pts = plan_b.lambda_nodes[np.abs(plan_b.lambda_nodes) <= 8.0]
+        mask = np.abs(plan_b.lambda_nodes) <= 8.0
         for gname, g in (("exp(-x^2)", gaussian()), ("x*exp(-x^2)", monomial_gaussian(1))):
             reports.append(
-                _check("decomposition", {"alpha": a, "beta": b, "input": gname}, f"|lambda| <= 8 ({lam_pts.size} nodes)",
-                       _decomposition_errs, pair, plan_a, plan_b, g, lam_pts)
+                _check("decomposition", {"alpha": a, "beta": b, "input": gname}, f"|lambda| <= 8 ({int(mask.sum())} nodes)",
+                       _decomposition_errs, pair, plan_a, plan_b, g, mask)
             )
     return reports
 

@@ -84,6 +84,20 @@ def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
     return j_norm(alpha, u) + (1j * sign) * u * q
 
 
+def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int, fold_rows: bool = False) -> np.ndarray:
+    """kernel_unitary(alpha, np.outer(rows, cols), sign) bit for bit, from the
+    positive half of the mirrored ``cols`` (and ``rows``, with ``fold_rows``):
+    j_norm reads only |u| and negating a float is exact, so K(-u) = conj K(u)."""
+    rows = np.asarray(rows, dtype=float).ravel()
+    r, n = (rows.size // 2 if fold_rows else 0), cols.size // 2
+    out = np.empty((rows.size, 2 * n), dtype=complex)
+    out[r:, n:] = kernel_unitary(alpha, np.outer(rows[r:], cols[n:]), sign)
+    np.conjugate(out[r:, n:][:, ::-1], out=out[r:, :n])
+    if fold_rows:
+        np.conjugate(out[r:][::-1], out=out[:r])
+    return out
+
+
 def mirrored_weighted_rule(
     alpha: float, half_width: float, n_half: int, extra_exponent: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +134,8 @@ class MultiplierSpec:
 class TransformPlan:
     """Precomputed forward/inverse kernel matrices between the x-rule and the
     lambda-rule at fixed order.  Immutable after construction; applications
-    are pure matrix products with a fixed summation order."""
+    are pure matrix products with a fixed summation order.  Both rules must
+    be exactly mirrored, since the kernel is folded from one quadrant."""
 
     def __init__(
         self,
@@ -133,6 +148,8 @@ class TransformPlan:
         lambda_weights: np.ndarray,
         tolerance: float,
     ):
+        if any(n.size % 2 or not np.array_equal(n, -n[::-1]) for n in (x_nodes, lambda_nodes)):
+            raise ValueError("plan rules must be exactly mirrored about 0: nodes == -nodes[::-1], of even size")
         self.order = alpha
         self.alpha = alpha.alpha
         self.half_width = float(half_width)
@@ -143,9 +160,11 @@ class TransformPlan:
         self.lambda_weights = lambda_weights
         self.tolerance = float(tolerance)
         self.c_alpha = c_const(alpha)
-        u = np.outer(lambda_nodes, x_nodes)
-        self.forward_matrix = kernel_unitary(self.alpha, u, sign=-1) * x_weights
-        self.inverse_matrix = (kernel_unitary(self.alpha, u, sign=+1).T * lambda_weights) * self.c_alpha
+        kernel = _folded_kernel(self.alpha, lambda_nodes, x_nodes, -1, fold_rows=True)
+        self.forward_matrix = kernel * x_weights
+        self.inverse_matrix = np.conjugate(kernel, out=kernel).T  # in place: no second kernel
+        self.inverse_matrix *= lambda_weights
+        self.inverse_matrix *= self.c_alpha
         self.synthesis_radius = 1.4 * self.half_width
         self.self_test: dict[str, float] = {}
         self._jnorm_tables: dict[int, _JNormTable] = {}
@@ -174,24 +193,21 @@ class TransformPlan:
         return np.sum(self.lambda_weights * np.asarray(values))
 
     def _values_on_x(self, f) -> np.ndarray:
-        if isinstance(f, GridFunction):
-            if not np.array_equal(f.grid, self.x_nodes):
-                raise ValueError("grid mismatch: input does not live on the plan's x-grid")
-            return f.values
-        values = np.asarray(f)
-        if values.shape != self.x_nodes.shape:
-            raise ValueError("value array does not match the plan's x-grid")
-        return values
+        return _values_on(f, self.x_nodes, "x")
 
     def _values_on_lambda(self, g) -> np.ndarray:
-        if isinstance(g, GridFunction):
-            if not np.array_equal(g.grid, self.lambda_nodes):
-                raise ValueError("grid mismatch: input does not live on the plan's lambda-grid")
-            return g.values
-        values = np.asarray(g)
-        if values.shape != self.lambda_nodes.shape:
-            raise ValueError("value array does not match the plan's lambda-grid")
-        return values
+        return _values_on(g, self.lambda_nodes, "lambda")
+
+
+def _values_on(f, nodes: np.ndarray, name: str) -> np.ndarray:
+    if isinstance(f, GridFunction):
+        if not np.array_equal(f.grid, nodes):
+            raise ValueError(f"grid mismatch: input does not live on the plan's {name}-grid")
+        return f.values
+    values = np.asarray(f)
+    if values.shape != nodes.shape:
+        raise ValueError(f"value array does not match the plan's {name}-grid")
+    return values
 
 
 def build_plan(
@@ -249,16 +265,12 @@ def inverse(plan: TransformPlan, g) -> GridFunction:
 def forward_at(plan: TransformPlan, f, lam_points: np.ndarray) -> np.ndarray:
     """Transform evaluated off-grid: same x-rule, arbitrary spectral points."""
     values = plan._values_on_x(f)
-    lam_points = np.asarray(lam_points, dtype=float)
-    u = np.outer(lam_points, plan.x_nodes)
-    return kernel_unitary(plan.alpha, u, sign=-1) @ (plan.x_weights * values)
+    return _folded_kernel(plan.alpha, lam_points, plan.x_nodes, -1) @ (plan.x_weights * values)
 
 
 def inverse_at(plan: TransformPlan, g, x_points: np.ndarray) -> np.ndarray:
     values = plan._values_on_lambda(g)
-    x_points = np.asarray(x_points, dtype=float)
-    u = np.outer(x_points, plan.lambda_nodes)
-    return plan.c_alpha * (kernel_unitary(plan.alpha, u, sign=+1) @ (plan.lambda_weights * values))
+    return plan.c_alpha * (_folded_kernel(plan.alpha, x_points, plan.lambda_nodes, +1) @ (plan.lambda_weights * values))
 
 
 class _ChebProxy:
@@ -404,6 +416,14 @@ class SpectralFunction:
         return scale * np.sum((1j * self.nodes) ** k * self.wspec)
 
 
+def spectral_support(plan: TransformPlan, values: np.ndarray, floor: float) -> float:
+    """1.3 times the largest |lambda| node where the grid spectrum of
+    ``values`` exceeds ``floor`` times its peak (lambda_max if none does)."""
+    spectrum = plan.forward_matrix @ values
+    live = np.abs(spectrum) > floor * max(np.max(np.abs(spectrum)), 1e-300)
+    return 1.3 * float(np.max(np.abs(plan.lambda_nodes[live]))) if np.any(live) else plan.lambda_max
+
+
 def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optional[int] = None) -> SpectralFunction:
     """x-space operator inverse o (scale |lambda|^exponent) o forward, returned
     as a synthesizable smooth function.
@@ -426,13 +446,7 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     if n_half is None:
         n_half = plan.lambda_nodes.size // 2
 
-    grid_spectrum = plan.forward_matrix @ plan._values_on_x(f)
-    live = np.abs(grid_spectrum) > 1e-12 * max(np.max(np.abs(grid_spectrum)), 1e-300)
-    if np.any(live):
-        lam_eff = min(1.3 * float(np.max(np.abs(plan.lambda_nodes[live]))), plan.lambda_max)
-    else:
-        lam_eff = plan.lambda_max
-
+    lam_eff = min(spectral_support(plan, plan._values_on_x(f), 1e-12), plan.lambda_max)
     nodes, weights = mirrored_weighted_rule(a, lam_eff, n_half, extra_exponent=sigma)
     spectrum = forward_at(plan, f, nodes)
     if sigma < 0:

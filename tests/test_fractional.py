@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from dunkl.fractional import (
+    _ForwardImage,
     angular_kernel,
     frac_power_kernel,
     pairing_symbol_constant,
@@ -16,8 +17,9 @@ from dunkl.fractional import (
     riesz_prefactor,
     symbol_constants_consistency,
 )
-from dunkl.functions import gaussian
+from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian
 from dunkl.quadrature import homogeneous_pairing
+from dunkl.special import log_b_coeff
 from dunkl.transform import MultiplierSpec, apply_multiplier_fn
 
 
@@ -115,6 +117,31 @@ class TestPairingIdentity:
     def test_bare_callable_without_taylor_data_raises(self, plan_factory):
         with pytest.raises(ValueError, match="taylor_coeff"):
             power_weight_identity(0.5, -1.3, lambda x: np.exp(-x**2), plan_factory(0.5))
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+    def test_forward_image_even_part_and_taylor_data(self, plan_factory, alpha):
+        """The image pairs through its even kernel alone and takes its Taylor
+        data from the synthesis; both agree with the mirrored mean
+        (F(xi) + F(-xi))/2 of full values and with the weighted-moment
+        closure."""
+        plan = plan_factory(alpha)
+        strip = -(2.0 * alpha + 2.0)
+        for phi, lams in ((gaussian(), (0.35 * strip, 0.6 * strip, 0.85 * strip)),
+                          (PolyGaussian(PolyFunction.monomial(4), 0.5), (2.0,))):
+            image = _ForwardImage(plan, phi)
+            values = phi(plan.x_nodes)
+            for k in range(29):
+                # relative to the sum of the moment's absolute terms, the
+                # scale of its rounding (odd moments cancel to noise)
+                terms = plan.x_weights * plan.x_nodes**k * values
+                want = (-1j) ** k * math.exp(-log_b_coeff(k, plan.order)) * np.sum(terms)
+                scale = math.exp(-log_b_coeff(k, plan.order)) * np.sum(np.abs(terms))
+                assert abs(image.taylor_coeff(k) - want) <= 1e-14 * scale
+            mirrored = WrappedFunction(image, taylor=image.taylor_coeff)
+            for lam in lams:
+                got = homogeneous_pairing(lam + 2.0 * alpha + 1.0, image).value
+                want = homogeneous_pairing(lam + 2.0 * alpha + 1.0, mirrored).value
+                assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
     def test_symbol_constants_consistency(self, alpha):

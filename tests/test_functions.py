@@ -113,6 +113,22 @@ class TestWrappedFunction:
         assert f.odd_quotient(1e-12) == pytest.approx(1.0)
         assert f.odd_quotient(0.5) == pytest.approx(np.sin(0.5) / 0.5)
 
+    def test_odd_quotient_accurate_near_zero(self):
+        # f(x) - f(-x) over 2x alone keeps about eight digits at x = 2e-8
+        f = WrappedFunction(np.exp, df=np.exp)
+        x = np.geomspace(1e-9, 1e-3, 61)
+        for xs in (x, -x):
+            want = np.sinh(xs) / xs
+            assert np.max(np.abs(f.odd_quotient(xs) - want) / want) <= 1e-13
+        assert abs(f.odd_quotient(2e-8) - np.sinh(2e-8) / 2e-8) <= 1e-13
+
+    def test_odd_quotient_without_derivative_raises_below_cutoff(self):
+        f = WrappedFunction(np.exp)
+        for x in (0.0, 5e-9, -9.9e-9, np.array([1e-3, 1e-9])):
+            with pytest.raises(ValueError, match="derivative"):
+                f.odd_quotient(x)
+        assert f.odd_quotient(1e-8) == pytest.approx(1.0, rel=1e-7)
+
     def test_missing_derivative(self):
         f = WrappedFunction(lambda x: np.asarray(x) ** 3)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dunkl.functions import PolyGaussian, gaussian, monomial_gaussian
+from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian, monomial_gaussian
 from dunkl.quadrature import (
     TailNonConvergence,
     homogeneous_pairing,
@@ -218,6 +218,14 @@ class TestHomogeneousPairing:
     def test_odd_function_vanishes(self):
         res = homogeneous_pairing(0.6, monomial_gaussian(1))
         assert abs(res.value) < 1e-14
+
+    @pytest.mark.parametrize("lam", (-2.55, -1.3, 0.7, 2.0))
+    @pytest.mark.parametrize("phi", (gaussian(), PolyGaussian(PolyFunction.monomial(4), 0.5)), ids=("gaussian", "x4-gaussian"))
+    def test_even_part_matches_mirrored_mean(self, phi, lam):
+        # a WrappedFunction's even part is (phi(x) + phi(-x))/2
+        mirrored = WrappedFunction(phi, taylor=phi.taylor_coeff)
+        want = homogeneous_pairing(lam, mirrored).value
+        assert homogeneous_pairing(lam, phi).value == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("lam", (0.6, -11.5))
     def test_bare_callable_without_taylor_data_raises(self, lam):

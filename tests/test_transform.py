@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+import dunkl.transform
 from dunkl.core import dunkl_operator
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
-from dunkl.special import j_norm
+from dunkl.special import as_order, j_norm
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
     SpectralFunction,
+    TransformPlan,
     apply_multiplier,
     apply_multiplier_fn,
     build_plan,
@@ -20,6 +22,8 @@ from dunkl.transform import (
     forward_at,
     inverse,
     inverse_at,
+    kernel_unitary,
+    mirrored_weighted_rule,
     plancherel_check,
 )
 
@@ -54,6 +58,65 @@ class TestPlanBuild:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             build_plan(0.5, n_lambda=0)
+
+    def test_non_mirrored_rule_rejected(self):
+        xn, xw = mirrored_weighted_rule(0.5, 4.0, 8)
+        ln, lw = mirrored_weighted_rule(0.5, 4.0, 8)
+        shifted = xn.copy()
+        shifted[0] *= 1.0 + 1e-15  # one node a few ulps off its mirror image
+        for nodes, weights, lam in ((shifted, xw, ln), (xn[1:], xw[1:], ln), (xn, xw, np.abs(ln))):
+            with pytest.raises(ValueError, match="mirrored"):
+                TransformPlan(as_order(0.5), 4.0, 4.0, nodes, weights, lam, lw, 1e-10)
+
+
+def _outer_forward(plan, lam_points):
+    """The unfolded forward kernel: kernel_unitary on the full outer product."""
+    return kernel_unitary(plan.alpha, np.outer(lam_points, plan.x_nodes), sign=-1)
+
+
+def _outer_inverse(plan, x_points):
+    return kernel_unitary(plan.alpha, np.outer(x_points, plan.lambda_nodes), sign=+1)
+
+
+class TestFoldedKernel:
+    """Plan matrices, forward_at and inverse_at fold the kernel by K(-u) =
+    conj K(u); the result must be bit-identical to the full outer product."""
+
+    @pytest.mark.parametrize("kind", ("default", "witness"))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bit_identical_to_outer_product(self, plan_factory, witness_plan_factory, alpha, kind):
+        plan = plan_factory(alpha) if kind == "default" else witness_plan_factory(alpha)
+        assert np.array_equal(plan.forward_matrix, _outer_forward(plan, plan.lambda_nodes) * plan.x_weights)
+        want = (_outer_forward(plan, plan.lambda_nodes).conj().T * plan.lambda_weights) * plan.c_alpha
+        assert np.array_equal(plan.inverse_matrix, want)
+        assert np.array_equal(plan.inverse_matrix, (_outer_inverse(plan, plan.x_nodes) * plan.lambda_weights) * plan.c_alpha)
+
+        rng = np.random.default_rng(17)
+        f = np.exp(-(plan.x_nodes**2)) * (1.0 + 0.3 * plan.x_nodes)
+        g = np.exp(-(plan.lambda_nodes**2) / 4.0) * (1.0 - 0.2j * plan.lambda_nodes)
+        lam = np.concatenate([rng.uniform(-9.0, 9.0, 37), [0.0]])
+        xs = np.concatenate([rng.uniform(-6.0, 6.0, 23), [0.0]])
+        assert np.array_equal(forward_at(plan, f, lam), _outer_forward(plan, lam) @ (plan.x_weights * f))
+        want_inv = plan.c_alpha * (_outer_inverse(plan, xs) @ (plan.lambda_weights * g))
+        assert np.array_equal(inverse_at(plan, g, xs), want_inv)
+
+    def test_kernel_evaluation_count(self, plan_factory, monkeypatch):
+        points = []
+        original = dunkl.transform.j_norm
+
+        def counting(alpha, u):
+            points.append(np.size(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm", counting)
+        plan = build_plan(0.5)
+        assert sum(points) <= 2 * 256 * 256
+        points.clear()
+        f = plan.sample(lambda x: np.exp(-(x**2)))
+        for k in (1, 5, 32):
+            forward_at(plan, f, np.linspace(-3.0, 3.0, k))
+            assert sum(points) == 2 * k * 256
+            points.clear()
 
 
 class TestForwardInverse:
