@@ -28,7 +28,6 @@ from .quadrature import (
     integrate_semi_infinite,
     jacobi_rule,
     radial_rule,
-    semi_infinite_rule,
     theta_rule,
     weyl_integral,
 )

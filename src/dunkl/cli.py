@@ -198,17 +198,20 @@ def _load_config(path: str | None) -> dict:
 def _build_run_config(args) -> RunConfig:
     file_cfg = _load_config(args.config)
     grid = dict(file_cfg.get("grid", {}))
+    default = RunConfig()
     cfg = RunConfig(
         alpha=args.alpha if args.alpha is not None else file_cfg.get("alpha"),
         beta=args.beta if args.beta is not None else file_cfg.get("beta"),
-        half_width=args.half_width if args.half_width is not None else float(grid.get("L", 12.0)),
-        n_x=args.nx if args.nx is not None else int(grid.get("n_x", 512)),
-        lambda_max=float(grid.get("lambda_max", 16.0)),
-        n_lambda=int(grid.get("n_lambda", 512)),
+        half_width=args.half_width if args.half_width is not None else float(grid.get("L", default.half_width)),
+        n_x=args.nx if args.nx is not None else int(grid.get("n_x", default.n_x)),
+        lambda_max=float(grid.get("lambda_max", default.lambda_max)),
+        n_lambda=int(grid.get("n_lambda", default.n_lambda)),
         tolerances={**file_cfg.get("tolerances", {}), **_parse_tolerances(args.tol)},
-        suites=tuple(args.suites.split(",")) if args.suites else tuple(file_cfg.get("suites", ["all"])),
+        suites=tuple(args.suites.split(",")) if args.suites else tuple(file_cfg.get("suites", default.suites)),
         out_path=args.out if args.out is not None else file_cfg.get("output", {}).get("path"),
-        out_format=args.format if args.format is not None else file_cfg.get("output", {}).get("format", "json"),
+        out_format=(
+            args.format if args.format is not None else file_cfg.get("output", {}).get("format", default.out_format)
+        ),
         include_timing=bool(args.timings),
     )
     if cfg.alpha is not None:

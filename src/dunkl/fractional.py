@@ -22,7 +22,6 @@ arbitrary-precision evaluation.
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable
 
 import mpmath
@@ -30,8 +29,8 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
-from .quadrature import homogeneous_pairing, jacobi_rule
-from .report import IdentityReport
+from .quadrature import MAX_DOUBLINGS, TailNonConvergence, homogeneous_pairing, jacobi_rule
+from .report import IdentityReport, pair_errs, run_check
 from .special import OrderParam, as_order, c_const
 from .transform import SpectralFunction, TransformPlan, spectral_support
 
@@ -42,6 +41,7 @@ __all__ = [
     "pairing_symbol_constant",
     "dual_symbol_constant",
     "power_weight_identity",
+    "power_weight_errs",
     "symbol_constants_consistency",
 ]
 
@@ -93,6 +93,23 @@ def _gl_panel(a: float, b: float, n: int = 24) -> tuple[np.ndarray, np.ndarray]:
     return a + (b - a) * 0.5 * (x + 1.0), w * 0.5 * (b - a)
 
 
+def _doubling_tail(summand: Callable, lo: float, total: float, tail_tol: float) -> float:
+    """Add to ``total`` the real part of sum(summand(y, w)) over the
+    Gauss-Legendre nodes y and weights w of the panels [lo, 2 lo],
+    [2 lo, 4 lo], ... until a panel adds less than ``tail_tol`` of the total;
+    raise TailNonConvergence if none has after MAX_DOUBLINGS panels."""
+    for _ in range(MAX_DOUBLINGS):
+        yy, ww = _gl_panel(lo, 2.0 * lo, 48)
+        contribution = np.real(np.sum(summand(yy, ww)))
+        total += contribution
+        lo *= 2.0
+        if abs(contribution) < tail_tol * max(abs(total), 1e-300):
+            return total
+    raise TailNonConvergence(
+        f"Riesz-kernel tail still contributing beyond |y| = {lo:.3g} after {MAX_DOUBLINGS} doublings"
+    )
+
+
 def frac_power_kernel(
     alpha: OrderParam | float,
     lam: float,
@@ -121,23 +138,11 @@ def frac_power_kernel(
         mass = 2.0 ** (2 * a) * math.exp(
             2 * math.lgamma(a + 0.5) - math.lgamma(2 * a + 1.0)
         )
+        even = lambda y: np.asarray(f(y)) + np.asarray(f(-y))
         rule = jacobi_rule(0.0, -(2.0 * lam + 1.0), 64)
-        total = 0.0
-        lo = 0.0
-        span = 1.0
-        yh = rule.nodes * span
-        wh = rule.weights * span ** (-(2.0 * lam + 1.0) + 1.0)
-        total += np.sum(wh * (np.asarray(f(yh)) + np.asarray(f(-yh))))
-        lo = span
-        for _ in range(60):
-            hi = 2.0 * lo
-            yy, ww = _gl_panel(lo, hi, 48)
-            contribution = np.sum(ww * yy ** (-(2.0 * lam + 1.0)) * (np.asarray(f(yy)) + np.asarray(f(-yy))))
-            total += contribution
-            lo = hi
-            if abs(contribution) < tail_tol * max(abs(total), 1e-300):
-                break
-        return pref * mass * float(np.real(total))
+        head = np.real(np.sum(rule.weights * even(rule.nodes)))
+        total = _doubling_tail(lambda y, w: w * y ** (-(2.0 * lam + 1.0)) * even(y), 1.0, head, tail_tol)
+        return pref * mass * float(total)
 
     delta = _GAP_RATIO * ax
     total = 0.0
@@ -187,16 +192,7 @@ def frac_power_kernel(
             total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy)))
             lo += step
 
-        # doubling tail
-        lo = 2.0 * ax
-        for _ in range(60):
-            hi = 2.0 * lo
-            yy, ww = _gl_panel(lo, hi, 48)
-            contribution = np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy)))
-            total += contribution
-            lo = hi
-            if abs(contribution) < tail_tol * max(abs(total), 1e-300):
-                break
+        total = _doubling_tail(lambda y, w: w * y ** (2.0 * a + 1.0) * fy(y) * kern(y), 2.0 * ax, total, tail_tol)
     return pref * float(total)
 
 
@@ -252,6 +248,42 @@ class _ForwardImage(SpectralFunction):
         return np.where(np.abs(x) <= self.band_limit, super()._part(part, x), 0.0)
 
 
+def power_weight_errs(
+    alpha: OrderParam | float,
+    lam: float,
+    phi,
+    plan: TransformPlan,
+    params: dict,
+    taylor_order: int = 10,
+) -> tuple[float, float, str]:
+    """Errors of the pairing identity that ``power_weight_identity`` checks,
+    with both sides and the degenerate flag recorded in ``params``, and the
+    grid summary."""
+    a = as_order(alpha).alpha
+    lam = float(lam)
+    for ell in range(0, 40):
+        if abs(lam + 2.0 * a + 2.0 * ell + 2.0) < 1e-9:
+            raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
+
+    image = _ForwardImage(plan, phi)
+    lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=taylor_order)
+    lhs = float(np.real(lhs_pairing.value))
+
+    degenerate = lam > -1e-9 and abs(lam / 2.0 - round(lam / 2.0)) < 1e-9
+    if degenerate:
+        rhs = 0.0
+        errs = (abs(lhs), abs(lhs))
+    else:
+        const = pairing_symbol_constant(a, lam)
+        rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=taylor_order)
+        if rhs_pairing.pole_flag:
+            raise ValueError(f"lam={lam}: right-side pairing sits on a pole")
+        rhs = const * float(np.real(rhs_pairing.value))
+        errs = pair_errs(lhs, rhs)
+    params.update(lhs=lhs, rhs=rhs, degenerate=degenerate)
+    return (*errs, f"pairing taylor_order={taylor_order}, plan x-rule {plan.x_nodes.size}")
+
+
 def power_weight_identity(
     alpha: OrderParam | float,
     lam: float,
@@ -267,36 +299,7 @@ def power_weight_identity(
     hits a pole; there the report carries both sides' absolute sizes (the
     left side must vanish for test functions whose matching residue is 0).
     """
-    a = as_order(alpha).alpha
-    lam = float(lam)
-    start = time.perf_counter()
-    for ell in range(0, 40):
-        if abs(lam + 2.0 * a + 2.0 * ell + 2.0) < 1e-9:
-            raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
-
-    image = _ForwardImage(plan, phi)
-    lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=taylor_order)
-    lhs = float(np.real(lhs_pairing.value))
-
-    degenerate = lam > -1e-9 and abs(lam / 2.0 - round(lam / 2.0)) < 1e-9
-    if degenerate:
-        rhs = 0.0
-        abs_err = max(abs(lhs), abs(rhs))
-        rel_err = abs_err
-    else:
-        const = pairing_symbol_constant(a, lam)
-        rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=taylor_order)
-        if rhs_pairing.pole_flag:
-            raise ValueError(f"lam={lam}: right-side pairing sits on a pole")
-        rhs = const * float(np.real(rhs_pairing.value))
-        abs_err = abs(lhs - rhs)
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-
-    return IdentityReport(
-        name="power-weight-transform",
-        params={"alpha": a, "lam": lam, "lhs": lhs, "rhs": rhs, "degenerate": degenerate},
-        grid_summary=f"pairing taylor_order={taylor_order}, plan x-rule {plan.x_nodes.size}",
-        max_abs_err=abs_err,
-        max_rel_err=rel_err,
-        elapsed=time.perf_counter() - start,
+    params = {"alpha": as_order(alpha).alpha, "lam": float(lam)}
+    return run_check(
+        "power-weight-transform", params, None, power_weight_errs, alpha, lam, phi, plan, params, taylor_order
     )

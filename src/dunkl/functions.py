@@ -224,20 +224,6 @@ class GridFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_half(cls, half_grid: np.ndarray, values: np.ndarray, hint: str = "generic") -> "GridFunction":
-        half_grid = np.asarray(half_grid, dtype=float)
-        if np.any(half_grid <= 0):
-            raise ValueError("half grid must be strictly positive")
-        grid = np.concatenate([-half_grid[::-1], half_grid])
-        return cls(grid=grid, values=np.asarray(values), smoothness_hint=hint)
-
-    def even_values(self) -> np.ndarray:
-        return 0.5 * (self.values + self.values[::-1])
-
-    def odd_values(self) -> np.ndarray:
-        return 0.5 * (self.values - self.values[::-1])
-
 
 class KernelFunction:
     """x -> E_alpha(lam x) as a smooth function object with exact derivative,

@@ -16,14 +16,13 @@ grids.  The default flat=64 puts the witness at double-precision zero by
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .functions import GridFunction
-from .report import IdentityReport
+from .report import IdentityReport, pair_errs, run_check
 from .sonine import SoninePair, dual_sonine_grid, sonine_grid
 from .special import OrderParam, c_const
 from .transform import (
@@ -174,8 +173,8 @@ def k_operator(
     kind selects base order and exponent: 'alpha-full' and 'beta-full' apply
     |lambda|^(2(beta-alpha)) scaled by c_beta/c_alpha on the respective plan;
     'alpha-half' applies |lambda|^(beta-alpha) scaled by sqrt(c_beta/c_alpha).
-    Witness inputs are checked against the plan order and flagged on
-    mismatch.
+    ``f`` is a witness, or values on the plan's x-nodes.  Witness
+    inputs are checked against the plan order and flagged on mismatch.
     """
     which, spec = _k_params(kind, pair)
     plan = plan_alpha if which == "alpha" else plan_beta
@@ -186,10 +185,7 @@ def k_operator(
                 f"(expects order {plan.alpha})",
                 stacklevel=2,
             )
-        if np.array_equal(f.values.grid, plan.x_nodes):
-            f = f.values
-        else:
-            f = f.fn(plan.x_nodes)
+        f = f.values.values if np.array_equal(f.values.grid, plan.x_nodes) else f.fn(plan.x_nodes)
     return apply_multiplier_fn(plan, f, spec)
 
 
@@ -226,57 +222,32 @@ def inversion_check(
 
     Errors are reported where the witness exceeds 1e-3 of its peak.
     """
-    start = time.perf_counter()
-    u_max = _u_max_for(plan_beta)
-
-    if order == "s-k1-ts":
-        ts_values = witness.image(pair, plan_alpha, u_max)
-        k_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
-        ref_grid, ref_vals = witness.plan.x_nodes, witness.values.values
-        mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
-        points = ref_grid[mask][::thin]
-        reference = ref_vals[mask][::thin]
-        recon = sonine_grid(pair, k_img, points)
-    elif order == "ts-k2-s":
-        s_values = witness.image(pair, plan_beta)
-        k_img = k_operator("beta-full", pair, plan_alpha, plan_beta, GridFunction(plan_beta.x_nodes, s_values, "schwartz"))
-        ref_grid, ref_vals = witness.plan.x_nodes, witness.values.values
-        mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
-        points = ref_grid[mask][::thin]
-        reference = ref_vals[mask][::thin]
-        recon = dual_sonine_grid(pair, k_img, points, u_max=u_max)
-    elif order == "k1-ts-s":
-        s_values = witness.image(pair, plan_beta)
-        s_fn = SpectralFunction.from_spectrum(plan_beta, forward(plan_beta, s_values).values)
-        ts_values = dual_sonine_grid(pair, s_fn, plan_alpha.x_nodes, u_max=u_max)
-        k_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
-        ref_vals = witness.values.values
-        mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
-        points = plan_alpha.x_nodes[mask][::thin]
-        reference = ref_vals[mask][::thin]
-        recon = k_img(points)
-    elif order == "k2-s-ts":
-        ts_values = witness.image(pair, plan_alpha, u_max)
-        ts_fn = SpectralFunction.from_spectrum(plan_alpha, forward(plan_alpha, ts_values).values)
-        s_values = sonine_grid(pair, ts_fn, plan_beta.x_nodes)
-        k_img = k_operator("beta-full", pair, plan_alpha, plan_beta, GridFunction(plan_beta.x_nodes, s_values, "schwartz"))
-        ref_vals = witness.values.values
-        mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
-        points = plan_beta.x_nodes[mask][::thin]
-        reference = ref_vals[mask][::thin]
-        recon = k_img(points)
-    else:
+    if order not in INVERSION_ORDERS:
         raise ValueError(f"unknown pipeline order {order!r}; expected one of {INVERSION_ORDERS}")
+    ts_first = order.endswith("-ts")  # the dual transform acts first, on a beta-witness
+    k_last = order.startswith("k")  # the multiplier acts after both Sonine steps
+    u_max = _u_max_for(plan_beta)
+    first_plan, second_plan = (plan_alpha, plan_beta) if ts_first else (plan_beta, plan_alpha)
+    kind = "alpha-full" if ts_first != k_last else "beta-full"
+    ref_vals = witness.values.values
+    mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
+    points = witness.plan.x_nodes[mask][::thin]
+    reference = ref_vals[mask][::thin]
 
-    rel = float(np.max(np.abs(recon - reference) / np.abs(reference)))
-    return IdentityReport(
-        name=f"inversion-{order}",
-        params={"alpha": pair.a, "beta": pair.b, "m": witness.m, "flat": witness.flat},
-        grid_summary=f"{points.size} masked points (level {_MASK_LEVEL})",
-        max_abs_err=float(np.max(np.abs(recon - reference))),
-        max_rel_err=rel,
-        elapsed=time.perf_counter() - start,
-    )
+    def second_step(f, xs: np.ndarray) -> np.ndarray:
+        return sonine_grid(pair, f, xs) if ts_first else dual_sonine_grid(pair, f, xs, u_max=u_max)
+
+    def errs() -> tuple[float, float]:
+        first = witness.image(pair, first_plan, u_max if ts_first else None)
+        if k_last:
+            first_fn = SpectralFunction.from_spectrum(first_plan, forward(first_plan, first).values)
+            recon = k_operator(kind, pair, plan_alpha, plan_beta, second_step(first_fn, second_plan.x_nodes))(points)
+        else:
+            recon = second_step(k_operator(kind, pair, plan_alpha, plan_beta, first), points)
+        return float(np.max(np.abs(recon - reference))), float(np.max(np.abs(recon - reference) / np.abs(reference)))
+
+    params = {"alpha": pair.a, "beta": pair.b, "m": witness.m, "flat": witness.flat}
+    return run_check(f"inversion-{order}", params, f"{points.size} masked points (level {_MASK_LEVEL})", errs)
 
 
 def multiplier_commutation_check(
@@ -286,24 +257,16 @@ def multiplier_commutation_check(
     witness: LizorkinWitness,
 ) -> IdentityReport:
     """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness."""
-    start = time.perf_counter()
-    u_max = _u_max_for(plan_beta)
-    ts_values = witness.image(pair, plan_alpha, u_max)
-    lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
-    lhs = lhs_img(plan_alpha.x_nodes)
 
-    k2_img = k_operator("beta-full", pair, plan_alpha, plan_beta, witness)
-    rhs = dual_sonine_grid(pair, k2_img, plan_alpha.x_nodes, u_max=u_max)
+    def errs() -> tuple[float, float, str]:
+        u_max = _u_max_for(plan_beta)
+        lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, witness.image(pair, plan_alpha, u_max))
+        lhs = lhs_img(plan_alpha.x_nodes)
+        k2_img = k_operator("beta-full", pair, plan_alpha, plan_beta, witness)
+        abs_err, rel, n_mask = _masked_max_rel(lhs, dual_sonine_grid(pair, k2_img, plan_alpha.x_nodes, u_max=u_max))
+        return abs_err, rel, f"{n_mask} masked points of {plan_alpha.x_nodes.size}"
 
-    abs_err, rel, n_mask = _masked_max_rel(lhs, rhs)
-    return IdentityReport(
-        name="multiplier-commutation",
-        params={"alpha": pair.a, "beta": pair.b, "m": witness.m},
-        grid_summary=f"{n_mask} masked points of {plan_alpha.x_nodes.size}",
-        max_abs_err=abs_err,
-        max_rel_err=rel,
-        elapsed=time.perf_counter() - start,
-    )
+    return run_check("multiplier-commutation", {"alpha": pair.a, "beta": pair.b, "m": witness.m}, None, errs)
 
 
 def plancherel_dual_check(
@@ -314,18 +277,14 @@ def plancherel_dual_check(
 ) -> IdentityReport:
     """Weighted norm of a beta-witness against the alpha-weighted norm of the
     half-power image of its dual-Sonine transform."""
-    start = time.perf_counter()
-    lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
-    ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
-    k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, GridFunction(plan_alpha.x_nodes, ts_values, "schwartz"))
-    rhs = float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))
-    abs_err = abs(lhs - rhs)
-    rel = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    return IdentityReport(
-        name="plancherel-dual",
-        params={"alpha": pair.a, "beta": pair.b, "m": witness.m, "lhs": lhs, "rhs": rhs},
-        grid_summary=f"x-rules {plan_alpha.x_nodes.size}/{plan_beta.x_nodes.size}",
-        max_abs_err=abs_err,
-        max_rel_err=rel,
-        elapsed=time.perf_counter() - start,
-    )
+    params = {"alpha": pair.a, "beta": pair.b, "m": witness.m}
+
+    def errs() -> tuple[float, float]:
+        lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
+        ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
+        k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, ts_values)
+        rhs = float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))
+        params.update(lhs=lhs, rhs=rhs)
+        return pair_errs(lhs, rhs)
+
+    return run_check("plancherel-dual", params, f"x-rules {plan_alpha.x_nodes.size}/{plan_beta.x_nodes.size}", errs)

@@ -32,7 +32,6 @@ __all__ = [
     "theta_rule",
     "radial_rule",
     "SemiInfiniteRule",
-    "semi_infinite_rule",
     "integrate_semi_infinite",
     "homogeneous_pairing",
     "weyl_integral",
@@ -69,9 +68,6 @@ class QuadRule:
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-        return np.sum(self.weights * f(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,6 @@ class SemiInfiniteRule:
     The head [0, split] absorbs v^sing_exp into a Jacobi rule; beyond the
     split, Gauss-Legendre panels of doubling width are appended until the
     last panel contributes less than tol relative to the accumulated value.
-    The most recent materialized panels are kept for inspection.
     """
 
     def __init__(
@@ -170,46 +165,28 @@ class SemiInfiniteRule:
         gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
         self._gl = (gl_x, gl_w)
         self.max_doublings = int(max_doublings)
-        self.last_rule: Optional[QuadRule] = None
 
     def integrate(self, g: Callable[[np.ndarray], np.ndarray]) -> complex:
         split, p = self.split, self.sing_exp
         head_nodes = self.head.nodes * split
         head_weights = self.head.weights * split ** (p + 1.0)
         total = np.sum(head_weights * np.asarray(g(head_nodes)))
-        all_nodes = [head_nodes]
-        all_weights = [head_weights]
 
         gl_x, gl_w = self._gl
         lo = split
-        converged = False
         for k in range(self.max_doublings):
             hi = 2.0 * lo
             v = lo + (hi - lo) * 0.5 * (gl_x + 1.0)
             w = gl_w * 0.5 * (hi - lo) * v**p
             contribution = np.sum(w * np.asarray(g(v)))
             total = total + contribution
-            all_nodes.append(v)
-            all_weights.append(w)
             lo = hi
             if k >= 1 and abs(contribution) <= self.tol * max(abs(total), 1e-300):
-                converged = True
-                break
-        if not converged:
-            raise TailNonConvergence(
-                f"tail still contributing after {self.max_doublings} doublings "
-                f"(split={split}, sing_exp={p})"
-            )
-        self.last_rule = QuadRule(
-            nodes=np.concatenate(all_nodes),
-            weights=np.concatenate(all_weights).real.astype(float),
-            kind="tail_panels",
+                return total
+        raise TailNonConvergence(
+            f"tail still contributing after {self.max_doublings} doublings "
+            f"(split={split}, sing_exp={p})"
         )
-        return total
-
-
-def semi_infinite_rule(sing_exp: float, split: float = 1.0, tol: float = 1e-12, **kw) -> SemiInfiniteRule:
-    return SemiInfiniteRule(sing_exp, split=split, tol=tol, **kw)
 
 
 def integrate_semi_infinite(

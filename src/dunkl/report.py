@@ -1,6 +1,9 @@
-"""Structured results of identity checks, with a stable wire format.
+"""Structured results of identity checks, the one runner that makes them,
+and a stable wire format.
 
-The JSON wire format has exactly the keys
+``run_check`` is the only code that times a check and builds an
+``IdentityReport``; a check hands it a function that returns the errors,
+most often through one of the two error rules here.  The JSON wire format has exactly the keys
 ``name, params, grid, max_abs_err, max_rel_err, elapsed_s``.  Timing is
 zeroed on serialization unless explicitly requested, so that report files
 are byte-identical across reruns of the same configuration.
@@ -9,10 +12,21 @@ are byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["IdentityReport", "reports_to_json", "reports_from_json", "reports_to_csv"]
+import numpy as np
+
+__all__ = [
+    "IdentityReport",
+    "run_check",
+    "max_errs",
+    "pair_errs",
+    "reports_to_json",
+    "reports_from_json",
+    "reports_to_csv",
+]
 
 CSV_COLUMNS = ("name", "params", "grid", "max_abs_err", "max_rel_err", "elapsed_s")
 
@@ -61,6 +75,33 @@ class IdentityReport:
             max_rel_err=float(d["max_rel_err"]),
             elapsed=float(d.get("elapsed_s", 0.0)),
         )
+
+
+def run_check(name: str, params: dict, grid: Optional[str], compute: Callable, *args) -> IdentityReport:
+    """Time ``compute(*args)`` and report the ``(max_abs_err, max_rel_err)``
+    it returns.  Where the grid summary depends on the computation, compute
+    returns it as a third item, and ``grid`` is None."""
+    start = time.perf_counter()
+    abs_err, rel_err, *summary = compute(*args)
+    elapsed = time.perf_counter() - start
+    return IdentityReport(name, params, summary[0] if summary else grid, abs_err, rel_err, elapsed)
+
+
+def max_errs(reference, candidate) -> tuple[float, float]:
+    """Largest |candidate - reference|, and that relative to the largest
+    |reference|."""
+    reference = np.atleast_1d(np.asarray(reference))
+    candidate = np.atleast_1d(np.asarray(candidate))
+    abs_err = float(np.max(np.abs(candidate - reference)))
+    scale = float(np.max(np.abs(reference)))
+    return abs_err, abs_err / max(scale, 1e-300)
+
+
+def pair_errs(lhs: float, rhs: float) -> tuple[float, float]:
+    """|lhs - rhs| of a scalar identity, and that relative to
+    max(|lhs|, |rhs|)."""
+    abs_err = abs(lhs - rhs)
+    return abs_err, abs_err / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def _jsonable(obj: Any):

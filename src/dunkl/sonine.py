@@ -13,7 +13,6 @@ callable is wrapped by ``as_smooth``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .quadrature import (
     riemann_liouville_integral,
     weyl_integral,
 )
-from .report import IdentityReport
+from .report import IdentityReport, run_check
 from .special import CLASSICAL_ORDER, OrderParam, a_sonine, as_order, as_source_order, log_b_coeff
 
 __all__ = [
@@ -261,35 +260,14 @@ def _fd_derivative(fn, x: float, h: float = 1e-2):
     return (8.0 * (fn(x + h) - fn(x - h)) - (fn(x + 2 * h) - fn(x - 2 * h))) / (12.0 * h)
 
 
-def intertwining_check(pair: SoninePair, f, grid: Optional[np.ndarray] = None) -> IdentityReport:
-    """Both intertwining relations:
+def _poly_intertwining_errs(pair: SoninePair, f: PolyFunction) -> tuple[float, float]:
+    lhs = dunkl_operator(pair.beta, sonine_apply(pair, f))
+    rhs = sonine_apply(pair, dunkl_operator(pair.alpha, f))
+    abs_err = float(np.max(np.abs((lhs - rhs).coeffs)))
+    return abs_err, abs_err / max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
 
-      direct:  Lambda_beta (S f) = S (Lambda_alpha f)
-      dual:    tS (Lambda_beta f) = Lambda_alpha (tS f)
 
-    Exact coefficient comparison on polynomials; quadrature comparison on a
-    grid for Schwartz-class inputs.
-    """
-    start = time.perf_counter()
-    if isinstance(f, PolyFunction):
-        lhs = dunkl_operator(pair.beta, sonine_apply(pair, f))
-        rhs = sonine_apply(pair, dunkl_operator(pair.alpha, f))
-        abs_err = float(np.max(np.abs((lhs - rhs).coeffs)))
-        rel_err = abs_err / max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
-        return IdentityReport(
-            name="sonine-intertwining",
-            params={"alpha": pair.a, "beta": pair.b, "input": "polynomial", "degree": f.degree},
-            grid_summary=f"coefficients 0..{f.degree}",
-            max_abs_err=abs_err,
-            max_rel_err=rel_err,
-            elapsed=time.perf_counter() - start,
-        )
-
-    if grid is None:
-        grid = np.linspace(-2.5, 2.5, 21)
-    grid = np.asarray(grid, dtype=float)
-    grid = grid[np.abs(grid) > 1e-12]
-
+def _smooth_intertwining_errs(pair: SoninePair, f, grid: np.ndarray) -> tuple[float, float]:
     s_img = SonineImage(pair, f)
     lam_beta_sf = dunkl_operator(pair.beta, s_img)
     lam_alpha_f = dunkl_operator(pair.alpha, f)
@@ -309,11 +287,26 @@ def intertwining_check(pair: SoninePair, f, grid: Optional[np.ndarray] = None) -
 
     abs_err = float(max(np.max(np.abs(direct_lhs - direct_rhs)), np.max(np.abs(dual_lhs - dual_rhs))))
     scale = float(max(np.max(np.abs(direct_rhs)), np.max(np.abs(dual_lhs)), 1e-300))
-    return IdentityReport(
-        name="sonine-intertwining",
-        params={"alpha": pair.a, "beta": pair.b, "input": "smooth"},
-        grid_summary=f"{grid.size} points in [{grid.min():.3g}, {grid.max():.3g}]",
-        max_abs_err=abs_err,
-        max_rel_err=abs_err / scale,
-        elapsed=time.perf_counter() - start,
-    )
+    return abs_err, abs_err / scale
+
+
+def intertwining_check(pair: SoninePair, f, grid: Optional[np.ndarray] = None) -> IdentityReport:
+    """Both intertwining relations:
+
+      direct:  Lambda_beta (S f) = S (Lambda_alpha f)
+      dual:    tS (Lambda_beta f) = Lambda_alpha (tS f)
+
+    Exact coefficient comparison on polynomials; quadrature comparison on a
+    grid for Schwartz-class inputs.
+    """
+    params = {"alpha": pair.a, "beta": pair.b}
+    if isinstance(f, PolyFunction):
+        params.update(input="polynomial", degree=f.degree)
+        return run_check("sonine-intertwining", params, f"coefficients 0..{f.degree}", _poly_intertwining_errs, pair, f)
+    if grid is None:
+        grid = np.linspace(-2.5, 2.5, 21)
+    grid = np.asarray(grid, dtype=float)
+    grid = grid[np.abs(grid) > 1e-12]
+    params["input"] = "smooth"
+    summary = f"{grid.size} points in [{grid.min():.3g}, {grid.max():.3g}]"
+    return run_check("sonine-intertwining", params, summary, _smooth_intertwining_errs, pair, f, grid)

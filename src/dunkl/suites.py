@@ -1,7 +1,8 @@
 """Named verification suites driven by the CLI.
 
 Each suite runs one family of identities over a parameter sweep and returns
-one IdentityReport per identity per parameter point.  Light suites sweep the
+one report per identity per parameter point, each made by ``report.run_check``
+from a function that computes the errors.  Light suites sweep the
 default order grid; the pipeline suites run on the three-pair set that
 covers the singular, flat and smooth regimes of the Sonine weight exponent.
 ``run_suites`` runs them serially on one RunContext and records in each
@@ -11,7 +12,6 @@ report's parameters the pass tolerance that its name selects.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -21,7 +21,7 @@ import numpy as np
 from . import core, fractional, lizorkin, sonine, transform
 from .functions import KernelFunction, PolyFunction, PolyGaussian, gaussian, monomial_gaussian
 from .quadrature import radial_rule
-from .report import IdentityReport
+from .report import max_errs, run_check
 from .sonine import SoninePair
 from .special import b_coeff
 
@@ -136,27 +136,11 @@ class RunContext:
         return SoninePair.of(a, b), self.witness_plan(a), self.witness_plan(b)
 
 
-def _check(name: str, params: dict, grid: str, compute: Callable, *args) -> IdentityReport:
-    """Time ``compute(*args)`` and report the (max_abs_err, max_rel_err) it
-    returns."""
-    start = time.perf_counter()
-    abs_err, rel_err = compute(*args)
-    return IdentityReport(name, params, grid, abs_err, rel_err, time.perf_counter() - start)
-
-
-def _errs(reference, candidate) -> tuple[float, float]:
-    reference = np.atleast_1d(np.asarray(reference))
-    candidate = np.atleast_1d(np.asarray(candidate))
-    abs_err = float(np.max(np.abs(candidate - reference)))
-    scale = float(np.max(np.abs(reference)))
-    return abs_err, abs_err / max(scale, 1e-300)
-
-
 def _sides(params: dict, lhs, rhs) -> tuple[float, float]:
     """Record both sides of a pairing identity in ``params``; return their
     errors."""
     params.update(lhs=float(np.real(lhs)), rhs=float(np.real(rhs)))
-    return _errs(rhs, lhs)
+    return max_errs(rhs, lhs)
 
 
 _KERNEL_ARGS = (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 10j, -10j, 3 + 4j)
@@ -174,7 +158,7 @@ def _kernel_spread(a: float) -> tuple[float, float]:
 
 def suite_kernel_consistency(config: RunConfig, ctx: RunContext) -> list:
     grid = f"{len(_KERNEL_ARGS)} arguments, 3 evaluation modes"
-    return [_check("kernel-consistency", {"alpha": a}, grid, _kernel_spread, a) for a in (-0.4, 0.0, 0.5, 1.5, 2.7)]
+    return [run_check("kernel-consistency", {"alpha": a}, grid, _kernel_spread, a) for a in (-0.4, 0.0, 0.5, 1.5, 2.7)]
 
 
 def _transmutation_exact(a: float, coeffs: np.ndarray) -> tuple[float, float]:
@@ -186,8 +170,7 @@ def _transmutation_exact(a: float, coeffs: np.ndarray) -> tuple[float, float]:
     rc = np.zeros(width)
     lc[: len(lhs.coeffs)] = lhs.coeffs
     rc[: len(rhs.coeffs)] = rhs.coeffs
-    abs_err = float(np.max(np.abs(lc - rc)))
-    return abs_err, abs_err / max(float(np.max(np.abs(rc))), 1e-300)
+    return max_errs(rc, lc)
 
 
 def _transmutation_smooth(a: float, grid: np.ndarray) -> tuple[float, float]:
@@ -197,7 +180,7 @@ def _transmutation_smooth(a: float, grid: np.ndarray) -> tuple[float, float]:
     h = 1e-3
     tv = lambda u: core.dual_intertwiner_v(a, f, float(u))
     rhs_vals = np.asarray([(8 * (tv(x + h) - tv(x - h)) - (tv(x + 2 * h) - tv(x - 2 * h))) / (12 * h) for x in grid])
-    return _errs(rhs_vals, lhs_vals)
+    return max_errs(rhs_vals, lhs_vals)
 
 
 def suite_transmutation(config: RunConfig, ctx: RunContext) -> list:
@@ -207,12 +190,12 @@ def suite_transmutation(config: RunConfig, ctx: RunContext) -> list:
     for a in config.order_sweep():
         coeffs = rng.standard_normal(21)
         reports.append(
-            _check("transmutation-exact", {"alpha": a, "degree": 20}, "polynomial coefficients",
-                   _transmutation_exact, a, coeffs)
+            run_check("transmutation-exact", {"alpha": a, "degree": 20}, "polynomial coefficients",
+                      _transmutation_exact, a, coeffs)
         )
         reports.append(
-            _check("transmutation-smooth", {"alpha": a, "input": "x*exp(-x^2)"}, f"{grid.size}-point grid",
-                   _transmutation_smooth, a, grid)
+            run_check("transmutation-smooth", {"alpha": a, "input": "x*exp(-x^2)"}, f"{grid.size}-point grid",
+                      _transmutation_smooth, a, grid)
         )
     return reports
 
@@ -249,10 +232,10 @@ def suite_duality(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for a in config.order_sweep():
         params = {"alpha": a, "pair": "x^2, exp(-x^2)"}
-        reports.append(_check("duality", params, grid, _intertwiner_duality, a, params))
+        reports.append(run_check("duality", params, grid, _intertwiner_duality, a, params))
     for (a, b) in config.pair_sweep():
         params = {"alpha": a, "beta": b, "pair": "x^2, exp(-x^2)"}
-        reports.append(_check("duality", params, grid, _sonine_duality, a, b, params))
+        reports.append(run_check("duality", params, grid, _sonine_duality, a, b, params))
     return reports
 
 
@@ -272,7 +255,7 @@ def _sonine_product_spread(a: float, b: float) -> tuple[float, float]:
 def suite_sonine_product(config: RunConfig, ctx: RunContext) -> list:
     grid = "lam in {1, 2i}, x in {0.3, 1, 2.5}"
     return [
-        _check("sonine-product", {"alpha": a, "beta": b}, grid, _sonine_product_spread, a, b)
+        run_check("sonine-product", {"alpha": a, "beta": b}, grid, _sonine_product_spread, a, b)
         for (a, b) in config.pair_sweep()
     ]
 
@@ -299,9 +282,9 @@ def _sonine_route_spread(a: float, b: float) -> tuple[float, float]:
 def suite_sonine_monomial(config: RunConfig, ctx: RunContext) -> list:
     reports = []
     for (a, b) in config.pair_sweep():
-        routes = _check("sonine-routes", {"alpha": a, "beta": b}, "random degree-20 polynomial", _sonine_route_spread, a, b)
+        routes = run_check("sonine-routes", {"alpha": a, "beta": b}, "random degree-20 polynomial", _sonine_route_spread, a, b)
         params = {"alpha": a, "beta": b, "route_err": routes.max_rel_err}
-        reports.append(_check("sonine-monomial", params, "monomials n <= 20", _sonine_monomial_spread, a, b))
+        reports.append(run_check("sonine-monomial", params, "monomials n <= 20", _sonine_monomial_spread, a, b))
         reports.append(routes)
     return reports
 
@@ -319,7 +302,7 @@ def _translation_spread(a: float) -> tuple[float, float]:
 
 def suite_translation_product(config: RunConfig, ctx: RunContext) -> list:
     grid = "kernel eigenfunctions, 4 point pairs, 2 frequencies"
-    return [_check("translation-product", {"alpha": a}, grid, _translation_spread, a) for a in config.order_sweep()]
+    return [run_check("translation-product", {"alpha": a}, grid, _translation_spread, a) for a in config.order_sweep()]
 
 
 def _convolution_spread(a: float) -> tuple[float, float]:
@@ -338,7 +321,7 @@ def _convolution_spread(a: float) -> tuple[float, float]:
 
 def suite_convolution(config: RunConfig, ctx: RunContext) -> list:
     grid = "commutativity at 3 points + gaussian closed form"
-    return [_check("convolution", {"alpha": a}, grid, _convolution_spread, a) for a in config.order_sweep()]
+    return [run_check("convolution", {"alpha": a}, grid, _convolution_spread, a) for a in config.order_sweep()]
 
 
 def _gaussian_oracle(a: float, plan: transform.TransformPlan, mask: np.ndarray) -> tuple[float, float]:
@@ -353,7 +336,7 @@ def _transform_derivative(a: float, plan: transform.TransformPlan, mask: np.ndar
     lf = core.dunkl_operator(a, f)
     spec_f = transform.forward(plan, plan.sample(f))
     spec_lf = transform.forward(plan, plan.sample(lf))
-    return _errs(1j * plan.lambda_nodes[mask] * spec_f.values[mask], spec_lf.values[mask])
+    return max_errs(1j * plan.lambda_nodes[mask] * spec_f.values[mask], spec_lf.values[mask])
 
 
 def suite_transform_oracles(config: RunConfig, ctx: RunContext) -> list:
@@ -363,12 +346,12 @@ def suite_transform_oracles(config: RunConfig, ctx: RunContext) -> list:
         mask = np.abs(plan.lambda_nodes) <= 8.0
         n = int(mask.sum())
         reports.append(
-            _check("transform-oracles", {"alpha": a, "oracle": "gaussian"}, f"sup over |lambda| <= 8 ({n} nodes)",
-                   _gaussian_oracle, a, plan, mask)
+            run_check("transform-oracles", {"alpha": a, "oracle": "gaussian"}, f"sup over |lambda| <= 8 ({n} nodes)",
+                      _gaussian_oracle, a, plan, mask)
         )
         reports.append(
-            _check("transform-derivative", {"alpha": a, "input": "x*exp(-x^2)"}, f"|lambda| <= 8 ({n} nodes)",
-                   _transform_derivative, a, plan, mask)
+            run_check("transform-derivative", {"alpha": a, "input": "x*exp(-x^2)"}, f"|lambda| <= 8 ({n} nodes)",
+                      _transform_derivative, a, plan, mask)
         )
     return reports
 
@@ -378,10 +361,10 @@ def suite_plancherel_classic(config: RunConfig, ctx: RunContext) -> list:
     for a in config.order_sweep():
         plan = ctx.plan(a)
         for fname, f in (("exp(-x^2)", lambda x: np.exp(-(x**2))), ("x*exp(-x^2)", lambda x: x * np.exp(-(x**2)))):
-            rep = transform.plancherel_check(plan, plan.sample(f))
-            rep.params["input"] = fname
-            rep.name = "plancherel-classic"
-            reports.append(rep)
+            params = {"alpha": a, "input": fname}
+            reports.append(
+                run_check("plancherel-classic", params, None, transform.plancherel_errs, plan, plan.sample(f), params)
+            )
     return reports
 
 
@@ -389,7 +372,7 @@ def _decomposition_errs(pair: SoninePair, plan_a, plan_b, g, mask: np.ndarray) -
     # the points are beta-plan nodes, so the beta side is read off its grid transform
     beta_side = transform.forward(plan_b, plan_b.sample(g)).values[mask]
     ts_vals = sonine.dual_sonine_grid(pair, g, plan_a.x_nodes, u_max=500.0)
-    return _errs(beta_side, transform.forward_at(plan_a, ts_vals, plan_b.lambda_nodes[mask]))
+    return max_errs(beta_side, transform.forward_at(plan_a, ts_vals, plan_b.lambda_nodes[mask]))
 
 
 def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:
@@ -401,8 +384,8 @@ def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:
         mask = np.abs(plan_b.lambda_nodes) <= 8.0
         for gname, g in (("exp(-x^2)", gaussian()), ("x*exp(-x^2)", monomial_gaussian(1))):
             reports.append(
-                _check("decomposition", {"alpha": a, "beta": b, "input": gname}, f"|lambda| <= 8 ({int(mask.sum())} nodes)",
-                       _decomposition_errs, pair, plan_a, plan_b, g, mask)
+                run_check("decomposition", {"alpha": a, "beta": b, "input": gname}, f"|lambda| <= 8 ({int(mask.sum())} nodes)",
+                          _decomposition_errs, pair, plan_a, plan_b, g, mask)
             )
     return reports
 
@@ -418,9 +401,10 @@ def suite_power_weight(config: RunConfig, ctx: RunContext) -> list:
         # the slow decay keeps its spectrum narrow, so the high-power pairing
         # weight never amplifies transform-tail noise
         probe = PolyGaussian(PolyFunction.monomial(4), 0.5)
-        rep = fractional.power_weight_identity(a, 2.0, probe, plan)
-        rep.name = "power-weight-degenerate"
-        reports.append(rep)
+        params = {"alpha": a, "lam": 2.0}
+        reports.append(
+            run_check("power-weight-degenerate", params, None, fractional.power_weight_errs, a, 2.0, probe, plan, params)
+        )
     return reports
 
 
@@ -439,7 +423,7 @@ def _cross_route_spread(a: float, plan: transform.TransformPlan, lam: float) -> 
 
 def suite_fractional_cross_route(config: RunConfig, ctx: RunContext) -> list:
     return [
-        _check("fractional-cross-route", {"alpha": a, "lam": lam}, "x in {0, 1, 2.2}", _cross_route_spread, a, ctx.plan(a), lam)
+        run_check("fractional-cross-route", {"alpha": a, "lam": lam}, "x in {0, 1, 2.2}", _cross_route_spread, a, ctx.plan(a), lam)
         for a in (0.5, 1.5)
         for lam in (-0.3, -0.5)
     ]

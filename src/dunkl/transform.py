@@ -16,7 +16,6 @@ exponents in the admissible range never produce endpoint singularities.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -25,7 +24,7 @@ import numpy as np
 
 from .functions import GridFunction
 from .quadrature import jacobi_rule
-from .report import IdentityReport
+from .report import IdentityReport, pair_errs, run_check
 from .special import OrderParam, as_order, c_const, j_norm, log_b_coeff
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "forward_at",
     "inverse_at",
     "plancherel_check",
+    "plancherel_errs",
     "apply_multiplier",
     "apply_multiplier_fn",
 ]
@@ -469,20 +469,18 @@ def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optional
     return GridFunction(grid=plan.x_nodes, values=fn(plan.x_nodes), smoothness_hint="schwartz")
 
 
-def plancherel_check(plan: TransformPlan, f) -> IdentityReport:
-    """Compare int |f|^2 |x|^(2a+1) dx with c_alpha int |Ff|^2 |l|^(2a+1) dl."""
-    start = time.perf_counter()
+def plancherel_errs(plan: TransformPlan, f, params: dict) -> tuple[float, float, str]:
+    """Errors of int |f|^2 |x|^(2a+1) dx = c_alpha int |Ff|^2 |l|^(2a+1) dl,
+    both sides recorded in ``params``, and the grid summary."""
     values = plan._values_on_x(f)
     lhs = float(np.real(plan.integrate_x(np.abs(values) ** 2)))
     spectrum = plan.forward_matrix @ values
     rhs = float(np.real(plan.c_alpha * plan.integrate_lambda(np.abs(spectrum) ** 2)))
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    return IdentityReport(
-        name="plancherel",
-        params={"alpha": plan.alpha, "lhs": lhs, "rhs": rhs},
-        grid_summary=f"x-rule {plan.x_nodes.size} nodes, lambda-rule {plan.lambda_nodes.size} nodes",
-        max_abs_err=abs_err,
-        max_rel_err=rel_err,
-        elapsed=time.perf_counter() - start,
-    )
+    params.update(lhs=lhs, rhs=rhs)
+    return (*pair_errs(lhs, rhs), f"x-rule {plan.x_nodes.size} nodes, lambda-rule {plan.lambda_nodes.size} nodes")
+
+
+def plancherel_check(plan: TransformPlan, f) -> IdentityReport:
+    """Compare int |f|^2 |x|^(2a+1) dx with c_alpha int |Ff|^2 |l|^(2a+1) dl."""
+    params = {"alpha": plan.alpha}
+    return run_check("plancherel", params, None, plancherel_errs, plan, f, params)

@@ -145,6 +145,26 @@ class TestVerifyCommand:
         assert all(r["max_rel_err"] <= r["params"]["tol"] for r in reports)
         assert all(r["elapsed_s"] == 0.0 for r in reports)
 
+    def test_timings_flag(self, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code = main(
+            [
+                "verify", "--timings",
+                "--alpha", "0.5",
+                "--suites", "plancherel-classic,power-weight-transform",
+                "--out", str(out_path),
+            ]
+        )
+        assert code == 0
+        reports = json.loads(out_path.read_text())
+        assert {r["name"] for r in reports} == {"plancherel-classic", "power-weight-transform", "power-weight-degenerate"}
+        assert all(r["elapsed_s"] > 0 for r in reports)
+
+    def test_defaults_come_from_run_config(self):
+        from dunkl.cli import _build_run_config, build_parser
+
+        assert _build_run_config(build_parser().parse_args(["verify"])) == RunConfig()
+
     def test_unknown_suite_exits_2(self, capsys):
         code = main(["verify", "--suites", "nonsense"])
         assert code == 2

