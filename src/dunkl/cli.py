@@ -59,6 +59,17 @@ def _write_or_print(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+def _emit(records: list[dict], fmt: str, out: str | None) -> None:
+    """Write records as a JSON list, or as CSV with one column per key and
+    floats in _fmt."""
+    if fmt == "json":
+        _write_or_print(json.dumps(records, indent=2, sort_keys=True) + "\n", out)
+        return
+    rows = [",".join(records[0])]
+    rows += [",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()) for r in records]
+    _write_or_print("\n".join(rows) + "\n", out)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -66,8 +77,7 @@ def cmd_kernel(args) -> int:
     order = _order_or_die(args.alpha)
     zs = [_parse_complex(z) for z in args.z]
     modes = ("series", "bochner") if args.mode == "both" else (args.mode,)
-    rows = ["z_re,z_im,E_re,E_im,mode,est_err"]
-    payload = []
+    records = []
     for z in zs:
         values = {}
         for mode in modes:
@@ -77,16 +87,10 @@ def cmd_kernel(args) -> int:
             vs = list(values.values())
             spread = max(abs(v - w) for v in vs for w in vs) / max(abs(vs[0]), 1e-300)
         for mode, val in values.items():
-            rows.append(
-                ",".join([_fmt(z.real), _fmt(z.imag), _fmt(val.real), _fmt(val.imag), mode, _fmt(spread)])
-            )
-            payload.append(
+            records.append(
                 {"z_re": z.real, "z_im": z.imag, "E_re": val.real, "E_im": val.imag, "mode": mode, "est_err": spread}
             )
-    if args.format == "csv":
-        _write_or_print("\n".join(rows) + "\n", args.out)
-    else:
-        _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(records, args.format, args.out)
     return 0
 
 
@@ -134,14 +138,12 @@ def cmd_transform(args) -> int:
     spectrum = forward(plan, samples)
     if args.roundtrip:
         back = inverse(plan, spectrum.values)
-        rows = ["x,f_re,f_im"]
-        for x, v in zip(plan.x_nodes, back.values):
-            rows.append(",".join([_fmt(x), _fmt(np.real(v)), _fmt(np.imag(v))]))
+        records = [{"x": x, "f_re": np.real(v), "f_im": np.imag(v)} for x, v in zip(plan.x_nodes, back.values)]
     else:
-        rows = ["lambda,F_re,F_im"]
-        for lam, v in zip(plan.lambda_nodes, spectrum.values):
-            rows.append(",".join([_fmt(lam), _fmt(np.real(v)), _fmt(np.imag(v))]))
-    _write_or_print("\n".join(rows) + "\n", args.out)
+        records = [
+            {"lambda": lam, "F_re": np.real(v), "F_im": np.imag(v)} for lam, v in zip(plan.lambda_nodes, spectrum.values)
+        ]
+    _emit(records, "csv", args.out)
     return 0
 
 
@@ -155,16 +157,9 @@ def cmd_sonine(args) -> int:
         lambda x: np.exp(-rate * np.asarray(x) ** 2),
         df=lambda x: -2.0 * rate * np.asarray(x) * np.exp(-rate * np.asarray(x) ** 2),
     )
-    rows = ["x,value"]
-    payload = []
-    for x in args.x:
-        val = dual_sonine_apply(pair, f, x) if args.dual else sonine_apply(pair, f, x)
-        rows.append(",".join([_fmt(x), _fmt(np.real(val))]))
-        payload.append({"x": x, "value": float(np.real(val))})
-    if args.format == "csv":
-        _write_or_print("\n".join(rows) + "\n", args.out)
-    else:
-        _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    apply = dual_sonine_apply if args.dual else sonine_apply
+    records = [{"x": x, "value": float(np.real(apply(pair, f, x)))} for x in args.x]
+    _emit(records, args.format, args.out)
     return 0
 
 

@@ -216,10 +216,9 @@ def dual_intertwiner_v(alpha: OrderParam | float, f, x: float, split: Optional[f
     return dual_sonine_apply(classical_pair(alpha), f, x, split, tol)
 
 
-def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max: float = 512.0,
-                            head_nodes: int = 32, panel_nodes: int = 40) -> np.ndarray:
+def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max: float = 512.0) -> np.ndarray:
     """Dual intertwiner on many points at once (see dual_sonine_grid)."""
-    return dual_sonine_grid(classical_pair(alpha), f, xs, u_max, head_nodes, panel_nodes)
+    return dual_sonine_grid(classical_pair(alpha), f, xs, u_max)
 
 
 def translation(alpha: OrderParam | float, f, x: float, y: float, n: int = 64):

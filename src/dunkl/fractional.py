@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
-from .quadrature import MAX_DOUBLINGS, TailNonConvergence, homogeneous_pairing, jacobi_rule
+from .quadrature import doubling_tail, homogeneous_pairing, jacobi_rule, legendre_panels
 from .report import IdentityReport, pair_errs, run_check
 from .special import OrderParam, as_order, c_const
 from .transform import SpectralFunction, TransformPlan, spectral_support
@@ -50,6 +50,8 @@ __all__ = [
 # evaluation (the arbitrary-precision fallback is a safety net, not a path)
 _GAP_RATIO = 2.0**-10
 _HYP_SAFE = 5e13
+# relative size of the doubling panel that ends a Riesz-kernel tail
+_TAIL_TOL = 1e-12
 
 
 def riesz_prefactor(alpha: OrderParam | float, lam: float) -> float:
@@ -88,34 +90,11 @@ def angular_kernel(alpha: float, p: float, x: float, y: np.ndarray, sign: int) -
     return 2.0 ** (2 * alpha + 1) * beta_const * um ** (-p) * _hyp2f1_safe(p, b, 2 * alpha + 2.0, z)
 
 
-def _gl_panel(a: float, b: float, n: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return a + (b - a) * 0.5 * (x + 1.0), w * 0.5 * (b - a)
-
-
-def _doubling_tail(summand: Callable, lo: float, total: float, tail_tol: float) -> float:
-    """Add to ``total`` the real part of sum(summand(y, w)) over the
-    Gauss-Legendre nodes y and weights w of the panels [lo, 2 lo],
-    [2 lo, 4 lo], ... until a panel adds less than ``tail_tol`` of the total;
-    raise TailNonConvergence if none has after MAX_DOUBLINGS panels."""
-    for _ in range(MAX_DOUBLINGS):
-        yy, ww = _gl_panel(lo, 2.0 * lo, 48)
-        contribution = np.real(np.sum(summand(yy, ww)))
-        total += contribution
-        lo *= 2.0
-        if abs(contribution) < tail_tol * max(abs(total), 1e-300):
-            return total
-    raise TailNonConvergence(
-        f"Riesz-kernel tail still contributing beyond |y| = {lo:.3g} after {MAX_DOUBLINGS} doublings"
-    )
-
-
 def frac_power_kernel(
     alpha: OrderParam | float,
     lam: float,
     f: Callable,
     x: float,
-    tail_tol: float = 1e-12,
 ) -> float:
     """Riesz-kernel route for the fractional power at a point:
 
@@ -141,7 +120,7 @@ def frac_power_kernel(
         even = lambda y: np.asarray(f(y)) + np.asarray(f(-y))
         rule = jacobi_rule(0.0, -(2.0 * lam + 1.0), 64)
         head = np.real(np.sum(rule.weights * even(rule.nodes)))
-        total = _doubling_tail(lambda y, w: w * y ** (-(2.0 * lam + 1.0)) * even(y), 1.0, head, tail_tol)
+        total = doubling_tail(lambda y, w: np.real(w * y ** (-(2.0 * lam + 1.0)) * even(y)), 1.0, head, _TAIL_TOL)
         return pref * mass * float(total)
 
     delta = _GAP_RATIO * ax
@@ -149,6 +128,7 @@ def frac_power_kernel(
     for sign in (1, -1):
         fy = (lambda y: np.asarray(f(sx * y))) if sign > 0 else (lambda y: np.asarray(f(-sx * y)))
         kern = lambda y: angular_kernel(a, p, ax, y, sign)
+        summand = lambda y, w: np.real(w * y ** (2.0 * a + 1.0) * fy(y) * kern(y))
 
         # [0, ax/2]: weight y^(2a+1) absorbed
         rule = jacobi_rule(0.0, 2.0 * a + 1.0, 48)
@@ -157,19 +137,17 @@ def frac_power_kernel(
         total += np.real(np.sum(w0 * fy(y0) * kern(y0)))
 
         # geometric refinement [ax/2, ax - delta]
-        lo = ax / 2.0
-        gap = ax - lo
-        while gap > delta:
-            last = gap * 0.5 <= delta
-            step = gap - delta if last else gap * 0.5
-            yy, ww = _gl_panel(lo, lo + step, 24)
-            total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy)))
-            if last:
-                # this panel ends at ax - delta; rounding can leave ax - lo an
-                # ulp above delta, and steps of that size no longer move lo
+        edges = [ax / 2.0]
+        while ax - edges[-1] > delta:
+            gap = ax - edges[-1]
+            if gap * 0.5 <= delta:
+                # this panel ends at ax - delta; rounding can leave ax minus
+                # that edge an ulp above delta, and steps of that size stall
+                edges.append(edges[-1] + (gap - delta))
                 break
-            lo += step
-            gap = ax - lo
+            edges.append(edges[-1] + gap * 0.5)
+        for yy, ww in zip(*legendre_panels(edges, 24)):
+            total += np.sum(summand(yy, ww))
 
         # gap panel [ax - delta, ax] with (ax - y)^(-(2 lam + 1)) absorbed
         g_exp = -(2.0 * lam + 1.0)
@@ -185,14 +163,14 @@ def frac_power_kernel(
         total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy) * (yy - ax) ** (2.0 * lam + 1.0)))
 
         # geometric coarsening [ax + delta, 2 ax]
-        lo = ax + delta
-        while lo < 2.0 * ax:
-            step = min(max(lo - ax, delta), 2.0 * ax - lo)
-            yy, ww = _gl_panel(lo, lo + step, 24)
-            total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy)))
-            lo += step
+        edges = [ax + delta]
+        while edges[-1] < 2.0 * ax:
+            lo = edges[-1]
+            edges.append(lo + min(max(lo - ax, delta), 2.0 * ax - lo))
+        for yy, ww in zip(*legendre_panels(edges, 24)):
+            total += np.sum(summand(yy, ww))
 
-        total = _doubling_tail(lambda y, w: w * y ** (2.0 * a + 1.0) * fy(y) * kern(y), 2.0 * ax, total, tail_tol)
+        total = doubling_tail(summand, 2.0 * ax, total, _TAIL_TOL)
     return pref * float(total)
 
 

@@ -4,9 +4,12 @@ Conventions
 -----------
 * Jacobi rules live on [0, 1] with the weight (1-s)^a s^b absorbed into the
   weights: sum(w * f(nodes)) ~ int_0^1 (1-s)^a s^b f(s) ds.
-* The semi-infinite rule integrates int_0^inf v^sing_exp g(v) dv for g that
-  decays faster than any polynomial; the singular head is a Jacobi rule, the
-  tail is covered by doubling Gauss-Legendre panels.
+* Gauss-Legendre rules are memoized per size on [-1, 1]; ``legendre_panels``
+  maps one onto every panel of a partition.
+* ``integrate_semi_infinite`` integrates int_0^inf v^sing_exp g(v) dv for g
+  that decays faster than any polynomial; the singular head is a Jacobi
+  rule, the tail is ``doubling_tail``, the one loop of doubling
+  Gauss-Legendre panels that every semi-infinite integral here ends in.
 * Weighted powers with an interior |t| kink never reach a rule directly; the
   callers reduce them to [0, 1] Jacobi weights by parity and s = t^2.
 """
@@ -31,7 +34,9 @@ __all__ = [
     "jacobi_rule",
     "theta_rule",
     "radial_rule",
-    "SemiInfiniteRule",
+    "legendre_rule",
+    "legendre_panels",
+    "doubling_tail",
     "integrate_semi_infinite",
     "homogeneous_pairing",
     "weyl_integral",
@@ -137,56 +142,39 @@ def radial_rule(alpha: OrderParam | float, half_width: float, n: int = 96) -> Qu
     )
 
 
-class SemiInfiniteRule:
-    """Adaptive rule for int_0^inf v^sing_exp g(v) dv.
+@functools.lru_cache(maxsize=64)
+def legendre_rule(n: int) -> QuadRule:
+    """Gauss-Legendre rule on [-1, 1], memoized per size and shared between
+    callers, so its arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = QuadRule(nodes=x, weights=w, kind="gauss_legendre")
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
-    The head [0, split] absorbs v^sing_exp into a Jacobi rule; beyond the
-    split, Gauss-Legendre panels of doubling width are appended until the
-    last panel contributes less than tol relative to the accumulated value.
-    """
 
-    def __init__(
-        self,
-        sing_exp: float,
-        split: float = 1.0,
-        tol: float = 1e-12,
-        head_nodes: int = DEFAULT_JACOBI_NODES,
-        panel_nodes: int = DEFAULT_PANEL_NODES,
-        max_doublings: int = MAX_DOUBLINGS,
-    ) -> None:
-        if not sing_exp > -1.0:
-            raise ValueError(f"singular exponent {sing_exp} must exceed -1")
-        if not split > 0.0:
-            raise ValueError("split must be positive")
-        self.sing_exp = float(sing_exp)
-        self.split = float(split)
-        self.tol = float(tol)
-        self.head = jacobi_rule(0.0, sing_exp, head_nodes)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
-        self._gl = (gl_x, gl_w)
-        self.max_doublings = int(max_doublings)
+def legendre_panels(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on every panel
+    [e_k, e_(k+1)], each of shape (len(edges) - 1, n)."""
+    base = legendre_rule(n)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return a + (b - a) * 0.5 * (base.nodes + 1.0), base.weights * 0.5 * (b - a)
 
-    def integrate(self, g: Callable[[np.ndarray], np.ndarray]) -> complex:
-        split, p = self.split, self.sing_exp
-        head_nodes = self.head.nodes * split
-        head_weights = self.head.weights * split ** (p + 1.0)
-        total = np.sum(head_weights * np.asarray(g(head_nodes)))
 
-        gl_x, gl_w = self._gl
-        lo = split
-        for k in range(self.max_doublings):
-            hi = 2.0 * lo
-            v = lo + (hi - lo) * 0.5 * (gl_x + 1.0)
-            w = gl_w * 0.5 * (hi - lo) * v**p
-            contribution = np.sum(w * np.asarray(g(v)))
-            total = total + contribution
-            lo = hi
-            if k >= 1 and abs(contribution) <= self.tol * max(abs(total), 1e-300):
-                return total
-        raise TailNonConvergence(
-            f"tail still contributing after {self.max_doublings} doublings "
-            f"(split={split}, sing_exp={p})"
-        )
+def doubling_tail(summand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, total, tol: float):
+    """Add to ``total`` sum(summand(v, w)) over the Gauss-Legendre nodes v and
+    weights w of the panels [lo, 2 lo], [2 lo, 4 lo], ... until a panel after
+    the first adds at most ``tol`` of the total; raise TailNonConvergence if
+    none has after MAX_DOUBLINGS panels."""
+    for k in range(MAX_DOUBLINGS):
+        v, w = legendre_panels([lo, 2.0 * lo], DEFAULT_PANEL_NODES)
+        contribution = np.sum(summand(v[0], w[0]))
+        total = total + contribution
+        lo *= 2.0
+        if k >= 1 and abs(contribution) <= tol * max(abs(total), 1e-300):
+            return total
+    raise TailNonConvergence(f"tail still contributing beyond {lo:.3g} after {MAX_DOUBLINGS} doublings")
 
 
 def integrate_semi_infinite(
@@ -194,9 +182,17 @@ def integrate_semi_infinite(
     sing_exp: float,
     split: float = 1.0,
     tol: float = 1e-12,
-    **kw,
 ) -> complex:
-    return SemiInfiniteRule(sing_exp, split=split, tol=tol, **kw).integrate(g)
+    """int_0^inf v^sing_exp g(v) dv: the head [0, split] absorbs v^sing_exp
+    into a Jacobi rule, and the doubling tail covers the rest."""
+    if not sing_exp > -1.0:
+        raise ValueError(f"singular exponent {sing_exp} must exceed -1")
+    if not split > 0.0:
+        raise ValueError("split must be positive")
+    p = float(sing_exp)
+    head = jacobi_rule(0.0, p, DEFAULT_JACOBI_NODES)
+    total = np.sum(head.weights * split ** (p + 1.0) * np.asarray(g(head.nodes * split)))
+    return doubling_tail(lambda v, w: w * v**p * np.asarray(g(v)), split, total, tol)
 
 
 def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResult:
@@ -256,22 +252,8 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
     inner = 2.0 * float(np.sum(inner_rule.weights * smooth_part(inner_rule.nodes)))
 
     # outer part: 2 int_1^inf x^lam phi_e(x) dx by doubling panels
-    gl_x, gl_w = np.polynomial.legendre.leggauss(DEFAULT_PANEL_NODES)
-    total = 0.0
-    lo = 1.0
-    for k in range(MAX_DOUBLINGS):
-        hi = 2.0 * lo
-        x = lo + (hi - lo) * 0.5 * (gl_x + 1.0)
-        w = gl_w * 0.5 * (hi - lo)
-        contribution = 2.0 * float(np.sum(w * x**lam * np.real(phi.even_part(x))))
-        total += contribution
-        lo = hi
-        if k >= 1 and abs(contribution) <= 1e-15 * max(abs(total), 1e-300):
-            break
-    else:
-        raise TailNonConvergence("outer pairing tail did not converge")
-
-    return PairingResult(value=analytic + inner + total, pole_flag=False, residue_estimate=None)
+    outer = doubling_tail(lambda x, w: w * x**lam * np.real(phi.even_part(x)), 1.0, 0.0, 1e-15)
+    return PairingResult(value=analytic + inner + 2.0 * float(outer), pole_flag=False, residue_estimate=None)
 
 
 def weyl_integral(
@@ -281,7 +263,6 @@ def weyl_integral(
     u_max: float,
     head_nodes: int = DEFAULT_PANEL_NODES,
     panel_nodes: int = DEFAULT_PANEL_NODES,
-    first_edge: float = 1.0,
 ) -> np.ndarray:
     """W(s) = int_s^u_max (u-s)^(mu-1) h(u) du for every s in ``s_values``.
 
@@ -301,22 +282,16 @@ def weyl_integral(
     if s_values.size and np.any(s_values < 0):
         raise ValueError("s values must be nonnegative")
 
-    edges = [0.0, float(first_edge)]
+    edges = [0.0, 1.0]
     while edges[-1] < u_max:
         edges.append(min(edges[-1] * 2.0, float(u_max)))
     edges = np.asarray(edges)
     n_edges = edges.size
 
     head = jacobi_rule(0.0, mu - 1.0, head_nodes)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
 
     # shared panel nodes and h values, evaluated once
-    panel_u, panel_w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        panel_u.append(a + (b - a) * 0.5 * (gl_x + 1.0))
-        panel_w.append(gl_w * 0.5 * (b - a))
-    panel_u = np.asarray(panel_u)  # (n_panels, panel_nodes)
-    panel_w = np.asarray(panel_w)
+    panel_u, panel_w = legendre_panels(edges, panel_nodes)
     h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
 
     if s_values.size and np.max(s_values) >= edges[-1]:
@@ -379,15 +354,8 @@ def riemann_liouville_integral(
     n_panels = max(int(math.ceil(y_max / panel_width)), 2)
     edges = (np.linspace(0.0, y_max, n_panels + 1)) ** 2
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
     head = jacobi_rule(0.0, mu - 1.0, head_nodes)
-
-    panel_u = np.empty((n_panels, panel_nodes))
-    panel_w = np.empty((n_panels, panel_nodes))
-    for k in range(n_panels):
-        a, b = edges[k], edges[k + 1]
-        panel_u[k] = a + (b - a) * 0.5 * (gl_x + 1.0)
-        panel_w[k] = gl_w * 0.5 * (b - a)
+    panel_u, panel_w = legendre_panels(edges, panel_nodes)
     h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
 
     # the first panel touches u = 0, where u^b is only Jacobi-smooth:

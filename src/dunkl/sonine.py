@@ -125,7 +125,7 @@ def _sonine_at(pair: SoninePair, f: SmoothFunction, x: float, rule):
     return pair.prefactor * np.sum(rule.weights * integrand)
 
 
-def sonine_grid(pair: SoninePair, f, xs: np.ndarray, panel_width: float = 0.75) -> np.ndarray:
+def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
     """Sonine transform on many points at once, written as a finite
     fractional integral in squared coordinates u = y^2:
 
@@ -151,7 +151,6 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray, panel_width: float = 0.75) 
         [pair.a, pair.a + 1.0],
         pair.mu,
         ax_sorted**2,
-        panel_width=panel_width,
     )
     even_vals = np.empty_like(ax, dtype=complex)
     odd_vals = np.empty_like(ax, dtype=complex)
@@ -233,14 +232,11 @@ def dual_sonine_grid(
     f,
     xs: np.ndarray,
     u_max: float = 512.0,
-    head_nodes: int = 32,
-    panel_nodes: int = 40,
 ) -> np.ndarray:
     """Dual Sonine transform on many points through the shared-panel
     fractional tail integral; agrees with dual_sonine_apply pointwise."""
     xs = np.asarray(xs, dtype=float)
-    w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max,
-                      head_nodes=head_nodes, panel_nodes=panel_nodes)
+    w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max, head_nodes=32, panel_nodes=40)
     return pair.prefactor * (w[0] + xs * w[1])
 
 

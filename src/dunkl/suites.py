@@ -20,7 +20,7 @@ import numpy as np
 
 from . import core, fractional, lizorkin, sonine, transform
 from .functions import KernelFunction, PolyFunction, PolyGaussian, gaussian, monomial_gaussian
-from .quadrature import radial_rule
+from .quadrature import legendre_rule, radial_rule
 from .report import max_errs, run_check
 from .sonine import SoninePair
 from .special import b_coeff
@@ -206,9 +206,9 @@ def _intertwiner_duality(a: float, params: dict) -> tuple[float, float]:
     vf = core.intertwiner_v(a, f)
     rule = radial_rule(a, 14.0, 128)
     lhs = np.sum(rule.weights * (vf(rule.nodes) * g(rule.nodes) + vf(-rule.nodes) * g(-rule.nodes)))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(160)
-    nodes = 14.0 * gl_x
-    weights = 14.0 * gl_w
+    gl = legendre_rule(160)
+    nodes = 14.0 * gl.nodes
+    weights = 14.0 * gl.weights
     tvg = core.dual_intertwiner_v_grid(a, g, nodes, u_max=400.0)
     return _sides(params, lhs, np.sum(weights * f(nodes) * tvg))
 

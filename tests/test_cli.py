@@ -129,6 +129,35 @@ class TestSonineCommand:
         assert "beta > alpha" in capsys.readouterr().err
 
 
+# exact bytes of the record output, written by the per-command writers that
+# the single record writer replaced
+_PINNED_OUTPUT = {
+    ("kernel", "csv"): (
+        "z_re,z_im,E_re,E_im,mode,est_err\n"
+        "1,0,1.5430806348152442,0,auto,0\n"
+        "0,40,0.018627829011983715,0.017139147266606154,auto,0\n"
+    ),
+    ("kernel", "json"): (
+        '[\n  {\n    "E_im": 0.0,\n    "E_re": 1.5430806348152442,\n    "est_err": 0.0,\n    "mode": "auto",\n'
+        '    "z_im": 0.0,\n    "z_re": 1.0\n  },\n  {\n    "E_im": 0.017139147266606154,\n'
+        '    "E_re": 0.018627829011983715,\n    "est_err": 0.0,\n    "mode": "auto",\n    "z_im": 40.0,\n'
+        '    "z_re": 0.0\n  }\n]\n'
+    ),
+    ("sonine", "csv"): "x,value\n0.5,0.88479686771438049\n1,0.63212055882855767\n",
+    ("sonine", "json"): '[\n  {\n    "value": 0.8847968677143805,\n    "x": 0.5\n  },\n  {\n    "value": 0.6321205588285577,\n    "x": 1.0\n  }\n]\n',
+}
+_PINNED_ARGS = {
+    "kernel": ["kernel", "--alpha", "0.5", "--z", "1", "--z", "40j"],
+    "sonine": ["sonine", "--alpha", "0", "--beta", "1", "--x", "0.5", "--x", "1"],
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(_PINNED_OUTPUT))
+def test_record_output_bytes(command, fmt, capsys):
+    assert main([*_PINNED_ARGS[command], "--format", fmt]) == 0
+    assert capsys.readouterr().out == _PINNED_OUTPUT[command, fmt]
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, tmp_path, capsys):
         out_path = tmp_path / "rep.json"

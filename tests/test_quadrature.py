@@ -1,22 +1,42 @@
 """Singular-weight rules, tail integration, and regularized pairings."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dunkl.fractional import frac_power_kernel
 from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian, monomial_gaussian
 from dunkl.quadrature import (
+    MAX_DOUBLINGS,
     TailNonConvergence,
+    doubling_tail,
     homogeneous_pairing,
     integrate_semi_infinite,
     jacobi_rule,
+    legendre_panels,
+    legendre_rule,
     radial_rule,
     riemann_liouville_integral,
-    SemiInfiniteRule,
     theta_rule,
     weyl_integral,
 )
+from dunkl.sonine import SoninePair, dual_sonine_apply
+
+# property tests repeat exactly: fixed example count, derandomized draws
+_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _legendre_panels_reference(edges, n):
+    """The per-panel form that the panel integrals each wrote out inline:
+    a fresh Legendre rule, mapped one panel at a time."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n)
+    panel_u = np.asarray([a + (b - a) * 0.5 * (gl_x + 1.0) for a, b in zip(edges[:-1], edges[1:])])
+    panel_w = np.asarray([gl_w * 0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])])
+    return panel_u, panel_w
 
 
 def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=48, panel_nodes=48, first_edge=1.0):
@@ -160,9 +180,85 @@ class TestSemiInfinite:
         assert got == pytest.approx(math.gamma(0.65) / 2.0, rel=1e-11)
 
     def test_tail_nonconvergence(self):
-        rule = SemiInfiniteRule(0.0, max_doublings=12)
+        # a constant never decays: every doubling panel adds half the total
+        with pytest.raises(TailNonConvergence, match=f"after {MAX_DOUBLINGS} doublings"):
+            integrate_semi_infinite(lambda v: np.ones_like(v), 0.0)
+
+    @_PROPERTY
+    @given(s=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True))
+    def test_gamma_function(self, s):
+        got = integrate_semi_infinite(lambda v: np.exp(-v), s)
+        # the Gauss-Jacobi head loses digits as its exponent nears -1: its
+        # moments are off by 8e-10 at exponent -0.99 and 64 nodes
+        assert got == pytest.approx(math.gamma(s + 1.0), rel=1e-12 if s >= -0.5 else 1e-10)
+
+
+class TestLegendrePanels:
+    @pytest.mark.parametrize(
+        "edges,n",
+        [
+            ((0.75 * np.arange(9)) ** 2, 24),  # riemann_liouville_integral's panels
+            (np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 400.0]), 40),  # weyl_integral's
+            (np.array([0.185, 0.2775, 0.32375, 0.346875]), 24),  # Riesz-kernel refinement
+            (np.array([3.0, 6.0]), 48),  # one doubling panel
+        ],
+    )
+    def test_equals_inline_formula(self, edges, n):
+        got_u, got_w = legendre_panels(edges, n)
+        want_u, want_w = _legendre_panels_reference(edges, n)
+        assert got_u.shape == (edges.size - 1, n)
+        assert np.array_equal(got_u, want_u) and np.array_equal(got_w, want_w)
+
+    def test_base_rule_is_shared_and_read_only(self):
+        rule = legendre_rule(24)
+        assert legendre_rule(24) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+
+    def test_one_rule_build_per_size(self, monkeypatch):
+        calls = collections.Counter()
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls[n] += 1
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        legendre_rule.cache_clear()
+        pair = SoninePair.of(0.5, 1.5)
+        for _ in range(3):
+            frac_power_kernel(0.5, -0.3, gaussian(), 1.0)
+            dual_sonine_apply(pair, gaussian(), 0.7)
+            homogeneous_pairing(-0.5, gaussian())
+        assert set(calls) == {24, 48}
+        assert max(calls.values()) == 1
+
+    @_PROPERTY
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+    def test_exact_on_polynomials(self, data, n):
+        edges = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6, unique=True)))
+        poly = np.polynomial.Polynomial(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+        u, w = legendre_panels(edges, n)
+        got = np.sum(w * poly(u))
+        antiderivative = poly.integ()
+        want = antiderivative(edges[-1]) - antiderivative(edges[0])
+        scale = np.sum(np.abs(w * poly(u))) + abs(antiderivative(edges[-1])) + abs(antiderivative(edges[0]))
+        assert abs(got - want) <= 1e-14 * scale + 1e-300
+
+
+class TestDoublingTail:
+    def test_exponential(self):
+        got = doubling_tail(lambda v, w: w * np.exp(-v), 1.0, 0.0, 1e-12)
+        assert got == pytest.approx(math.exp(-1.0), rel=1e-13)
+
+    def test_stops_after_the_first_panel_at_the_earliest(self):
+        panels = []
+        doubling_tail(lambda v, w: panels.append(v) or np.zeros_like(v), 1.0, 1.0, 1e-12)
+        assert len(panels) == 2 and panels[1][0] > 2.0
+
+    def test_raises_without_decay(self):
         with pytest.raises(TailNonConvergence):
-            rule.integrate(lambda v: 1.0 / (1.0 + v**2))
+            doubling_tail(lambda v, w: w * v**-0.5, 1.0, 0.0, 1e-12)
 
 
 class TestRadialRule:
