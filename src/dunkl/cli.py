@@ -2,10 +2,10 @@
 
 Subcommands: kernel, transform, sonine, verify, report.  Exit codes:
 0 = success / all identities within tolerance, 1 = at least one identity
-exceeded its tolerance, 2 = configuration or parse error.  Output files are
-byte-identical across reruns of the same configuration (timings are zeroed
-unless --timings is given); floats are printed with 17 significant digits so
-doubles round-trip losslessly.
+exceeded its tolerance, 2 = configuration or parse error or a failed plan
+self-test.  Output files are byte-identical across reruns of the same
+configuration (timings are zeroed unless --timings is given); floats are
+printed with 17 significant digits so doubles round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .sonine import SoninePair, dual_sonine_apply, sonine_apply
 from .functions import WrappedFunction
 from .special import OrderParam
 from .suites import DEFAULT_TOLERANCES, RunConfig, run_suites, suite_names
-from .transform import build_plan, forward, inverse
+from .transform import PlanSelfTestError, build_plan, forward, inverse
 
 CSV_FLOAT = ".17g"
 
@@ -223,14 +223,10 @@ def _build_run_config(args) -> RunConfig:
 
 def cmd_verify(args) -> int:
     cfg = _build_run_config(args)
-    from .transform import PlanSelfTestError
-
     try:
         reports = run_suites(cfg)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
-    except PlanSelfTestError as exc:
-        raise CliError(str(exc)) from exc
     text = (
         reports_to_csv(reports, cfg.include_timing)
         if cfg.out_format == "csv"
@@ -348,10 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (CliError, PlanSelfTestError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -211,10 +211,10 @@ def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float
 
 class _ForwardImage(SpectralFunction):
     """Transform of a test function, sum_j E_alpha(-i xi x_j) w_j phi(x_j) over
-    the plan's x-rule: its even part sums j_norm(alpha) alone, and its Taylor
-    data are the weighted moments.  Beyond the band the x-rule resolves, or
-    where the grid spectrum is below the double-precision floor, the synthesis
-    is quadrature noise and the values are exact zeros."""
+    the plan's x-rule: its even part sums j_norm(alpha) alone, once per |x_j|,
+    and its Taylor data are the weighted moments.  Beyond the band the x-rule
+    resolves, or where the grid spectrum is below the double-precision floor,
+    the synthesis is quadrature noise and the values are exact zeros."""
 
     def __init__(self, plan: TransformPlan, phi):
         values = np.asarray(phi(plan.x_nodes))

@@ -84,17 +84,19 @@ def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
     return j_norm(alpha, u) + (1j * sign) * u * q
 
 
-def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int, fold_rows: bool = False) -> np.ndarray:
+def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int) -> np.ndarray:
     """kernel_unitary(alpha, np.outer(rows, cols), sign) bit for bit, from the
-    positive half of the mirrored ``cols`` (and ``rows``, with ``fold_rows``):
-    j_norm reads only |u| and negating a float is exact, so K(-u) = conj K(u)."""
+    distinct |rows| times the positive half of the mirrored ``cols``: j_norm
+    reads only |u| and negating a float is exact, so K(-u) = conj K(u).  The
+    rows gather their |row| and conjugate where row < 0; the negative columns
+    are the conjugates of the positive ones, reversed."""
     rows = np.asarray(rows, dtype=float).ravel()
-    r, n = (rows.size // 2 if fold_rows else 0), cols.size // 2
+    n = cols.size // 2
+    distinct, where = np.unique(np.abs(rows), return_inverse=True)
     out = np.empty((rows.size, 2 * n), dtype=complex)
-    out[r:, n:] = kernel_unitary(alpha, np.outer(rows[r:], cols[n:]), sign)
-    np.conjugate(out[r:, n:][:, ::-1], out=out[r:, :n])
-    if fold_rows:
-        np.conjugate(out[r:][::-1], out=out[:r])
+    out[:, n:] = kernel_unitary(alpha, np.outer(distinct, cols[n:]), sign)[where]
+    out.imag[rows < 0, n:] *= -1.0
+    np.conjugate(out[:, n:][:, ::-1], out=out[:, :n])
     return out
 
 
@@ -160,7 +162,7 @@ class TransformPlan:
         self.lambda_weights = lambda_weights
         self.tolerance = float(tolerance)
         self.c_alpha = c_const(alpha)
-        kernel = _folded_kernel(self.alpha, lambda_nodes, x_nodes, -1, fold_rows=True)
+        kernel = _folded_kernel(self.alpha, lambda_nodes, x_nodes, -1)
         self.forward_matrix = kernel * x_weights
         self.inverse_matrix = np.conjugate(kernel, out=kernel).T  # in place: no second kernel
         self.inverse_matrix *= lambda_weights
@@ -188,15 +190,6 @@ class TransformPlan:
 
     def integrate_x(self, values: np.ndarray) -> complex:
         return np.sum(self.x_weights * np.asarray(values))
-
-    def integrate_lambda(self, values: np.ndarray) -> complex:
-        return np.sum(self.lambda_weights * np.asarray(values))
-
-    def _values_on_x(self, f) -> np.ndarray:
-        return _values_on(f, self.x_nodes, "x")
-
-    def _values_on_lambda(self, g) -> np.ndarray:
-        return _values_on(g, self.lambda_nodes, "lambda")
 
 
 def _values_on(f, nodes: np.ndarray, name: str) -> np.ndarray:
@@ -252,24 +245,24 @@ def build_plan(
 
 def forward(plan: TransformPlan, f) -> GridFunction:
     """Weighted transform of samples on the plan's x-grid; linear in f."""
-    values = plan._values_on_x(f)
+    values = _values_on(f, plan.x_nodes, "x")
     return plan.lambda_grid_function(plan.forward_matrix @ values)
 
 
 def inverse(plan: TransformPlan, g) -> GridFunction:
     """Inverse transform of a spectrum on the plan's lambda-grid."""
-    values = plan._values_on_lambda(g)
+    values = _values_on(g, plan.lambda_nodes, "lambda")
     return GridFunction(grid=plan.x_nodes, values=plan.inverse_matrix @ values, smoothness_hint="schwartz")
 
 
 def forward_at(plan: TransformPlan, f, lam_points: np.ndarray) -> np.ndarray:
     """Transform evaluated off-grid: same x-rule, arbitrary spectral points."""
-    values = plan._values_on_x(f)
+    values = _values_on(f, plan.x_nodes, "x")
     return _folded_kernel(plan.alpha, lam_points, plan.x_nodes, -1) @ (plan.x_weights * values)
 
 
 def inverse_at(plan: TransformPlan, g, x_points: np.ndarray) -> np.ndarray:
-    values = plan._values_on_lambda(g)
+    values = _values_on(g, plan.lambda_nodes, "lambda")
     return plan.c_alpha * (_folded_kernel(plan.alpha, x_points, plan.lambda_nodes, +1) @ (plan.lambda_weights * values))
 
 
@@ -332,6 +325,13 @@ class SpectralFunction:
     from the same sum, so the object is consistent to machine precision with
     its grid samples.  The value is even part plus x times odd quotient.
 
+    Both kernel components j_norm(alpha + k, .) are even, so every method
+    sums over the distinct |nu| once: the spectrum is folded at construction
+    into an even weight (sum of wspec over nu = +-|nu|) and an odd weight (sum
+    of sign(nu) wspec).  Mirrored nodes thus cost half the evaluations, and
+    unmirrored ones simply have no duplicates.  ``nodes`` and ``wspec`` keep
+    the spectrum as given.
+
     An object built from a plan evaluates its kernels through the plan's
     spline tables.  A call on more points than the direct sums that build
     its ``_ChebProxy`` (both parts at every sample point), all within the
@@ -350,10 +350,14 @@ class SpectralFunction:
         self.order = as_order(alpha)
         self.nodes = np.asarray(nodes, dtype=float)
         self.wspec = np.asarray(weighted_spectrum)
+        self._abs_nodes, where = np.unique(np.abs(self.nodes), return_inverse=True)
+        self._w_even, self._w_odd = np.zeros((2, self._abs_nodes.size), dtype=np.result_type(self.wspec, float))
+        np.add.at(self._w_even, where, self.wspec)
+        np.add.at(self._w_odd, where, np.sign(self.nodes) * self.wspec)
         self._plan = plan
         self._proxy = None
         if plan is not None and self.nodes.size:
-            self._proxy = _ChebProxy(plan.synthesis_radius, float(np.max(np.abs(self.nodes))))
+            self._proxy = _ChebProxy(plan.synthesis_radius, float(self._abs_nodes[-1]))
 
     def _j(self, shift: int, u: np.ndarray) -> np.ndarray:
         if self._plan is not None:
@@ -362,15 +366,15 @@ class SpectralFunction:
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":
-        values = plan._values_on_lambda(spectrum)
+        values = _values_on(spectrum, plan.lambda_nodes, "lambda")
         return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
 
     def _direct(self, part: int, x: np.ndarray) -> np.ndarray:
-        u = np.outer(x, self.nodes)
+        u = np.outer(x, self._abs_nodes)
         if part == 0:
-            return self._j(0, u) @ self.wspec
+            return self._j(0, u) @ self._w_even
         a = self.order.alpha
-        return (1j * self._j(1, u) / (2.0 * (a + 1.0)) * self.nodes) @ self.wspec
+        return self._j(1, u) @ (1j * self._abs_nodes * self._w_odd / (2.0 * (a + 1.0)))
 
     def _build_proxy(self) -> None:
         y = self._proxy.sample_points()
@@ -401,19 +405,20 @@ class SpectralFunction:
         return self._pointwise(x, lambda v: self._part(1, v))
 
     def derivative(self, x):
+        return self._pointwise(x, self._slope)
+
+    def _slope(self, x: np.ndarray) -> np.ndarray:
+        # d/dx E(i nu x) = nu (-u q + i (q + u qp)) at u = nu x: the first
+        # term is even in nu, the second odd
         a = self.order.alpha
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = np.outer(np.atleast_1d(x), self.nodes)
+        u = np.outer(x, self._abs_nodes)
         q = self._j(1, u) / (2.0 * (a + 1.0))
         qp = -u * self._j(2, u) / (2.0 * (a + 2.0)) / (2.0 * (a + 1.0))
-        dkernel = -u * q + 1j * (q + u * qp)
-        vals = (dkernel * self.nodes) @ self.wspec
-        return vals[0] if scalar else vals.reshape(x.shape)
+        return (-u * q) @ (self._abs_nodes * self._w_even) + (q + u * qp) @ (1j * self._abs_nodes * self._w_odd)
 
     def taylor_coeff(self, k: int) -> complex:
         scale = math.exp(-log_b_coeff(k, self.order))
-        return scale * np.sum((1j * self.nodes) ** k * self.wspec)
+        return scale * 1j**k * np.sum(self._abs_nodes**k * (self._w_odd if k % 2 else self._w_even))
 
 
 def spectral_support(plan: TransformPlan, values: np.ndarray, floor: float) -> float:
@@ -446,7 +451,7 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     if n_half is None:
         n_half = plan.lambda_nodes.size // 2
 
-    lam_eff = min(spectral_support(plan, plan._values_on_x(f), 1e-12), plan.lambda_max)
+    lam_eff = min(spectral_support(plan, _values_on(f, plan.x_nodes, "x"), 1e-12), plan.lambda_max)
     nodes, weights = mirrored_weighted_rule(a, lam_eff, n_half, extra_exponent=sigma)
     spectrum = forward_at(plan, f, nodes)
     if sigma < 0:
@@ -472,10 +477,10 @@ def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optional
 def plancherel_errs(plan: TransformPlan, f, params: dict) -> tuple[float, float, str]:
     """Errors of int |f|^2 |x|^(2a+1) dx = c_alpha int |Ff|^2 |l|^(2a+1) dl,
     both sides recorded in ``params``, and the grid summary."""
-    values = plan._values_on_x(f)
+    values = _values_on(f, plan.x_nodes, "x")
     lhs = float(np.real(plan.integrate_x(np.abs(values) ** 2)))
     spectrum = plan.forward_matrix @ values
-    rhs = float(np.real(plan.c_alpha * plan.integrate_lambda(np.abs(spectrum) ** 2)))
+    rhs = float(np.real(plan.c_alpha * np.sum(plan.lambda_weights * np.abs(spectrum) ** 2)))
     params.update(lhs=lhs, rhs=rhs)
     return (*pair_errs(lhs, rhs), f"x-rule {plan.x_nodes.size} nodes, lambda-rule {plan.lambda_nodes.size} nodes")
 

@@ -107,6 +107,13 @@ class TestTransformCommand:
         assert code == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_failed_plan_self_test_is_a_configuration_error(self, tmp_path, capsys):
+        path = self.make_samples(tmp_path, n=41)
+        code = main(["transform", "--alpha", "0.5", "--input", str(path), "--nx", "64", "--n-lambda", "64"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan self-test reached") and "Traceback" not in err
+
     def test_nonmonotone_grid_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,f_re\n-1.0,1\n0.5,1\n0.0,1\n1.0,1\n")

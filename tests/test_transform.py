@@ -1,15 +1,21 @@
 """Discrete transform plans, Plancherel, and spectral multipliers."""
 
+import collections
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dunkl.transform
 from dunkl.core import dunkl_operator
+from dunkl.fractional import _ForwardImage
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
-from dunkl.special import as_order, j_norm
+from dunkl.lizorkin import inversion_check, make_witness
+from dunkl.sonine import SoninePair
+from dunkl.special import as_order, j_norm, log_b_coeff
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
@@ -28,6 +34,29 @@ from dunkl.transform import (
 )
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.5)
+
+# property tests repeat exactly: fixed example count, derandomized draws
+_PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def _point_sets(draw, bound):
+    """Points in [-bound, bound]: some mirrored, some repeated, maybe 0, in
+    random order."""
+    base = np.array(draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=12)))
+    mirrored = np.array(draw(st.lists(st.booleans(), min_size=base.size, max_size=base.size)))
+    zero = [0.0] if draw(st.booleans()) else []
+    points = np.concatenate([base, -base[mirrored], zero, base[: draw(st.integers(0, 2))]])
+    return points[draw(st.permutations(range(points.size)))]
+
+
+@st.composite
+def _spectra(draw):
+    """A planless SpectralFunction on random nodes with complex weights."""
+    alpha = draw(st.floats(-0.45, 3.0))
+    nodes = draw(_point_sets(9.0))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=nodes.size, max_size=nodes.size)
+    return SpectralFunction(alpha, nodes, np.array(draw(parts)) + 1j * np.array(draw(parts)))
 
 
 class TestJNorm:
@@ -110,13 +139,60 @@ class TestFoldedKernel:
 
         monkeypatch.setattr(dunkl.transform, "j_norm", counting)
         plan = build_plan(0.5)
-        assert sum(points) <= 2 * 256 * 256
+        assert sum(points) == 2 * 256 * 256
         points.clear()
         f = plan.sample(lambda x: np.exp(-(x**2)))
-        for k in (1, 5, 32):
-            forward_at(plan, f, np.linspace(-3.0, 3.0, k))
-            assert sum(points) == 2 * k * 256
+        g = np.exp(-(plan.lambda_nodes**2) / 4.0)
+        half = np.linspace(0.1, 3.0, 16)
+        mirrored = np.concatenate([-half[::-1], [0.0], half])
+        unmirrored = np.array([0.5, 1.0, 2.0, -2.5])
+        sets = (*(np.linspace(-3.0, 3.0, k) for k in (1, 5, 32)), mirrored, unmirrored)
+        for lam, distinct in zip(sets, (1, 3, 23, 17, 4)):
+            assert np.unique(np.abs(lam)).size == distinct
+            forward_at(plan, f, lam)
+            assert sum(points) == 2 * distinct * 256
             points.clear()
+            inverse_at(plan, g, lam)
+            assert sum(points) == 2 * distinct * 256
+            points.clear()
+
+    def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
+        """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
+        kernel value once per distinct |node|: 64 512 direct kernel points and
+        744 240 spline points (twice that without the fold)."""
+        plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
+        for plan in (plan_a, plan_b):
+            for shift in (0, 1, 2):
+                plan.jnorm_table(shift)
+        witness = make_witness(0.5, plan_b, m=0)  # fresh: no image kept yet
+        direct, spline = [], []
+        original_j, original_table = dunkl.transform.j_norm, dunkl.transform._JNormTable.__call__
+
+        def counting_j(alpha, u):
+            direct.append(np.size(u))
+            return original_j(alpha, u)
+
+        def counting_table(table, u):
+            spline.append(np.size(u))
+            return original_table(table, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm", counting_j)
+        monkeypatch.setattr(dunkl.transform._JNormTable, "__call__", counting_table)
+        report = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
+        assert report.passed()
+        assert sum(direct) <= 64_512
+        assert sum(spline) <= 744_240
+
+    @_PROPERTY
+    @given(alpha=st.floats(-0.45, 3.0), lam=_point_sets(12.0), xs=_point_sets(12.0))
+    def test_rows_fold_bit_identically(self, alpha, lam, xs):
+        xn, xw = mirrored_weighted_rule(alpha, 6.0, 32)
+        ln, lw = mirrored_weighted_rule(alpha, 8.0, 32)
+        plan = TransformPlan(as_order(alpha), 6.0, 8.0, xn, xw, ln, lw, 1e-10)
+        f = np.exp(-(xn**2)) * (1.0 + 0.3 * xn)
+        g = np.exp(-(ln**2) / 4.0) * (1.0 - 0.2j * ln)
+        assert np.array_equal(forward_at(plan, f, lam), _outer_forward(plan, lam) @ (xw * f))
+        assert np.array_equal(inverse_at(plan, g, xs), plan.c_alpha * (_outer_inverse(plan, xs) @ (lw * g)))
 
 
 class TestForwardInverse:
@@ -278,25 +354,89 @@ class TestSpectralFunction:
         assert np.real(fn.taylor_coeff(2)) == pytest.approx(-1.0, rel=1e-8)
 
 
+class TestFoldedSynthesis:
+    """Synthesis sums each distinct |nu| once, and agrees with the sum over
+    every node to rounding."""
+
+    def test_one_evaluation_per_distinct_node(self, witness_plan_factory, witness_factory, monkeypatch):
+        plan = witness_plan_factory(0.5)
+        w = witness_factory(0.5, 0)
+        fns = (
+            SpectralFunction.from_spectrum(plan, w.spectrum),
+            apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0)),
+            _ForwardImage(plan, gaussian()),
+        )
+        points = collections.Counter()
+        original = SpectralFunction._j
+
+        def counting(fn, shift, u):
+            points[shift] += np.size(u)
+            return original(fn, shift, u)
+
+        monkeypatch.setattr(SpectralFunction, "_j", counting)
+        x = np.linspace(-3.0, 3.0, 25)
+        for fn in fns:
+            distinct = np.unique(np.abs(fn.nodes)).size
+            assert 2 * distinct == fn.nodes.size
+            for call, shifts in ((fn.even_part, (0,)), (fn.odd_quotient, (1,)), (fn, (0, 1)), (fn.derivative, (1, 2))):
+                points.clear()
+                call(x)
+                assert points == {shift: x.size * distinct for shift in shifts}
+
+    @_PROPERTY
+    @given(fn=_spectra(), x=_point_sets(5.0), k=st.integers(0, 5))
+    def test_matches_sum_over_every_node(self, fn, x, k):
+        """Each method against its unfolded formula, to 1e-14 of the sum of
+        its absolute terms (1e-14 sum |w| where the kernel factor is at most 1)."""
+        a = fn.order.alpha
+        u = np.outer(x, fn.nodes)
+        q = j_norm(a + 1.0, u) / (2.0 * (a + 1.0))
+        qp = -u * j_norm(a + 2.0, u) / (2.0 * (a + 2.0)) / (2.0 * (a + 1.0))
+        even = j_norm(a, u)
+        odd_q = 1j * q * fn.nodes
+        terms = {
+            fn.even_part: even,
+            fn.odd_quotient: odd_q,
+            fn: even + x[:, None] * odd_q,
+            fn.derivative: (-u * q + 1j * (q + u * qp)) * fn.nodes,
+        }
+        for method, factors in terms.items():
+            bound = 1e-14 * (np.abs(factors) @ np.abs(fn.wspec))
+            assert np.all(np.abs(method(x) - factors @ fn.wspec) <= bound)
+        scale = math.exp(-log_b_coeff(k, fn.order))
+        taylor = scale * (1j * fn.nodes) ** k * fn.wspec
+        assert abs(fn.taylor_coeff(k) - np.sum(taylor)) <= 1e-14 * np.sum(np.abs(taylor))
+
+
 PIPELINE_ORDERS = (0.0, 0.5, 1.5, 2.0)
 
 
-def _exact_parts(fn, y):
+def _parts(fn, y, j_even, j_odd, fold):
+    """Even part and odd quotient by direct synthesis: over every node, or,
+    with ``fold``, over the distinct |nu| with the spectrum folded into even
+    and odd weights, as SpectralFunction sums."""
+    a = fn.order.alpha
+    if not fold:
+        u = np.outer(y, fn.nodes)
+        return j_even(u) @ fn.wspec, (1j * j_odd(u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
+    abs_nodes, where = np.unique(np.abs(fn.nodes), return_inverse=True)
+    w_even = np.zeros(abs_nodes.size, dtype=np.result_type(fn.wspec, float))
+    w_odd = np.zeros_like(w_even)
+    np.add.at(w_even, where, fn.wspec)
+    np.add.at(w_odd, where, np.sign(fn.nodes) * fn.wspec)
+    u = np.outer(y, abs_nodes)
+    return j_even(u) @ w_even, j_odd(u) @ (1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
+
+
+def _exact_parts(fn, y, fold=True):
     """Even part and odd quotient by direct synthesis with the exact kernel."""
     a = fn.order.alpha
-    u = np.outer(y, fn.nodes)
-    even = j_norm(a, u) @ fn.wspec
-    odd_q = (1j * j_norm(a + 1.0, u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
-    return even, odd_q
+    return _parts(fn, y, lambda u: j_norm(a, u), lambda u: j_norm(a + 1.0, u), fold)
 
 
-def _table_parts(fn, plan, y):
+def _table_parts(fn, plan, y, fold=True):
     """Even part and odd quotient by direct synthesis through the plan's tables."""
-    a = fn.order.alpha
-    u = np.outer(y, fn.nodes)
-    even = plan.jnorm_table(0)(u) @ fn.wspec
-    odd_q = (1j * plan.jnorm_table(1)(u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
-    return even, odd_q
+    return _parts(fn, y, plan.jnorm_table(0), plan.jnorm_table(1), fold)
 
 
 class TestSynthesisProxy:
@@ -322,8 +462,9 @@ class TestSynthesisProxy:
         radius = plan.synthesis_radius
         y = np.linspace(0.0, radius, 2001)
         for fn in fns:
-            exact = _exact_parts(fn, y)
-            table = _table_parts(fn, plan, y)
+            # unfolded references: independent of the fold the object sums by
+            exact = _exact_parts(fn, y, fold=False)
+            table = _table_parts(fn, plan, y, fold=False)
             proxy = (fn.even_part(y), fn.odd_quotient(y))
             # bins of width 2 in y, whatever panels the proxy uses; the last
             # one takes the endpoint y = radius
