@@ -53,6 +53,8 @@ _BOCHNER_BOX = 1e3
 
 #: ``series`` mode's bound on |Im z|; at alpha = -0.4 its error is 3e-12 inside, 3e-10 at -40+30j.
 _SERIES_IM_MAX = 10.0
+#: log of the largest double: beyond |Re z| = 709.78, E_alpha(z) overflows and every mode raises.
+_RE_MAX = math.log(np.finfo(float).max)
 
 
 def _kernel_series(alpha: float, z: complex) -> complex:
@@ -75,7 +77,7 @@ def _kernel_series(alpha: float, z: complex) -> complex:
 def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> complex:
     """Kernel E_alpha(z): the unique analytic eigenfunction normalised to 1 at 0.
 
-    Modes:
+    Modes (each rejects |Re z| > log(max double) = 709.78, where E_alpha(z) overflows):
       * ``series``  -- power series sum z^n / b_n(alpha), |z| <= Z_MAX, |Im z| <= 10;
       * ``bochner`` -- compact integral a_alpha int_-1^1 e^(zt) (1-t^2)^(alpha-1/2)(1+t) dt;
       * ``bessel``  -- B_alpha(z) + z/(2(alpha+1)) B_(alpha+1)(z) by bessel_mod_array, |z| <= Z_MAX;
@@ -83,6 +85,8 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
     """
     a = as_order(alpha).alpha
     z = complex(z)
+    if abs(z.real) > _RE_MAX:
+        raise ValueError(f"|Re z|={abs(z.real):.6g} exceeds log(max double) = {_RE_MAX:.2f}: E_alpha(z) overflows")
     series_ok = abs(z.imag) <= _SERIES_IM_MAX
     if mode == "auto":
         mode = "bochner" if abs(z) > Z_MAX else "series" if series_ok else "bessel"

@@ -1,5 +1,5 @@
 """Gamma-based constants and coefficient sequences of the rank-one Dunkl
-calculus, and its one normalized Bessel evaluator, ``j_norm``.
+calculus, and its normalized Bessel evaluators ``j_norm`` and ``j_norm_pair``.
 
 Everything downstream (quadrature weights, kernel series, Sonine prefactors,
 inversion constants) is a ratio of Gamma values.  All ratios are formed as
@@ -9,6 +9,7 @@ coefficient growth never overflows an intermediate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ Z_MAX = 60.0
 _SERIES_LOSS = 0.35  # j_norm's series bound on |u| - |Im u|
 _SERIES_CAP = 500
 _REL_STOP = 1e-16
+_HANKEL_MIN = 20.0  # j_norm_pair's Hankel band starts here
+_HANKEL_CAP = 64
+_TAIL = 1e-17  # truncation bound of Miller's start order and Hankel's term count
 
 
 class SeriesNonConvergence(RuntimeError):
@@ -183,31 +187,83 @@ def inverse_intertwiner_const(alpha: OrderParam | float) -> tuple[int, float]:
     return r, d / math.sqrt(math.pi)
 
 
-def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
-    """Normalized Bessel function Gamma(alpha+1) (2/u)^alpha J_alpha(u) for
-    real or complex u (real input, real output); even, entire, 1 at u = 0.
-
-    Sums the power series sum_n (-u^2/4)^n / (n! (alpha+1)_n) where its
-    cancellation factor exp(|u| - |Im u|) is below e^0.35, and calls ``jv``
-    (Amos) elsewhere, after mapping u to Re u >= 0 by evenness.
-    """
-    a = as_order(alpha).alpha
-    u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
-    out = np.empty(u.shape, dtype=u.dtype)
-    series = np.abs(u) - np.abs(u.imag) < _SERIES_LOSS
-    w = -((u[series] / 2.0) ** 2)
-    term = np.ones_like(w)
-    total = term.copy()
+def _series(a: float, u: np.ndarray) -> np.ndarray:
+    """sum_n (-u^2/4)^n / (n! (a+1)_n), where |u| - |Im u| < _SERIES_LOSS."""
+    w = -((u / 2.0) ** 2)
+    term, total = np.ones_like(w), np.ones_like(w)
     for n in range(1, _SERIES_CAP + 1):
         term = term * w / (n * (n + a))
         total += term
         if n >= 3 and np.all(np.abs(term) < _REL_STOP * np.maximum(np.abs(total), 1e-300)):
+            return total
+    raise SeriesNonConvergence(f"normalized Bessel series did not converge for alpha={a}")
+
+
+def _miller_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j_a, j_{a+1}) by Miller's backward recurrence J_{v-1} = (2v/u) J_v - J_{v+1},
+    normalised by the Neumann sum (u/2)^a = sum_k (a+2k) Gamma(a+k)/k! J_{a+2k}(u),
+    whose k = 0 term is Gamma(a+1) J_a; 0 < u < 20."""
+    half = float(np.max(u)) / 2.0  # n: the first even order with (max u / 2)^n / n! < _TAIL
+    n = next(n for n in range(2, 200, 2) if half**n / math.factorial(n) < _TAIL)
+    g = np.cumprod([1.0, *((a + k) / (k + 1) for k in range(1, n // 2))])  # Gamma(a+k) / (k! Gamma(a+1)), k >= 1
+    d = [1.0, *((a + 2 * k) * g[k - 1] for k in range(1, n // 2 + 1))]  # the Neumann weights over Gamma(a+1)
+    two_u, upper, cur, total = 2.0 / u, np.zeros_like(u), np.full_like(u, 1e-200), d[-1] * 1e-200
+    for v in range(n, 0, -1):  # (upper, cur) = (J_{a+v}, J_{a+v-1}), unnormalised
+        upper, cur = cur, (a + v) * two_u * cur - upper
+        if v % 2:
+            total = total + d[v // 2] * cur
+    return cur / total, (a + 1.0) * two_u * upper / total
+
+
+def _hankel_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j_a, j_{a+1}) on u >= 20 by Hankel's expansion (DLMF 10.17.3) up to the first term under
+    _TAIL at both orders and the smallest u, or by ``jv`` if none within _HANKEL_CAP is.  With
+    phi = a pi/2 + pi/4, J_a and J_{a+1} are Re and Im of sqrt(2/(pi u)) (P + iQ) e^{i(u - phi)}."""
+    u_min, coef = float(np.min(u)), [(1.0, 1.0)]  # a_k(v) = prod_{j<=k} (4v^2 - (2j-1)^2) / (k! 8^k)
+    for k in range(1, _HANKEL_CAP):
+        coef.append(tuple(c * (4.0 * v * v - (2 * k - 1) ** 2) / (8.0 * k) for c, v in zip(coef[-1], (a, a + 1.0))))
+        if max(map(abs, coef[-1])) < _TAIL * u_min**k:
             break
     else:
-        raise SeriesNonConvergence(f"normalized Bessel series did not converge for alpha={a}")
-    out[series] = total
-    ub = u[~series]
-    ub = np.abs(ub) if ub.dtype == float else np.where(ub.real < 0, -ub, ub)
+        gamma = math.exp(math.lgamma(a + 1.0)) * (2.0 / u) ** a
+        return gamma * jv(a, u), (a + 1.0) * (2.0 / u) * gamma * jv(a + 1.0, u)
+    coef[-1] = (0.0, 0.0)  # the first omitted term; with an even count, the rows pair up
+    rows = np.reshape(coef[: len(coef) // 2 * 2], (-1, 4, 1))[::-1]  # (P_a, P_{a+1}, uQ_a, uQ_{a+1}) in -1/u^2
+    p_a, p_b, uq_a, uq_b = np.polyval(rows, -1.0 / (u * u))
+    w = np.exp(1j * u) * cmath.exp(-1j * math.pi * ((a / 2.0 + 0.25) % 2.0))
+    scale = math.exp(math.lgamma(a + 1.0)) / math.sqrt(math.pi) * (2.0 / u) ** (a + 0.5)
+    return scale * ((p_a + 1j * uq_a / u) * w).real, (a + 1.0) * (2.0 / u) * scale * ((p_b + 1j * uq_b / u) * w).imag
+
+
+def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
+    """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u: the power series where
+    |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond."""
+    a, u = as_order(alpha).alpha, np.abs(np.asarray(u, dtype=float))
+    out = np.empty((2, *u.shape))
+    near, far = u < _SERIES_LOSS, ~(u < _HANKEL_MIN)  # nan takes the far band and jv
+    for band, pair in ((near, lambda v: (_series(a, v), _series(a + 1.0, v))),
+                       (~(near | far), lambda v: _miller_pair(a, v)), (far, lambda v: _hankel_pair(a, v))):
+        if np.any(band):
+            out[:, band] = pair(u[band])
+    return out[0], out[1]
+
+
+def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
+    """Normalized Bessel function Gamma(alpha+1) (2/u)^alpha J_alpha(u) for
+    real or complex u (real input, real output); even, entire, 1 at u = 0.
+
+    Real u takes the first part of ``j_norm_pair``.  Complex u sums the series
+    where its cancellation factor exp(|u| - |Im u|) is below e^0.35, and calls
+    ``jv`` (Amos) elsewhere, after mapping u to Re u >= 0 by evenness.
+    """
+    if not np.iscomplexobj(u):
+        return j_norm_pair(alpha, u)[0]
+    a = as_order(alpha).alpha
+    u = np.asarray(u, dtype=complex)
+    out = np.empty(u.shape, dtype=complex)
+    series = np.abs(u) - np.abs(u.imag) < _SERIES_LOSS
+    out[series] = _series(a, u[series])
+    ub = np.where(u.real < 0, -u, u)[~series]
     out[~series] = math.exp(math.lgamma(a + 1.0)) * (2.0 / ub) ** a * jv(a, ub)
     return out
 

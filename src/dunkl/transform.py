@@ -25,7 +25,7 @@ import numpy as np
 from .functions import GridFunction
 from .quadrature import jacobi_rule
 from .report import IdentityReport, pair_errs, run_check
-from .special import OrderParam, as_order, c_const, j_norm, log_b_coeff
+from .special import OrderParam, as_order, c_const, j_norm, j_norm_pair, log_b_coeff
 
 __all__ = [
     "TransformPlan",
@@ -52,9 +52,9 @@ class _JNormTable:
     """Uniform cubic-spline table of j_norm for one order on [0, u_cap].
 
     Synthesis sums evaluate the same fixed-order kernel tens of millions of
-    times; a dense spline is ~10x faster than direct Bessel evaluation at
-    interpolation error ~1e-11, far below the pipeline tolerances it serves.
-    Arguments beyond the table fall back to the direct evaluation.
+    times.  On a plan's 1001 x 256 synthesis products the spline takes ~80 ns
+    a point against 110-160 ns for ``j_norm`` (2-vCPU x86), at error ~1e-11,
+    far below the pipeline tolerances it serves; beyond the table, j_norm.
     """
 
     STEP = 0.003
@@ -79,14 +79,14 @@ class _JNormTable:
 
 
 def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
-    """E_alpha(sign * i u) for real u, vectorized."""
-    q = j_norm(alpha + 1.0, u) / (2.0 * (alpha + 1.0))
-    return j_norm(alpha, u) + (1j * sign) * u * q
+    """E_alpha(sign i u) for real u, vectorized; both parts from one ``j_norm_pair`` call."""
+    even, odd = j_norm_pair(alpha, u)
+    return even + (1j * sign) * u * (odd / (2.0 * (alpha + 1.0)))
 
 
 def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int) -> np.ndarray:
     """kernel_unitary(alpha, np.outer(rows, cols), sign) bit for bit, from the
-    distinct |rows| times the positive half of the mirrored ``cols``: j_norm
+    distinct |rows| times the positive half of the mirrored ``cols``: j_norm_pair
     reads only |u| and negating a float is exact, so K(-u) = conj K(u).  The
     rows gather their |row| and conjugate where row < 0; the negative columns
     are the conjugates of the positive ones, reversed."""

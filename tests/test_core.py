@@ -95,6 +95,14 @@ class TestKernel:
             for got, want in pairs:
                 assert abs(complex(got) - want) <= 1e-12 * abs(want), (z, got, want)
 
+    @pytest.mark.parametrize("mode", ("auto", "series", "bessel", "bochner"))
+    def test_overflow_rejected(self, mode):
+        # E_alpha(z) grows like e^|Re z|: past log(max double) = 709.78 no
+        # double holds it, and every mode says so instead of returning nan
+        for z in (800.0, -800.0, 709.8 + 5j, -710.0 - 1j):
+            with pytest.raises(ValueError, match="709.78"):
+                dunkl_kernel(1.5, z, mode)
+
     def test_bochner_large_argument(self):
         # beyond the series radius the integral representation still works
         got = dunkl_kernel(0.5, 80.0, "bochner")

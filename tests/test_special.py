@@ -1,9 +1,13 @@
-"""Gamma-ratio constants and coefficient sequences."""
+"""Gamma-ratio constants, coefficient sequences and the normalized Bessel
+evaluators."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl.special import (
     OrderParam,
@@ -14,6 +18,8 @@ from dunkl.special import (
     c_const,
     d_const,
     inverse_intertwiner_const,
+    j_norm,
+    j_norm_pair,
     log_b_coeff,
     log_gamma,
 )
@@ -197,3 +203,52 @@ class TestBesselMod:
     def test_radius_guard(self):
         with pytest.raises(ValueError):
             bessel_mod_array(0.5, 61.0)
+
+
+# j_norm_pair's band edges (series below 0.35, Miller's recurrence below 20,
+# Hankel's expansion beyond) and one ulp below each
+_EDGES = (0.35, np.nextafter(0.35, 0.0), 20.0, np.nextafter(20.0, 0.0))
+_GRID = np.concatenate([np.linspace(0.0, 600.0, 601), np.linspace(0.0, 30.0, 201), _EDGES])
+
+
+def _envelope(nu, u):
+    """min(1, Gamma(nu+1) (2/u)^nu sqrt(2/(pi u))): the size of j_nu(u)."""
+    log_size = math.lgamma(nu + 1.0) + (nu + 0.5) * np.log(2.0 / np.maximum(u, 1e-300)) - 0.5 * math.log(math.pi)
+    return np.exp(np.minimum(log_size, 0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_j(nu):
+    import mpmath
+
+    mpmath.mp.dps = 30
+    return np.array([float(mpmath.hyp0f1(nu + 1, -(mpmath.mpf(v) ** 2) / 4)) for v in _GRID])
+
+
+class TestJNormPair:
+    @pytest.mark.parametrize("alpha", (-0.45, -0.25, 0.0, 0.5, 1.5, 2.7, 4.5, 5.5, 12.0))
+    def test_against_mpmath(self, alpha):
+        # alpha = 12 takes jv beyond u = 20, where Hankel's smallest term
+        # stays above the truncation bound
+        first, second = j_norm_pair(alpha, _GRID)
+        for nu, got in ((alpha, j_norm(alpha, _GRID)), (alpha, first), (alpha + 1.0, second)):
+            assert np.max(np.abs(got - _mpmath_j(nu)) / _envelope(nu, _GRID)) <= 1e-14
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        nu=st.floats(-0.45, 8.0),
+        u=st.lists(
+            st.one_of(st.floats(0.0, 600.0), st.floats(0.3, 0.4), st.floats(19.9, 20.1), st.sampled_from(_EDGES)),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    def test_order_recurrence_across_bands(self, nu, u):
+        # j_nu - j_{nu+1} = -u^2 j_{nu+2} / (4 (nu+1)(nu+2)), with the three
+        # orders from two calls whose points straddle the band edges
+        u = np.array(u)
+        first, second = j_norm_pair(nu, u)
+        third = j_norm_pair(nu + 2.0, u)[0]
+        residual = first - second + u * u * third / (4.0 * (nu + 1.0) * (nu + 2.0))
+        assert np.max(np.abs(residual) / _envelope(nu, u)) <= 1e-14
+        assert np.array_equal(j_norm(nu, u), first)

@@ -130,16 +130,17 @@ class TestFoldedKernel:
         assert np.array_equal(inverse_at(plan, g, xs), want_inv)
 
     def test_kernel_evaluation_count(self, plan_factory, monkeypatch):
+        """One j_norm_pair point, both kernel parts, per distinct |u|."""
         points = []
-        original = dunkl.transform.j_norm
+        original = dunkl.transform.j_norm_pair
 
         def counting(alpha, u):
             points.append(np.size(u))
             return original(alpha, u)
 
-        monkeypatch.setattr(dunkl.transform, "j_norm", counting)
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         plan = build_plan(0.5)
-        assert sum(points) == 2 * 256 * 256
+        assert sum(points) == 256 * 256
         points.clear()
         f = plan.sample(lambda x: np.exp(-(x**2)))
         g = np.exp(-(plan.lambda_nodes**2) / 4.0)
@@ -150,37 +151,38 @@ class TestFoldedKernel:
         for lam, distinct in zip(sets, (1, 3, 23, 17, 4)):
             assert np.unique(np.abs(lam)).size == distinct
             forward_at(plan, f, lam)
-            assert sum(points) == 2 * distinct * 256
+            assert sum(points) == distinct * 256
             points.clear()
             inverse_at(plan, g, lam)
-            assert sum(points) == 2 * distinct * 256
+            assert sum(points) == distinct * 256
             points.clear()
 
     def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
         """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
-        kernel value once per distinct |node|: 64 512 direct kernel points and
-        744 240 spline points (twice that without the fold)."""
+        kernel value once per distinct |node|: 32 256 kernel points, each
+        giving both parts from one j_norm_pair call, no direct j_norm point,
+        and 744 240 spline points (twice that without the fold)."""
         plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
         for plan in (plan_a, plan_b):
             for shift in (0, 1, 2):
                 plan.jnorm_table(shift)
         witness = make_witness(0.5, plan_b, m=0)  # fresh: no image kept yet
-        direct, spline = [], []
-        original_j, original_table = dunkl.transform.j_norm, dunkl.transform._JNormTable.__call__
+        pairs, direct, spline = [], [], []
+        originals = dunkl.transform.j_norm_pair, dunkl.transform.j_norm, dunkl.transform._JNormTable.__call__
 
-        def counting_j(alpha, u):
-            direct.append(np.size(u))
-            return original_j(alpha, u)
+        def counting(log, original):
+            def count(first, u):
+                log.append(np.size(u))
+                return original(first, u)
+            return count
 
-        def counting_table(table, u):
-            spline.append(np.size(u))
-            return original_table(table, u)
-
-        monkeypatch.setattr(dunkl.transform, "j_norm", counting_j)
-        monkeypatch.setattr(dunkl.transform._JNormTable, "__call__", counting_table)
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting(pairs, originals[0]))
+        monkeypatch.setattr(dunkl.transform, "j_norm", counting(direct, originals[1]))
+        monkeypatch.setattr(dunkl.transform._JNormTable, "__call__", counting(spline, originals[2]))
         report = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
         assert report.passed()
-        assert sum(direct) <= 64_512
+        assert 0 < sum(pairs) <= 32_256
+        assert sum(direct) == 0
         assert sum(spline) <= 744_240
 
     @_PROPERTY
