@@ -76,7 +76,7 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 def cmd_kernel(args) -> int:
     order = _order_or_die(args.alpha)
     zs = [_parse_complex(z) for z in args.z]
-    modes = ("series", "bochner") if args.mode == "both" else (args.mode,)
+    modes = ("bessel", "bochner") if args.mode == "both" else (args.mode,)
     records = []
     for z in zs:
         values = {}
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="evaluate the kernel E_alpha at given arguments")
     p.add_argument("--alpha", type=float, required=True, help="order parameter, must be > -1/2")
     p.add_argument("--z", action="append", required=True, help="argument (complex ok, e.g. '1+2j'); repeatable")
-    p.add_argument("--mode", choices=["series", "bochner", "bessel", "auto", "both"], default="auto")
+    p.add_argument("--mode", choices=["series", "bochner", "bessel", "auto", "both"], default="auto",
+                   help="'both' evaluates bessel and bochner and reports their spread")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_kernel)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .functions import GridFunction, PolyFunction, SmoothFunction, as_smooth, dunkl_operator
-from .quadrature import QuadRule, jacobi_rule, radial_rule, theta_rule
+from .quadrature import jacobi_rule, radial_rule, theta_rule
 from .sonine import (
     classical_pair,
     dual_sonine_apply,
@@ -55,6 +55,8 @@ _BOCHNER_BOX = 1e3
 _SERIES_IM_MAX = 10.0
 #: log of the largest double: beyond |Re z| = 709.78, E_alpha(z) overflows and every mode raises.
 _RE_MAX = math.log(np.finfo(float).max)
+#: step of the local interpolant that differentiates the inverse intertwiner's braces
+_DERIV_STEP = 0.12
 
 
 def _kernel_series(alpha: float, z: complex) -> complex:
@@ -119,10 +121,10 @@ def v_inverse_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndar
     return 1.0 / v_diagonal_factors(alpha, n_max)
 
 
-def intertwiner_v(alpha: OrderParam | float, f, x: Optional[float] = None, n: int = 64):
+def intertwiner_v(alpha: OrderParam | float, f, x: Optional[float] = None):
     """Intertwining operator V_alpha = S_{-1/2,alpha}: the exact diagonal
     n!/b_n on PolyFunction (x omitted), else the value at x (see sonine_apply)."""
-    return sonine_apply(classical_pair(alpha), f, x, n)
+    return sonine_apply(classical_pair(alpha), f, x)
 
 
 def _operator_terms(r: int, even_part: bool) -> list[tuple[int, int, float]]:
@@ -156,13 +158,7 @@ def _local_derivatives(fn: Callable[[float], complex], x: float, j_max: int, h: 
     return np.array([math.factorial(j) * coef[j] / h**j for j in range(j_max + 1)], dtype=complex)
 
 
-def intertwiner_v_inverse(
-    alpha: OrderParam | float,
-    f,
-    x: Optional[float] = None,
-    n: int = 64,
-    h: float = 0.12,
-):
+def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = None):
     """Inverse of the intertwiner.
 
     PolyFunction path: exact diagonal x^n -> (b_n/n!) x^n.  Smooth/grid path:
@@ -187,11 +183,11 @@ def intertwiner_v_inverse(
     else:
         evaluate = f
 
-    if abs(x) < 4.0 * h:
-        raise ValueError(f"evaluation point |x|={abs(x):.3g} too close to 0 for the derivative stack (h={h})")
+    if abs(x) < 4.0 * _DERIV_STEP:
+        raise ValueError(f"evaluation point |x|={abs(x):.3g} too close to 0 for the derivative stack (h={_DERIV_STEP})")
 
-    rule_e = jacobi_rule(r - a - 0.5, a, n)
-    rule_o = jacobi_rule(r - a - 0.5, a + 0.5, n)
+    rule_e = jacobi_rule(r - a - 0.5, a)
+    rule_o = jacobi_rule(r - a - 0.5, a + 0.5)
     se = np.sqrt(rule_e.nodes)
     so = np.sqrt(rule_o.nodes)
 
@@ -207,7 +203,7 @@ def intertwiner_v_inverse(
     for brace, parity_even in ((brace_even, True), (brace_odd, False)):
         terms = _operator_terms(r, parity_even)
         j_max = max(j for j, _, _ in terms)
-        derivs = _local_derivatives(brace, x, j_max, h)
+        derivs = _local_derivatives(brace, x, j_max, _DERIV_STEP)
         out += sum(c * derivs[j] * x**p for j, p, c in terms)
     result = const * out
     if abs(result.imag) < 1e-13 * max(abs(result.real), 1.0):
@@ -215,9 +211,9 @@ def intertwiner_v_inverse(
     return result
 
 
-def dual_intertwiner_v(alpha: OrderParam | float, f, x: float, split: Optional[float] = None, tol: float = 1e-12):
+def dual_intertwiner_v(alpha: OrderParam | float, f, x: float):
     """Dual intertwiner tV_alpha = tS_{-1/2,alpha} at a point (see dual_sonine_apply)."""
-    return dual_sonine_apply(classical_pair(alpha), f, x, split, tol)
+    return dual_sonine_apply(classical_pair(alpha), f, x)
 
 
 def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max: float = 512.0) -> np.ndarray:
@@ -225,7 +221,7 @@ def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max:
     return dual_sonine_grid(classical_pair(alpha), f, xs, u_max)
 
 
-def translation(alpha: OrderParam | float, f, x: float, y: float, n: int = 64):
+def translation(alpha: OrderParam | float, f, x: float, y: float):
     """Generalized translation through the angular integral
 
     a_alpha int_0^pi [f_e(w) + f_o(w)(x+y)/w] [1 - sgn(xy) cos t] sin^(2 alpha) t dt,
@@ -234,14 +230,14 @@ def translation(alpha: OrderParam | float, f, x: float, y: float, n: int = 64):
     At (0, 0), where the integral form does not apply, f(0) is returned by
     the continuity convention.
     """
-    return _translate(as_order(alpha).alpha, as_smooth(f), float(x), float(y), n)
+    return _translate(as_order(alpha).alpha, as_smooth(f), float(x), float(y))
 
 
-def _translate(a: float, f: SmoothFunction, x: float, y: float, n: int):
+def _translate(a: float, f: SmoothFunction, x: float, y: float):
     """translation's angular integral, f already a SmoothFunction."""
     if x == 0.0 and y == 0.0:
         return np.asarray(f(0.0)).item()
-    rule = theta_rule(a, n)
+    rule = theta_rule(a)
     cos_t = np.cos(rule.nodes)
     w = np.sqrt(np.maximum(x * x + y * y - 2.0 * abs(x * y) * cos_t, 0.0))
     sgn = float(np.sign(x) * np.sign(y))
@@ -250,26 +246,18 @@ def _translate(a: float, f: SmoothFunction, x: float, y: float, n: int):
     return a_const(a) * np.sum(rule.weights * integrand)
 
 
-def convolution(
-    alpha: OrderParam | float,
-    f,
-    g,
-    x: float,
-    y_rule: Optional[QuadRule] = None,
-    theta_nodes: int = 64,
-):
+def convolution(alpha: OrderParam | float, f, g, x: float):
     """Weighted convolution int_R tau_x f(-y) g(y) |y|^(2 alpha + 1) dy.
 
-    ``y_rule`` integrates int_0^H (.) y^(2 alpha + 1) dy with the weight
-    absorbed (see radial_rule); both half-lines are folded through it.
+    The radial rule of int_0^14 (.) y^(2 alpha + 1) dy, weight absorbed (see
+    radial_rule), integrates both half-lines folded together.
     """
     a = as_order(alpha).alpha
     f, x = as_smooth(f), float(x)
-    if y_rule is None:
-        y_rule = radial_rule(a, 14.0, 96)
+    y_rule = radial_rule(a, 14.0)
     total = 0.0
     for y, w in zip(y_rule.nodes, y_rule.weights):
-        tau_minus = _translate(a, f, x, float(-y), theta_nodes)
-        tau_plus = _translate(a, f, x, float(y), theta_nodes)
+        tau_minus = _translate(a, f, x, float(-y))
+        tau_plus = _translate(a, f, x, float(y))
         total += w * (tau_minus * np.asarray(g(y)) + tau_plus * np.asarray(g(-y)))
     return total

@@ -52,6 +52,8 @@ _GAP_RATIO = 2.0**-10
 _HYP_SAFE = 5e13
 # relative size of the doubling panel that ends a Riesz-kernel tail
 _TAIL_TOL = 1e-12
+# even Taylor order that the power-weight pairings subtract at the origin
+_TAYLOR_ORDER = 10
 
 
 def riesz_prefactor(alpha: OrderParam | float, lam: float) -> float:
@@ -232,7 +234,6 @@ def power_weight_errs(
     phi,
     plan: TransformPlan,
     params: dict,
-    taylor_order: int = 10,
 ) -> tuple[float, float, str]:
     """Errors of the pairing identity that ``power_weight_identity`` checks,
     with both sides and the degenerate flag recorded in ``params``, and the
@@ -244,7 +245,7 @@ def power_weight_errs(
             raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
 
     image = _ForwardImage(plan, phi)
-    lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=taylor_order)
+    lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=_TAYLOR_ORDER)
     lhs = float(np.real(lhs_pairing.value))
 
     degenerate = lam > -1e-9 and abs(lam / 2.0 - round(lam / 2.0)) < 1e-9
@@ -253,22 +254,16 @@ def power_weight_errs(
         errs = (abs(lhs), abs(lhs))
     else:
         const = pairing_symbol_constant(a, lam)
-        rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=taylor_order)
+        rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=_TAYLOR_ORDER)
         if rhs_pairing.pole_flag:
             raise ValueError(f"lam={lam}: right-side pairing sits on a pole")
         rhs = const * float(np.real(rhs_pairing.value))
         errs = pair_errs(lhs, rhs)
     params.update(lhs=lhs, rhs=rhs, degenerate=degenerate)
-    return (*errs, f"pairing taylor_order={taylor_order}, plan x-rule {plan.x_nodes.size}")
+    return (*errs, f"pairing taylor_order={_TAYLOR_ORDER}, plan x-rule {plan.x_nodes.size}")
 
 
-def power_weight_identity(
-    alpha: OrderParam | float,
-    lam: float,
-    phi,
-    plan: TransformPlan,
-    taylor_order: int = 10,
-) -> IdentityReport:
+def power_weight_identity(alpha: OrderParam | float, lam: float, phi, plan: TransformPlan) -> IdentityReport:
     """Pairing-level check of the transform of the weighted power |x|^(lam+2a+1):
 
       < |x|^(lam+2a+1), F phi >  =  const(alpha, lam) < |x|^(-(lam+1)), phi >.
@@ -278,6 +273,4 @@ def power_weight_identity(
     left side must vanish for test functions whose matching residue is 0).
     """
     params = {"alpha": as_order(alpha).alpha, "lam": float(lam)}
-    return run_check(
-        "power-weight-transform", params, None, power_weight_errs, alpha, lam, phi, plan, params, taylor_order
-    )
+    return run_check("power-weight-transform", params, None, power_weight_errs, alpha, lam, phi, plan, params)

@@ -135,9 +135,9 @@ class PolyFunction:
         return PolyFunction(np.polynomial.polynomial.polysub(self.coeffs, other.coeffs))
 
     @classmethod
-    def monomial(cls, n: int, coeff=1.0) -> "PolyFunction":
-        c = np.zeros(n + 1, dtype=np.result_type(type(coeff), float))
-        c[n] = coeff
+    def monomial(cls, n: int) -> "PolyFunction":
+        c = np.zeros(n + 1)
+        c[n] = 1.0
         return cls(c)
 
 
@@ -197,8 +197,9 @@ def gaussian(rate: float = 1.0) -> PolyGaussian:
     return PolyGaussian(PolyFunction(np.array([1.0])), rate)
 
 
-def monomial_gaussian(n: int, rate: float = 1.0) -> PolyGaussian:
-    return PolyGaussian(PolyFunction.monomial(n), rate)
+def monomial_gaussian(n: int) -> PolyGaussian:
+    """x^n exp(-x^2)."""
+    return PolyGaussian(PolyFunction.monomial(n))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ K_KINDS = ("alpha-full", "beta-full", "alpha-half")
 INVERSION_ORDERS = ("s-k1-ts", "ts-k2-s", "k1-ts-s", "k2-s-ts")
 
 _MASK_LEVEL = 1e-3
+#: an inversion check compares every third masked point
+_THIN = 3
 
 
 def witness_profile(lam: np.ndarray, m: int, flat: float = DEFAULT_FLAT) -> np.ndarray:
@@ -112,13 +114,13 @@ class LizorkinWitness:
         den = np.sum(self.plan.x_weights * np.abs(self.values.values) * np.abs(self.plan.x_nodes) ** k)
         return float(num / max(den, 1e-300))
 
-    def spectral_flatness(self, k_max: int = 5) -> float:
-        """max over k <= k_max of the k-th spectral derivative at 0, from the
+    def spectral_flatness(self) -> float:
+        """max over k <= 5 of the k-th spectral derivative at 0, from the
         profile's closed form (all identically zero by flatness)."""
         # d^k/dl^k of exp(-flat/l^2) extends by 0 at l = 0; report the profile
         # magnitude at the smallest grid node as the numerical stand-in.
         lam_min = float(np.min(np.abs(self.plan.lambda_nodes)))
-        return float(np.max(np.abs(witness_profile(np.array([lam_min / 2.0**k_max]), self.m, self.flat))))
+        return float(np.max(np.abs(witness_profile(np.array([lam_min / 2.0**5]), self.m, self.flat))))
 
 
 def make_witness(
@@ -135,18 +137,11 @@ def make_witness(
     return LizorkinWitness(order=plan.order, m=m, flat=flat, plan=plan, spectrum=spectrum, values=values, fn=fn)
 
 
-def witness_plan(alpha: OrderParam | float, n_half: int = 192, tol: float = 1e-9) -> TransformPlan:
+def witness_plan(alpha: OrderParam | float) -> TransformPlan:
     """Plan sized for witness pipelines: wide enough in x for the witness
     tails, with a lambda rule that still resolves synthesis out to the
-    Weyl-tail truncation radius 1.3 * half_width."""
-    return build_plan(
-        alpha,
-        half_width=40.0,
-        n_x=2 * n_half,
-        lambda_max=10.5,
-        n_lambda=2 * 168,
-        tol=tol,
-    )
+    Weyl-tail truncation radius 1.3 * half_width; its self-test holds 1e-9."""
+    return build_plan(alpha, half_width=40.0, n_x=2 * 192, lambda_max=10.5, n_lambda=2 * 168, tol=1e-9)
 
 
 def _k_params(kind: str, pair: SoninePair) -> tuple[str, MultiplierSpec]:
@@ -210,7 +205,6 @@ def inversion_check(
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
     order: str,
-    thin: int = 3,
 ) -> IdentityReport:
     """Run one reconstruction pipeline and compare against the witness.
 
@@ -220,7 +214,8 @@ def inversion_check(
       * 'k1-ts-s':  alpha-full o dual-sonine o sonine,  witness at alpha;
       * 'k2-s-ts':  beta-full o sonine o dual-sonine,   witness at beta.
 
-    Errors are reported where the witness exceeds 1e-3 of its peak.
+    Errors are reported at every third x-node where the witness exceeds
+    1e-3 of its peak.
     """
     if order not in INVERSION_ORDERS:
         raise ValueError(f"unknown pipeline order {order!r}; expected one of {INVERSION_ORDERS}")
@@ -231,8 +226,8 @@ def inversion_check(
     kind = "alpha-full" if ts_first != k_last else "beta-full"
     ref_vals = witness.values.values
     mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
-    points = witness.plan.x_nodes[mask][::thin]
-    reference = ref_vals[mask][::thin]
+    points = witness.plan.x_nodes[mask][::_THIN]
+    reference = ref_vals[mask][::_THIN]
 
     def second_step(f, xs: np.ndarray) -> np.ndarray:
         return sonine_grid(pair, f, xs) if ts_first else dual_sonine_grid(pair, f, xs, u_max=u_max)

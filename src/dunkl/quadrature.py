@@ -46,6 +46,15 @@ __all__ = [
 DEFAULT_JACOBI_NODES = 64
 DEFAULT_PANEL_NODES = 48
 MAX_DOUBLINGS = 60
+#: relative size of the doubling panel that ends ``integrate_semi_infinite``
+SEMI_INFINITE_TOL = 1e-12
+#: Gauss points of ``weyl_integral``'s per-s Jacobi heads and of its shared panels
+WEYL_HEAD_NODES = 32
+WEYL_PANEL_NODES = 40
+#: ``riemann_liouville_integral``'s panel width in y = sqrt(u), and its Gauss
+#: points per head and per panel
+RL_PANEL_WIDTH = 0.75
+RL_NODES = 24
 
 _POLE_TOL = 1e-9
 
@@ -177,14 +186,10 @@ def doubling_tail(summand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: f
     raise TailNonConvergence(f"tail still contributing beyond {lo:.3g} after {MAX_DOUBLINGS} doublings")
 
 
-def integrate_semi_infinite(
-    g: Callable[[np.ndarray], np.ndarray],
-    sing_exp: float,
-    split: float = 1.0,
-    tol: float = 1e-12,
-) -> complex:
+def integrate_semi_infinite(g: Callable[[np.ndarray], np.ndarray], sing_exp: float, split: float = 1.0) -> complex:
     """int_0^inf v^sing_exp g(v) dv: the head [0, split] absorbs v^sing_exp
-    into a Jacobi rule, and the doubling tail covers the rest."""
+    into a Jacobi rule, and the doubling tail covers the rest, to
+    SEMI_INFINITE_TOL."""
     if not sing_exp > -1.0:
         raise ValueError(f"singular exponent {sing_exp} must exceed -1")
     if not split > 0.0:
@@ -192,7 +197,7 @@ def integrate_semi_infinite(
     p = float(sing_exp)
     head = jacobi_rule(0.0, p, DEFAULT_JACOBI_NODES)
     total = np.sum(head.weights * split ** (p + 1.0) * np.asarray(g(head.nodes * split)))
-    return doubling_tail(lambda v, w: w * v**p * np.asarray(g(v)), split, total, tol)
+    return doubling_tail(lambda v, w: w * v**p * np.asarray(g(v)), split, total, SEMI_INFINITE_TOL)
 
 
 def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResult:
@@ -261,8 +266,6 @@ def weyl_integral(
     mu: float,
     s_values: np.ndarray,
     u_max: float,
-    head_nodes: int = DEFAULT_PANEL_NODES,
-    panel_nodes: int = DEFAULT_PANEL_NODES,
 ) -> np.ndarray:
     """W(s) = int_s^u_max (u-s)^(mu-1) h(u) du for every s in ``s_values``.
 
@@ -288,10 +291,10 @@ def weyl_integral(
     edges = np.asarray(edges)
     n_edges = edges.size
 
-    head = jacobi_rule(0.0, mu - 1.0, head_nodes)
+    head = jacobi_rule(0.0, mu - 1.0, WEYL_HEAD_NODES)
 
     # shared panel nodes and h values, evaluated once
-    panel_u, panel_w = legendre_panels(edges, panel_nodes)
+    panel_u, panel_w = legendre_panels(edges, WEYL_PANEL_NODES)
     h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
 
     if s_values.size and np.max(s_values) >= edges[-1]:
@@ -324,19 +327,16 @@ def riemann_liouville_integral(
     left_exponents: Sequence[float],
     mu: float,
     s_values: np.ndarray,
-    panel_width: float = 0.75,
-    head_nodes: int = 24,
-    panel_nodes: int = 24,
 ) -> np.ndarray:
     """W(s) = int_0^s (s-u)^(mu-1) u^b h(u) du for each s in ``s_values`` and
     each (h, b) pair, with b = left_exponents[i].
 
     Companion of :func:`weyl_integral` for the finite, left-sided fractional
     integrals of the grid Sonine transform in squared coordinates u = y^2.
-    The shared panels are uniform in y = sqrt(u), so an evaluator with
-    spectral content up to frequency ~ pi/(2 panel_width) stays resolved at
-    every s simultaneously.  Per-s heads cover the last two panels before s
-    with the endpoint weight (s-u)^(mu-1) absorbed.
+    The shared panels are uniform in y = sqrt(u), of width RL_PANEL_WIDTH, so
+    an evaluator with spectral content up to frequency ~ pi/(2 RL_PANEL_WIDTH)
+    stays resolved at every s simultaneously.  Per-s heads cover the last two
+    panels before s with the endpoint weight (s-u)^(mu-1) absorbed.
 
     Returns an array of shape (len(h_fns), len(s_values)).
     """
@@ -351,18 +351,18 @@ def riemann_liouville_integral(
         raise ValueError("s values must be strictly positive (handle s=0 in the caller)")
 
     y_max = math.sqrt(float(np.max(s_values)))
-    n_panels = max(int(math.ceil(y_max / panel_width)), 2)
+    n_panels = max(int(math.ceil(y_max / RL_PANEL_WIDTH)), 2)
     edges = (np.linspace(0.0, y_max, n_panels + 1)) ** 2
 
-    head = jacobi_rule(0.0, mu - 1.0, head_nodes)
-    panel_u, panel_w = legendre_panels(edges, panel_nodes)
+    head = jacobi_rule(0.0, mu - 1.0, RL_NODES)
+    panel_u, panel_w = legendre_panels(edges, RL_NODES)
     h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
 
     # the first panel touches u = 0, where u^b is only Jacobi-smooth:
     # per-integrand nodes/weights with the power absorbed
     first_u, first_wt, h_first = [], [], []
     for h, b_exp in zip(h_fns, left_exponents):
-        rule0 = jacobi_rule(0.0, b_exp, panel_nodes)
+        rule0 = jacobi_rule(0.0, b_exp, RL_NODES)
         u0 = rule0.nodes * edges[1]
         first_u.append(u0)
         first_wt.append(rule0.weights * edges[1] ** (b_exp + 1.0))
@@ -386,13 +386,13 @@ def riemann_liouville_integral(
     big = ~small
     for fi, (h, b_exp) in enumerate(zip(h_fns, left_exponents)):
         if np.any(small):
-            rule = jacobi_rule(mu - 1.0, b_exp, head_nodes)
+            rule = jacobi_rule(mu - 1.0, b_exp, RL_NODES)
             s_small = s_values[small]
             u_sm = s_small[:, None] * rule.nodes[None, :]
             vals = np.asarray(h(u_sm.ravel())).reshape(u_sm.shape)
             out[fi, small] = (vals @ rule.weights) * s_small ** (mu + b_exp)
         if np.any(big):
-            vals = np.asarray(h(u_heads[big].ravel())).reshape((-1, head_nodes))
+            vals = np.asarray(h(u_heads[big].ravel())).reshape((-1, RL_NODES))
             weighted = vals * u_heads[big] ** b_exp
             out[fi, big] = (weighted @ head.weights) * span[big] ** mu
     s_big = s_values[big]

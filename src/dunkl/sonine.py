@@ -97,7 +97,7 @@ def sonine_diagonal_factors(pair: SoninePair, n_max: int) -> np.ndarray:
     )
 
 
-def sonine_apply(pair: SoninePair, f, x: Optional[float] = None, n: int = 64):
+def sonine_apply(pair: SoninePair, f, x: Optional[float] = None):
     """Sonine transform.
 
     PolyFunction (x omitted): exact diagonal.  At x = 0: f(0).  Otherwise the
@@ -113,7 +113,7 @@ def sonine_apply(pair: SoninePair, f, x: Optional[float] = None, n: int = 64):
         return f.scaled(sonine_diagonal_factors(pair, f.degree))
     if x is None:
         raise ValueError("evaluation point required for non-polynomial input")
-    return _sonine_at(pair, as_smooth(f), float(x), jacobi_rule(pair.mu - 1.0, pair.a, n))
+    return _sonine_at(pair, as_smooth(f), float(x), jacobi_rule(pair.mu - 1.0, pair.a))
 
 
 def _sonine_at(pair: SoninePair, f: SmoothFunction, x: float, rule):
@@ -167,10 +167,10 @@ class SonineImage:
     """S f as a SmoothFunction, with everything differentiated under the
     integral sign; its values are sonine_apply's."""
 
-    def __init__(self, pair: SoninePair, f, n: int = 64):
+    def __init__(self, pair: SoninePair, f):
         self.pair = pair
         self.f = as_smooth(f)
-        self.rule = jacobi_rule(pair.mu - 1.0, pair.a, n)
+        self.rule = jacobi_rule(pair.mu - 1.0, pair.a)
         self._t = np.sqrt(self.rule.nodes)
 
     def _map(self, x, fn):
@@ -203,28 +203,20 @@ class SonineImage:
         return self.f.taylor_coeff(k) * math.exp(log_b_coeff(k, self.pair.alpha) - log_b_coeff(k, self.pair.beta))
 
 
-def dual_sonine_apply(
-    pair: SoninePair,
-    f,
-    x: float,
-    split: Optional[float] = None,
-    tol: float = 1e-12,
-):
+def dual_sonine_apply(pair: SoninePair, f, x: float):
     """Dual Sonine transform at a point, by the substitution v = y^2 - x^2:
 
       a_{alpha,beta} int_0^inf v^(beta-alpha-1) [f_e(y) + x (f_o(y)/y)] dv,
-      y = sqrt(v + x^2).
+      y = sqrt(v + x^2), the Jacobi head covering [0, 1 + x^2].
     """
     f = as_smooth(f)
     x = float(x)
-    if split is None:
-        split = 1.0 + x * x
 
     def g(v: np.ndarray) -> np.ndarray:
         y = np.sqrt(v + x * x)
         return np.asarray(f.even_part(y)) + x * np.asarray(f.odd_quotient(y))
 
-    return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=split, tol=tol)
+    return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=1.0 + x * x)
 
 
 def dual_sonine_grid(
@@ -236,7 +228,7 @@ def dual_sonine_grid(
     """Dual Sonine transform on many points through the shared-panel
     fractional tail integral; agrees with dual_sonine_apply pointwise."""
     xs = np.asarray(xs, dtype=float)
-    w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max, head_nodes=32, panel_nodes=40)
+    w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max)
     return pair.prefactor * (w[0] + xs * w[1])
 
 
@@ -286,23 +278,22 @@ def _smooth_intertwining_errs(pair: SoninePair, f, grid: np.ndarray) -> tuple[fl
     return abs_err, abs_err / scale
 
 
-def intertwining_check(pair: SoninePair, f, grid: Optional[np.ndarray] = None) -> IdentityReport:
+def intertwining_check(pair: SoninePair, f) -> IdentityReport:
     """Both intertwining relations:
 
       direct:  Lambda_beta (S f) = S (Lambda_alpha f)
       dual:    tS (Lambda_beta f) = Lambda_alpha (tS f)
 
-    Exact coefficient comparison on polynomials; quadrature comparison on a
-    grid for Schwartz-class inputs.
+    Exact coefficient comparison on polynomials; quadrature comparison on
+    the nonzero points of a 21-point grid on [-2.5, 2.5] for Schwartz-class
+    inputs.
     """
     params = {"alpha": pair.a, "beta": pair.b}
     if isinstance(f, PolyFunction):
         params.update(input="polynomial", degree=f.degree)
         return run_check("sonine-intertwining", params, f"coefficients 0..{f.degree}", _poly_intertwining_errs, pair, f)
-    if grid is None:
-        grid = np.linspace(-2.5, 2.5, 21)
-    grid = np.asarray(grid, dtype=float)
-    grid = grid[np.abs(grid) > 1e-12]
+    grid = np.linspace(-2.5, 2.5, 21)
+    grid = grid[grid != 0.0]
     params["input"] = "smooth"
     summary = f"{grid.size} points in [{grid.min():.3g}, {grid.max():.3g}]"
     return run_check("sonine-intertwining", params, summary, _smooth_intertwining_errs, pair, f, grid)

@@ -32,6 +32,7 @@ __all__ = [
     "d_const",
     "inverse_intertwiner_const",
     "j_norm",
+    "j_norm_pair",
     "bessel_mod_array",
 ]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -479,14 +479,12 @@ def suite_names() -> list:
     return list(SUITES)
 
 
-def run_suites(config: RunConfig, names: Optional[Iterable[str]] = None) -> list:
-    """Run the requested suites serially in registry order ('all' expands to
-    every registered suite), all on one RunContext, and set each report's
-    ``tol`` parameter from its name."""
-    if names is None:
-        names = config.suites
+def run_suites(config: RunConfig) -> list:
+    """Run the suites ``config`` names serially in registry order ('all'
+    expands to every registered suite), all on one RunContext, and set each
+    report's ``tol`` parameter from its name."""
     requested = set()
-    for n in names:
+    for n in config.suites:
         if n == "all":
             requested.update(SUITES)
         elif n in SUITES:

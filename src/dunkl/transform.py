@@ -51,10 +51,11 @@ class PlanSelfTestError(RuntimeError):
 class _JNormTable:
     """Uniform cubic-spline table of j_norm for one order on [0, u_cap].
 
-    Synthesis sums evaluate the same fixed-order kernel tens of millions of
-    times.  On a plan's 1001 x 256 synthesis products the spline takes ~80 ns
-    a point against 110-160 ns for ``j_norm`` (2-vCPU x86), at error ~1e-11,
-    far below the pipeline tolerances it serves; beyond the table, j_norm.
+    Direct synthesis sums (the calls too small to pay for a proxy build)
+    evaluate one kernel component at a time.  On a plan's 1001 x 256
+    synthesis products the spline takes 100-120 ns a point against 150-260 ns
+    for ``j_norm_pair`` (2-vCPU x86), at error ~1e-11, far below the
+    tolerances it serves; beyond the table, j_norm.
     """
 
     STEP = 0.003
@@ -182,8 +183,8 @@ class TransformPlan:
         return table
 
     # -- sampling helpers -------------------------------------------------
-    def sample(self, f: Callable, hint: str = "schwartz") -> GridFunction:
-        return GridFunction(grid=self.x_nodes, values=np.asarray(f(self.x_nodes)), smoothness_hint=hint)
+    def sample(self, f: Callable) -> GridFunction:
+        return GridFunction(grid=self.x_nodes, values=np.asarray(f(self.x_nodes)), smoothness_hint="schwartz")
 
     def lambda_grid_function(self, values: np.ndarray) -> GridFunction:
         return GridFunction(grid=self.lambda_nodes, values=np.asarray(values), smoothness_hint="schwartz")
@@ -278,7 +279,9 @@ class _ChebProxy:
     carries its own coefficients, so the interpolation error follows the
     local size of the function and the small tails keep their relative
     accuracy.  Coefficients come from a DCT of samples at first-kind
-    Chebyshev points; evaluation is Clenshaw's recurrence.
+    Chebyshev points, where the caller sums both parts from one
+    ``j_norm_pair`` call, so the proxy interpolates the exact-kernel sum;
+    evaluation is Clenshaw's recurrence.
     """
 
     PANEL_WIDTH = 4.0
@@ -332,12 +335,15 @@ class SpectralFunction:
     unmirrored ones simply have no duplicates.  ``nodes`` and ``wspec`` keep
     the spectrum as given.
 
-    An object built from a plan evaluates its kernels through the plan's
-    spline tables.  A call on more points than the direct sums that build
-    its ``_ChebProxy`` (both parts at every sample point), all within the
+    A call on more points than the direct sums that build its
+    ``_ChebProxy`` (both parts at every sample point), all within the
     plan's synthesis radius, takes the even part and odd quotient from that
-    proxy, built once per object; so no call pays more for the build than
-    for its own direct sum.  Every other call sums directly.
+    proxy, built once per object from exact kernel values; so no call pays
+    more for the build than for its own direct sum.  Every other call sums
+    directly, through the plan's spline tables of the order-alpha and
+    order-(alpha + 1) components when the object has a plan, else through
+    ``j_norm``.  The derivative needs no third order:
+    d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
 
     def __init__(
@@ -354,6 +360,7 @@ class SpectralFunction:
         self._w_even, self._w_odd = np.zeros((2, self._abs_nodes.size), dtype=np.result_type(self.wspec, float))
         np.add.at(self._w_even, where, self.wspec)
         np.add.at(self._w_odd, where, np.sign(self.nodes) * self.wspec)
+        self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
         self._plan = plan
         self._proxy = None
         if plan is not None and self.nodes.size:
@@ -371,14 +378,12 @@ class SpectralFunction:
 
     def _direct(self, part: int, x: np.ndarray) -> np.ndarray:
         u = np.outer(x, self._abs_nodes)
-        if part == 0:
-            return self._j(0, u) @ self._w_even
-        a = self.order.alpha
-        return self._j(1, u) @ (1j * self._abs_nodes * self._w_odd / (2.0 * (a + 1.0)))
+        return self._j(0, u) @ self._w_even if part == 0 else self._j(1, u) @ self._w_quotient
 
     def _build_proxy(self) -> None:
         y = self._proxy.sample_points()
-        self._proxy.fit(self._direct(0, y), self._direct(1, y))
+        even, odd = j_norm_pair(self.order.alpha, np.outer(y, self._abs_nodes))
+        self._proxy.fit(even @ self._w_even, odd @ self._w_quotient)
 
     def _part(self, part: int, x: np.ndarray) -> np.ndarray:
         """Even part (0) or odd quotient (1) at the points of a 1-d array."""
@@ -408,13 +413,14 @@ class SpectralFunction:
         return self._pointwise(x, self._slope)
 
     def _slope(self, x: np.ndarray) -> np.ndarray:
-        # d/dx E(i nu x) = nu (-u q + i (q + u qp)) at u = nu x: the first
-        # term is even in nu, the second odd
+        # d/dx E(i nu x) = nu (-u q + i d/du[u q]) at u = nu x, q = j_(alpha+1)(u) / (2(alpha+1)),
+        # and d/du[u q] = j_alpha(u) - (2 alpha + 1) q: the first term is even in nu, the second odd
         a = self.order.alpha
         u = np.outer(x, self._abs_nodes)
         q = self._j(1, u) / (2.0 * (a + 1.0))
-        qp = -u * self._j(2, u) / (2.0 * (a + 2.0)) / (2.0 * (a + 1.0))
-        return (-u * q) @ (self._abs_nodes * self._w_even) + (q + u * qp) @ (1j * self._abs_nodes * self._w_odd)
+        return (-u * q) @ (self._abs_nodes * self._w_even) + (self._j(0, u) - (2.0 * a + 1.0) * q) @ (
+            1j * self._abs_nodes * self._w_odd
+        )
 
     def taylor_coeff(self, k: int) -> complex:
         scale = math.exp(-log_b_coeff(k, self.order))
@@ -469,8 +475,8 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     )
 
 
-def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optional[int] = None) -> GridFunction:
-    fn = apply_multiplier_fn(plan, f, m, n_half=n_half)
+def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec) -> GridFunction:
+    fn = apply_multiplier_fn(plan, f, m)
     return GridFunction(grid=plan.x_nodes, values=fn(plan.x_nodes), smoothness_hint="schwartz")
 
 

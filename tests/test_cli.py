@@ -36,6 +36,14 @@ class TestKernelCommand:
         assert abs(float(rows[0][2]) - float(rows[1][2])) < 1e-10
         assert float(rows[0][5]) < 1e-10
 
+    def test_both_modes_beyond_series_strip(self, capsys):
+        code = main(["kernel", "--alpha", "0.5", "--z", "20j", "--mode", "both"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[4] for row in rows] == ["bessel", "bochner"]
+        assert float(rows[0][5]) < 1e-10
+
     def test_invalid_order_exits_2(self, capsys):
         code = main(["kernel", "--alpha", "-1", "--z", "0"])
         err = capsys.readouterr().err

@@ -39,7 +39,7 @@ def _legendre_panels_reference(edges, n):
     return panel_u, panel_w
 
 
-def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=48, panel_nodes=48, first_edge=1.0):
+def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=32, panel_nodes=40, first_edge=1.0):
     """Per-s loop form of ``weyl_integral``: the same rules, heads and
     truncation, summed one s and one panel at a time."""
     s_values = np.asarray(s_values, dtype=float)
@@ -168,7 +168,7 @@ class TestThetaRule:
 
 class TestSemiInfinite:
     def test_gamma_half(self):
-        got = integrate_semi_infinite(lambda v: np.exp(-v), -0.5, split=1.0, tol=1e-12)
+        got = integrate_semi_infinite(lambda v: np.exp(-v), -0.5, split=1.0)
         assert got == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_plain_exponential(self):
@@ -399,8 +399,7 @@ class TestVectorizedAgainstLoops:
         # s = 0, s inside the first two panels, s on the edges 1, 2, 4, 64
         s = np.array([0.0, 0.2, 0.99, 1.0, 1.5, 2.0, 3.7, 4.0, 10.0, 64.0, 100.0, 300.0])
         h_fns = _poly_gaussian_parts()
-        for kw in ({}, {"head_nodes": 32, "panel_nodes": 40}):
-            self._close(weyl_integral(h_fns, mu, s, u_max=512.0, **kw), _weyl_reference(h_fns, mu, s, 512.0, **kw))
+        self._close(weyl_integral(h_fns, mu, s, u_max=512.0), _weyl_reference(h_fns, mu, s, 512.0))
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_riemann_liouville(self, mu):
