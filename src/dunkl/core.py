@@ -16,7 +16,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .functions import GridFunction, PolyFunction, SmoothFunction, as_smooth, dunkl_operator
 from .quadrature import jacobi_rule, radial_rule, theta_rule
@@ -81,7 +80,8 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
 
     Modes (each rejects |Re z| > log(max double) = 709.78, where E_alpha(z) overflows):
       * ``series``  -- power series sum z^n / b_n(alpha), |z| <= Z_MAX, |Im z| <= 10;
-      * ``bochner`` -- compact integral a_alpha int_-1^1 e^(zt) (1-t^2)^(alpha-1/2)(1+t) dt;
+      * ``bochner`` -- compact integral a_alpha int_-1^1 e^(zt) (1-t)^(alpha-1/2) (1+t)^(alpha+1/2) dt,
+        one Gauss-Jacobi rule in s = (1+t)/2;
       * ``bessel``  -- B_alpha(z) + z/(2(alpha+1)) B_(alpha+1)(z) by bessel_mod_array, |z| <= Z_MAX;
       * ``auto``    -- series where it accepts z, else bessel inside Z_MAX, else the integral.
     """
@@ -103,12 +103,9 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
     if mode == "bochner":
         if abs(z.real) > _BOCHNER_BOX or abs(z.imag) > _BOCHNER_BOX:
             raise ValueError("bochner mode supports |Re z|, |Im z| <= 1e3")
-        n = max(64, int(1.3 * abs(z)) + 24)
-        rule = jacobi_rule(a - 0.5, -0.5, n)
-        s = rule.nodes
-        t = np.sqrt(s)
-        vals = np.cosh(z * t) + t * np.sinh(z * t)
-        return a_const(a) * np.sum(rule.weights * vals)
+        # t = 2s - 1: (1-t)^(alpha-1/2) (1+t)^(alpha+1/2) dt = 2^(2 alpha+1) (1-s)^(alpha-1/2) s^(alpha+1/2) ds
+        rule = jacobi_rule(a - 0.5, a + 0.5, max(64, int(1.3 * abs(z)) + 24))
+        return a_const(a) * 2.0 ** (2.0 * a + 1.0) * np.sum(rule.weights * np.exp(z * (2.0 * rule.nodes - 1.0)))
     raise ValueError(f"unknown kernel mode {mode!r}")
 
 
@@ -178,6 +175,8 @@ def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = Non
     if isinstance(f, GridFunction):
         if f.smoothness_hint == "generic":
             raise ValueError("grid input needs a smoothness hint other than 'generic'")
+        from scipy.interpolate import CubicSpline  # loaded only here: importing dunkl stays light
+
         spline = CubicSpline(f.grid, f.values)
         evaluate = lambda u: spline(u)
     else:

@@ -213,10 +213,10 @@ def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float
 
 class _ForwardImage(SpectralFunction):
     """Transform of a test function, sum_j E_alpha(-i xi x_j) w_j phi(x_j) over
-    the plan's x-rule: its even part sums j_norm(alpha) alone, once per |x_j|,
-    and its Taylor data are the weighted moments.  Beyond the band the x-rule
-    resolves, or where the grid spectrum is below the double-precision floor,
-    the synthesis is quadrature noise and the values are exact zeros."""
+    the plan's x-rule, summed once per |x_j|; its Taylor data are the
+    weighted moments.  Beyond the band the x-rule resolves, or where the grid
+    spectrum is below the double-precision floor, the synthesis is
+    quadrature noise and the values are exact zeros."""
 
     def __init__(self, plan: TransformPlan, phi):
         values = np.asarray(phi(plan.x_nodes))
@@ -224,8 +224,9 @@ class _ForwardImage(SpectralFunction):
         resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width  # highest frequency the x-rule resolves
         self.band_limit = min(resolvable, spectral_support(plan, values, 1e-15))
 
-    def _part(self, part: int, x: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(x) <= self.band_limit, super()._part(part, x), 0.0)
+    def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
+        inside = np.abs(x) <= self.band_limit
+        return [np.where(inside, v, 0.0) for v in super()._parts(x, parts)]
 
 
 def power_weight_errs(

@@ -25,7 +25,7 @@ import numpy as np
 from .functions import GridFunction
 from .quadrature import jacobi_rule
 from .report import IdentityReport, pair_errs, run_check
-from .special import OrderParam, as_order, c_const, j_norm, j_norm_pair, log_b_coeff
+from .special import OrderParam, as_order, c_const, j_norm_pair, log_b_coeff
 
 __all__ = [
     "TransformPlan",
@@ -46,37 +46,6 @@ __all__ = [
 
 class PlanSelfTestError(RuntimeError):
     """The build-time Gaussian self-test missed the requested tolerance."""
-
-
-class _JNormTable:
-    """Uniform cubic-spline table of j_norm for one order on [0, u_cap].
-
-    Direct synthesis sums (the calls too small to pay for a proxy build)
-    evaluate one kernel component at a time.  On a plan's 1001 x 256
-    synthesis products the spline takes 100-120 ns a point against 150-260 ns
-    for ``j_norm_pair`` (2-vCPU x86), at error ~1e-11, far below the
-    tolerances it serves; beyond the table, j_norm.
-    """
-
-    STEP = 0.003
-
-    def __init__(self, alpha: float, u_cap: float):
-        from scipy.interpolate import CubicSpline
-
-        self.alpha = alpha
-        self.u_cap = float(u_cap)
-        grid = np.arange(0.0, self.u_cap + 4 * self.STEP, self.STEP)
-        self._spline = CubicSpline(grid, j_norm(alpha, grid))
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        au = np.abs(np.asarray(u, dtype=float))
-        inside = au <= self.u_cap
-        if np.all(inside):
-            return self._spline(au)
-        out = np.empty(au.shape, dtype=float)
-        out[inside] = self._spline(au[inside])
-        out[~inside] = j_norm(self.alpha, au[~inside])
-        return out
 
 
 def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
@@ -170,17 +139,25 @@ class TransformPlan:
         self.inverse_matrix *= self.c_alpha
         self.synthesis_radius = 1.4 * self.half_width
         self.self_test: dict[str, float] = {}
-        self._jnorm_tables: dict[int, _JNormTable] = {}
+        self._jnorm_tables: tuple[np.ndarray, np.ndarray] = ()
 
-    def jnorm_table(self, shift: int) -> _JNormTable:
-        """Shared spline table of the order-(alpha+shift) kernel component,
-        sized for synthesis out to the synthesis radius 1.4 half_width."""
-        table = self._jnorm_tables.get(shift)
-        if table is None:
-            u_cap = self.lambda_max * self.synthesis_radius
-            table = _JNormTable(self.alpha + shift, u_cap)
-            self._jnorm_tables[shift] = table
-        return table
+    def jnorm_table(self, shift: int) -> np.ndarray:
+        """Synthesis table of the order-(alpha + shift) kernel component,
+        shift 0 or 1: j_norm(alpha + shift, y nu) at the sample points y of the
+        synthesis proxy (rows) times the positive lambda-nodes nu (columns).
+
+        Every SpectralFunction on the plan's own nodes builds its proxy from
+        these two tables, so both come from one ``j_norm_pair`` call per plan;
+        they are shared, so read-only."""
+        if shift not in (0, 1):
+            raise ValueError(f"synthesis tables hold shifts 0 and 1, not {shift}")
+        if not self._jnorm_tables:
+            nu = self.lambda_nodes[self.lambda_nodes.size // 2 :]
+            y = _ChebProxy(self.synthesis_radius, float(nu[-1])).sample_points()
+            self._jnorm_tables = j_norm_pair(self.alpha, np.outer(y, nu))
+            for table in self._jnorm_tables:
+                table.flags.writeable = False
+        return self._jnorm_tables[shift]
 
     # -- sampling helpers -------------------------------------------------
     def sample(self, f: Callable) -> GridFunction:
@@ -279,9 +256,11 @@ class _ChebProxy:
     carries its own coefficients, so the interpolation error follows the
     local size of the function and the small tails keep their relative
     accuracy.  Coefficients come from a DCT of samples at first-kind
-    Chebyshev points, where the caller sums both parts from one
-    ``j_norm_pair`` call, so the proxy interpolates the exact-kernel sum;
-    evaluation is Clenshaw's recurrence.
+    Chebyshev points, where the caller sums both parts from exact kernel
+    values (its plan's synthesis tables, or one ``j_norm_pair`` call), so
+    the proxy interpolates the exact-kernel sum; evaluation is Clenshaw's
+    recurrence.  The sample points depend only on the radius and nu_max, so
+    every function on one plan's nodes shares them.
     """
 
     PANEL_WIDTH = 4.0
@@ -335,14 +314,19 @@ class SpectralFunction:
     unmirrored ones simply have no duplicates.  ``nodes`` and ``wspec`` keep
     the spectrum as given.
 
-    A call on more points than the direct sums that build its
-    ``_ChebProxy`` (both parts at every sample point), all within the
-    plan's synthesis radius, takes the even part and odd quotient from that
-    proxy, built once per object from exact kernel values; so no call pays
-    more for the build than for its own direct sum.  Every other call sums
-    directly, through the plan's spline tables of the order-alpha and
-    order-(alpha + 1) components when the object has a plan, else through
-    ``j_norm``.  The derivative needs no third order:
+    A SpectralFunction with a plan keeps a ``_ChebProxy`` of its even part
+    and odd quotient on the plan's synthesis radius, built at most once from
+    exact kernel values.  When its distinct |nu| are the plan's positive
+    lambda-nodes (``from_spectrum``), the build is two mat-vecs on the plan's
+    shared ``jnorm_table``, so every call within the radius reads the proxy,
+    whatever its size.  Any other object with a plan (a multiplier image)
+    builds from its own ``j_norm_pair`` call, so it reads the proxy only on
+    calls of more points than the direct sums of that build, all within the
+    radius: no call pays more for the build than for its own direct sum.
+    Every other call, and every call of an object without a plan, sums
+    directly, both kernel components from one ``j_norm_pair`` call; the
+    object keeps its last two such sums, so a call for the other part at
+    the same points reuses one.  The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
 
@@ -361,38 +345,44 @@ class SpectralFunction:
         np.add.at(self._w_even, where, self.wspec)
         np.add.at(self._w_odd, where, np.sign(self.nodes) * self.wspec)
         self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
-        self._plan = plan
-        self._proxy = None
+        self._proxy = self._table_plan = None
+        self._direct_max = 0  # calls on more points than this, all within the radius, read the proxy
+        self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two direct sums
         if plan is not None and self.nodes.size:
             self._proxy = _ChebProxy(plan.synthesis_radius, float(self._abs_nodes[-1]))
-
-    def _j(self, shift: int, u: np.ndarray) -> np.ndarray:
-        if self._plan is not None:
-            return self._plan.jnorm_table(shift)(u)
-        return j_norm(self.order.alpha + shift, u)
+            if np.array_equal(self._abs_nodes, plan.lambda_nodes[plan.lambda_nodes.size // 2 :]):
+                self._table_plan = plan  # its synthesis tables build the proxy
+            else:
+                self._direct_max = self._proxy.size
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":
         values = _values_on(spectrum, plan.lambda_nodes, "lambda")
         return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
 
-    def _direct(self, part: int, x: np.ndarray) -> np.ndarray:
-        u = np.outer(x, self._abs_nodes)
-        return self._j(0, u) @ self._w_even if part == 0 else self._j(1, u) @ self._w_quotient
-
     def _build_proxy(self) -> None:
-        y = self._proxy.sample_points()
-        even, odd = j_norm_pair(self.order.alpha, np.outer(y, self._abs_nodes))
+        if self._table_plan is not None:
+            even, odd = self._table_plan.jnorm_table(0), self._table_plan.jnorm_table(1)
+        else:
+            even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points(), self._abs_nodes))
         self._proxy.fit(even @ self._w_even, odd @ self._w_quotient)
 
-    def _part(self, part: int, x: np.ndarray) -> np.ndarray:
-        """Even part (0) or odd quotient (1) at the points of a 1-d array."""
+    def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
+        """Even part (0) and odd quotient (1), as listed in ``parts``, at the
+        points of a 1-d array."""
         proxy = self._proxy
-        if proxy is None or x.size <= proxy.size or not np.max(np.abs(x)) <= proxy.radius:
-            return self._direct(part, x)
-        if not proxy.coeffs:
-            self._build_proxy()
-        return proxy(part, x)
+        if proxy is not None and x.size > self._direct_max and np.max(np.abs(x)) <= proxy.radius:
+            if not proxy.coeffs:
+                self._build_proxy()
+            return [proxy(part, x) for part in parts]
+        # quadrature asks for each part in turn on the same panels, with
+        # other points in between: keep the last two sums
+        sums = next((sums for sums in self._recent_sums if np.array_equal(sums[0], x)), None)
+        if sums is None:
+            even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
+            sums = (x.copy(), even @ self._w_even, odd @ self._w_quotient)
+            self._recent_sums = [sums, *self._recent_sums[:1]]
+        return [sums[1 + part].copy() for part in parts]
 
     def _pointwise(self, x, fn):
         x = np.asarray(x, dtype=float)
@@ -400,14 +390,18 @@ class SpectralFunction:
         return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
     def __call__(self, x):
-        return self._pointwise(x, lambda v: self._part(0, v) + v * self._part(1, v))
+        def value(v):
+            even, quotient = self._parts(v)
+            return even + v * quotient
+
+        return self._pointwise(x, value)
 
     def even_part(self, x):
         """(f(x) + f(-x))/2 from the even kernel component alone."""
-        return self._pointwise(x, lambda v: self._part(0, v))
+        return self._pointwise(x, lambda v: self._parts(v, (0,))[0])
 
     def odd_quotient(self, x):
-        return self._pointwise(x, lambda v: self._part(1, v))
+        return self._pointwise(x, lambda v: self._parts(v, (1,))[0])
 
     def derivative(self, x):
         return self._pointwise(x, self._slope)
@@ -417,8 +411,9 @@ class SpectralFunction:
         # and d/du[u q] = j_alpha(u) - (2 alpha + 1) q: the first term is even in nu, the second odd
         a = self.order.alpha
         u = np.outer(x, self._abs_nodes)
-        q = self._j(1, u) / (2.0 * (a + 1.0))
-        return (-u * q) @ (self._abs_nodes * self._w_even) + (self._j(0, u) - (2.0 * a + 1.0) * q) @ (
+        j0, j1 = j_norm_pair(a, u)
+        q = j1 / (2.0 * (a + 1.0))
+        return (-u * q) @ (self._abs_nodes * self._w_even) + (j0 - (2.0 * a + 1.0) * q) @ (
             1j * self._abs_nodes * self._w_odd
         )
 

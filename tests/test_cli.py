@@ -331,3 +331,9 @@ class TestEntryPoint:
         proc = run_cli(["kernel", "--alpha", "0.5", "--z", "0"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("z_re")
+
+    def test_import_leaves_interpolation_unloaded(self):
+        # scipy.interpolate is loaded only by the routes that spline grid
+        # samples, so importing the package and its CLI stays light
+        code = "import sys, dunkl, dunkl.cli; sys.exit('scipy.interpolate' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0

@@ -109,6 +109,24 @@ class TestKernel:
         want = kernel_half_closed(80.0)
         assert abs(got - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize(
+        "z",
+        (
+            -1.1144817557741047 + 8.392604561050302j,  # near zeros of E_1.5, where |E| is 1e-3
+            -1.115003644041072 - 8.264908663585482j,
+            -1.0747917972596548 - 8.27596984500489j,
+            40j,
+        ),
+    )
+    def test_bochner_against_mpmath(self, z):
+        # one Gauss-Jacobi rule in s = (1+t)/2 holds 5e-11 here, where |E| is small
+        import mpmath
+
+        mpmath.mp.dps = 30
+        a, w = 1.5, mpmath.mpc(z) ** 2 / 4
+        want = complex(mpmath.hyp0f1(a + 1, w) + z / (2 * (a + 1)) * mpmath.hyp0f1(a + 2, w))
+        assert abs(dunkl_kernel(a, z, "bochner") - want) <= 5e-11 * abs(want)
+
 
 class TestOperator:
     def test_constant_annihilated(self):

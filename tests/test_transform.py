@@ -1,6 +1,5 @@
 """Discrete transform plans, Plancherel, and spectral multipliers."""
 
-import collections
 import math
 import warnings
 
@@ -13,9 +12,9 @@ import dunkl.transform
 from dunkl.core import dunkl_operator
 from dunkl.fractional import _ForwardImage
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
-from dunkl.lizorkin import inversion_check, make_witness
+from dunkl.lizorkin import inversion_check, make_witness, witness_plan
 from dunkl.sonine import SoninePair
-from dunkl.special import as_order, j_norm, log_b_coeff
+from dunkl.special import as_order, j_norm, j_norm_pair, log_b_coeff
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
@@ -35,7 +34,9 @@ from dunkl.transform import (
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.5)
 
-# property tests repeat exactly: fixed example count, derandomized draws
+# property tests: fixed example count, derandomized draws; hypothesis also
+# draws numeric literals from the project's source, so editing one can change
+# the examples
 _PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 
@@ -62,8 +63,7 @@ def _spectra(draw):
 class TestJNorm:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_table_range_against_mpmath(self, alpha):
-        # synthesis tables sample j_norm on [0, lambda_max * 1.4 * L] = [0, 269]
-        # at the orders alpha, alpha + 1 and alpha + 2
+        # synthesis evaluates j_norm on [0, lambda_max * 1.4 * L] = [0, 269]
         import mpmath
 
         mpmath.mp.dps = 30
@@ -159,32 +159,28 @@ class TestFoldedKernel:
 
     def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
         """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
-        kernel value once per distinct |node|: 138 096 j_norm_pair points,
-        each giving both parts (32 256 kernel points and the 105 840 of one
-        proxy build), no direct j_norm point, and 532 560 spline points
-        (twice that without the fold)."""
+        kernel value once per distinct |node| and point, both parts from one
+        j_norm_pair call: 282 408 points, which are the multiplier's 32 256
+        kernel points and the 250 152 of its image's direct sums (quadrature
+        points, each call below its proxy's size; the call for the other
+        part on the same points reuses the sum).  The objects on the plans'
+        own nodes build their proxies from the plans' synthesis tables,
+        built before the count."""
         plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
         for plan in (plan_a, plan_b):
-            for shift in (0, 1):
-                plan.jnorm_table(shift)
+            plan.jnorm_table(0)
         witness = make_witness(0.5, plan_b, m=0)  # fresh: no image kept yet
-        pairs, direct, spline = [], [], []
-        originals = dunkl.transform.j_norm_pair, dunkl.transform.j_norm, dunkl.transform._JNormTable.__call__
+        pairs = []
+        original = dunkl.transform.j_norm_pair
 
-        def counting(log, original):
-            def count(first, u):
-                log.append(np.size(u))
-                return original(first, u)
-            return count
+        def counting(alpha, u):
+            pairs.append(np.size(u))
+            return original(alpha, u)
 
-        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting(pairs, originals[0]))
-        monkeypatch.setattr(dunkl.transform, "j_norm", counting(direct, originals[1]))
-        monkeypatch.setattr(dunkl.transform._JNormTable, "__call__", counting(spline, originals[2]))
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         report = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
         assert report.passed()
-        assert 0 < sum(pairs) <= 138_096
-        assert sum(direct) == 0
-        assert sum(spline) <= 532_560
+        assert 0 < sum(pairs) <= 282_408
 
     @_PROPERTY
     @given(alpha=st.floats(-0.45, 3.0), lam=_point_sets(12.0), xs=_point_sets(12.0))
@@ -362,40 +358,46 @@ class TestFoldedSynthesis:
     every node to rounding."""
 
     def test_one_evaluation_per_distinct_node(self, witness_plan_factory, witness_factory, monkeypatch):
+        """A direct sum takes both kernel components of each distinct |nu|
+        from one j_norm_pair call, and a call for the other part on the same
+        points reuses it.  An object on its plan's nodes reads its proxy,
+        built from the plan's tables, for all but the derivative."""
         plan = witness_plan_factory(0.5)
+        plan.jnorm_table(0)
         w = witness_factory(0.5, 0)
-        fns = (
-            SpectralFunction.from_spectrum(plan, w.spectrum),
-            apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0)),
-            _ForwardImage(plan, gaussian()),
-        )
-        points = collections.Counter()
-        original = SpectralFunction._j
+        on_plan = SpectralFunction.from_spectrum(plan, w.spectrum)
+        fns = (on_plan, apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0)), _ForwardImage(plan, gaussian()))
+        calls = []
+        original = dunkl.transform.j_norm_pair
 
-        def counting(fn, shift, u):
-            points[shift] += np.size(u)
-            return original(fn, shift, u)
+        def counting(alpha, u):
+            calls.append(np.size(u))
+            return original(alpha, u)
 
-        monkeypatch.setattr(SpectralFunction, "_j", counting)
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         x = np.linspace(-3.0, 3.0, 25)
         for fn in fns:
             distinct = np.unique(np.abs(fn.nodes)).size
             assert 2 * distinct == fn.nodes.size
-            for call, shifts in ((fn.even_part, (0,)), (fn.odd_quotient, (1,)), (fn, (0, 1)), (fn.derivative, (0, 1))):
-                points.clear()
-                call(x)
-                assert points == {shift: x.size * distinct for shift in shifts}
+            summed = [x.size * distinct]
+            direct = [] if fn is on_plan else summed
+            for call, points, expected in ((fn.even_part, x, direct), (fn.odd_quotient, x, []), (fn, x, []),
+                                           (fn.derivative, x, summed), (fn.odd_quotient, x + 1.0, direct)):
+                calls.clear()
+                call(points)
+                assert calls == expected
 
     @_PROPERTY
     @given(fn=_spectra(), x=_point_sets(5.0), k=st.integers(0, 5))
     def test_matches_sum_over_every_node(self, fn, x, k):
         """Each method against its unfolded formula, to 1e-14 of the sum of
-        its absolute terms (1e-14 sum |w| where the kernel factor is at most 1)."""
+        its absolute terms (1e-14 sum |w| where the kernel factor is at most 1);
+        the two kernel components come from j_norm_pair, as the object sums them."""
         a = fn.order.alpha
         u = np.outer(x, fn.nodes)
-        q = j_norm(a + 1.0, u) / (2.0 * (a + 1.0))
+        even, j1 = j_norm_pair(a, u)
+        q = j1 / (2.0 * (a + 1.0))
         qp = -u * j_norm(a + 2.0, u) / (2.0 * (a + 2.0)) / (2.0 * (a + 1.0))
-        even = j_norm(a, u)
         odd_q = 1j * q * fn.nodes
         terms = {
             fn.even_part: even,
@@ -414,32 +416,18 @@ class TestFoldedSynthesis:
 PIPELINE_ORDERS = (0.0, 0.5, 1.5, 2.0)
 
 
-def _parts(fn, y, j_even, j_odd, fold):
-    """Even part and odd quotient by direct synthesis: over every node, or,
-    with ``fold``, over the distinct |nu| with the spectrum folded into even
-    and odd weights, as SpectralFunction sums."""
+def _exact_parts(fn, y):
+    """Even part and odd quotient by direct synthesis with the exact kernel
+    over the distinct |nu|, the spectrum folded into even and odd weights and
+    both components from one j_norm_pair call, as SpectralFunction sums."""
     a = fn.order.alpha
-    if not fold:
-        u = np.outer(y, fn.nodes)
-        return j_even(u) @ fn.wspec, (1j * j_odd(u) / (2.0 * (a + 1.0)) * fn.nodes) @ fn.wspec
     abs_nodes, where = np.unique(np.abs(fn.nodes), return_inverse=True)
     w_even = np.zeros(abs_nodes.size, dtype=np.result_type(fn.wspec, float))
     w_odd = np.zeros_like(w_even)
     np.add.at(w_even, where, fn.wspec)
     np.add.at(w_odd, where, np.sign(fn.nodes) * fn.wspec)
-    u = np.outer(y, abs_nodes)
-    return j_even(u) @ w_even, j_odd(u) @ (1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
-
-
-def _exact_parts(fn, y, fold=True):
-    """Even part and odd quotient by direct synthesis with the exact kernel."""
-    a = fn.order.alpha
-    return _parts(fn, y, lambda u: j_norm(a, u), lambda u: j_norm(a + 1.0, u), fold)
-
-
-def _table_parts(fn, plan, y, fold=True):
-    """Even part and odd quotient by direct synthesis through the plan's tables."""
-    return _parts(fn, y, plan.jnorm_table(0), plan.jnorm_table(1), fold)
+    j_even, j_odd = j_norm_pair(a, np.outer(y, abs_nodes))
+    return j_even @ w_even, j_odd @ (1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
 
 
 def _pipeline_fns(plan, witness_factory, alpha):
@@ -449,7 +437,9 @@ def _pipeline_fns(plan, witness_factory, alpha):
 
 
 class TestSynthesisProxy:
-    """Witness-size calls take a piecewise-Chebyshev proxy; the rest sum directly."""
+    """Calls within the synthesis radius read a piecewise-Chebyshev proxy:
+    every call of an object on its plan's nodes, and a multiplier image's
+    calls larger than its proxy's build.  The rest sum directly."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -465,30 +455,37 @@ class TestSynthesisProxy:
 
     @pytest.mark.parametrize("alpha", PIPELINE_ORDERS)
     def test_panel_errors_within_table_route(self, witness_plan_factory, witness_factory, alpha):
+        """In every bin of [0, radius], the proxy's error against the sum
+        over every node is within 10 times that of the exact direct route
+        (the folded sum), plus a rounding floor: 50 ulps of the bin's largest
+        sum of absolute terms, or 1e-15 of the peak where that is smaller."""
         plan = witness_plan_factory(alpha)
         fns = _pipeline_fns(plan, witness_factory, alpha)
         radius = plan.synthesis_radius
         y = np.linspace(0.0, radius, 2001)
         for fn in fns:
             # unfolded references: independent of the fold the object sums by
-            exact = _exact_parts(fn, y, fold=False)
-            table = _table_parts(fn, plan, y, fold=False)
+            j_even, j_odd = j_norm_pair(alpha, np.outer(y, fn.nodes))
+            factors = (j_even, 1j * j_odd / (2.0 * (alpha + 1.0)) * fn.nodes)
+            exact = [f @ fn.wspec for f in factors]
+            absolute = [np.abs(f) @ np.abs(fn.wspec) for f in factors]
+            direct = _exact_parts(fn, y)
             proxy = (fn.even_part(y), fn.odd_quotient(y))
             # bins of width 2 in y, whatever panels the proxy uses; the last
             # one takes the endpoint y = radius
             panels = np.minimum(y // 2.0, math.ceil(radius / 2.0) - 1)
-            for want, tab, got in zip(exact, table, proxy):
+            for want, scale, ref, got in zip(exact, absolute, direct, proxy):
                 peak = np.max(np.abs(want))
                 for k in np.unique(panels):
                     on = panels == k
-                    table_err = np.max(np.abs(tab[on] - want[on]))
-                    assert np.max(np.abs(got[on] - want[on])) <= 10.0 * table_err + 1e-17 * peak, (alpha, k)
+                    floor = min(50.0 * np.finfo(float).eps * np.max(scale[on]), 1e-15 * peak)
+                    direct_err = np.max(np.abs(ref[on] - want[on]))
+                    assert np.max(np.abs(got[on] - want[on])) <= 10.0 * direct_err + floor, (alpha, k)
 
     @pytest.mark.parametrize("alpha", PIPELINE_ORDERS)
     def test_within_sum_of_absolute_terms(self, witness_plan_factory, witness_factory, alpha):
         """The proxy interpolates the exact-kernel sum: at every point of
-        [0, radius], each part within 5e-14 of its sum of absolute terms
-        (a proxy sampled from the spline tables reaches 2.3e-13)."""
+        [0, radius], each part within 5e-14 of its sum of absolute terms."""
         plan = witness_plan_factory(alpha)
         y = np.linspace(0.0, plan.synthesis_radius, 2001)
         for fn in _pipeline_fns(plan, witness_factory, alpha):
@@ -500,20 +497,34 @@ class TestSynthesisProxy:
             assert fn._proxy.coeffs
 
     def test_small_call_is_the_direct_sum(self, witness_plan_factory, witness_factory, builds):
+        """A multiplier image builds its proxy from its own j_norm_pair call,
+        so a call of no more points than that build's sums is a direct sum."""
         plan = witness_plan_factory(0.5)
-        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
+        fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size)
-        even, odd_q = _table_parts(fn, plan, x)
+        even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
         assert np.array_equal(fn.odd_quotient(x), odd_q)
         assert np.array_equal(fn(x), even + x * odd_q)
+        fn.even_part(x)[:] = 0.0  # the object keeps its sums, not the caller's arrays
+        assert np.array_equal(fn.even_part(x), even)
         assert builds == []
+
+    def test_small_call_on_plan_nodes_reads_the_proxy(self, witness_plan_factory, witness_factory, builds):
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
+        x = np.array([-3.0, 0.25, 7.5])
+        even = fn.even_part(x)
+        assert builds == [fn]
+        assert np.array_equal(even, fn._proxy(0, x))
+        assert np.array_equal(fn.odd_quotient(x), fn._proxy(1, x))
+        assert np.max(np.abs(even - _exact_parts(fn, x)[0])) <= 1e-13 * np.max(np.abs(even))
 
     def test_points_beyond_radius_sum_directly(self, witness_plan_factory, witness_factory, builds):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 0).spectrum)
-        x = np.linspace(0.0, 1.01 * plan.synthesis_radius, fn._proxy.size + 1)
-        even, odd_q = _table_parts(fn, plan, x)
+        x = np.linspace(0.0, 1.01 * plan.synthesis_radius, 7)
+        even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
         assert np.array_equal(fn.odd_quotient(x), odd_q)
         assert builds == []
@@ -521,8 +532,8 @@ class TestSynthesisProxy:
     def test_built_once_per_object(self, witness_plan_factory, witness_factory, builds):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
-        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size + 1)
-        even, odd_q = _table_parts(fn, plan, x)
+        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, 25)
+        even, odd_q = _exact_parts(fn, x)
         peak = np.max(np.abs(even + x * odd_q))
         for _ in range(2):
             assert np.max(np.abs(fn.even_part(x) - even)) <= 1e-13 * peak
@@ -538,3 +549,39 @@ class TestSynthesisProxy:
         even, _ = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
         assert builds == []
+
+
+class TestSynthesisTables:
+    """Objects on a plan's own nodes share one table of kernel values at the
+    proxy's sample points."""
+
+    def test_one_kernel_call_per_plan(self, witness_factory, monkeypatch):
+        plan = witness_plan(0.5)  # fresh: its tables are not built yet
+        w = witness_factory(0.5, 1)
+        spectra = [w.spectrum * (1.0 + 0.5 * k * plan.lambda_nodes) for k in range(5)]
+        fns = [SpectralFunction.from_spectrum(plan, spectrum) for spectrum in spectra]
+        calls = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            calls.append(np.shape(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        x = np.linspace(-6.0, 6.0, 9)
+        for fn in fns:
+            fn(x)
+        assert calls == [(fns[0]._proxy.sample_points().size, plan.lambda_nodes.size // 2)]
+        for fn in fns:
+            own = dunkl.transform._ChebProxy(plan.synthesis_radius, float(np.max(plan.lambda_nodes)))
+            even, odd = original(0.5, np.outer(own.sample_points(), np.unique(np.abs(fn.nodes))))
+            own.fit(even @ fn._w_even, odd @ fn._w_quotient)
+            assert all(np.array_equal(a, b) for a, b in zip(fn._proxy.coeffs, own.coeffs))
+
+    def test_tables_are_read_only(self, witness_plan_factory):
+        plan = witness_plan_factory(0.5)
+        for shift in (0, 1):
+            with pytest.raises(ValueError, match="read-only"):
+                plan.jnorm_table(shift)[0, 0] = 0.0
+        with pytest.raises(ValueError, match="shifts 0 and 1"):
+            plan.jnorm_table(2)
