@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import GridFunction, PolyFunction, SmoothFunction, as_smooth, dunkl_operator
+from .functions import GridFunction, PolyFunction, as_smooth, dunkl_operator
 from .quadrature import jacobi_rule, radial_rule, theta_rule
 from .sonine import (
     classical_pair,
@@ -220,43 +220,38 @@ def dual_intertwiner_v_grid(alpha: OrderParam | float, f, xs: np.ndarray, u_max:
     return dual_sonine_grid(classical_pair(alpha), f, xs, u_max)
 
 
-def translation(alpha: OrderParam | float, f, x: float, y: float):
-    """Generalized translation through the angular integral
+def translation(alpha: OrderParam | float, f, x: float, y):
+    """Generalized translation tau_x f(y), at a scalar or an array y, through the angular integral
 
     a_alpha int_0^pi [f_e(w) + f_o(w)(x+y)/w] [1 - sgn(xy) cos t] sin^(2 alpha) t dt,
     w = sqrt(x^2 + y^2 - 2|xy| cos t).
 
-    At (0, 0), where the integral form does not apply, f(0) is returned by
-    the continuity convention.
+    Every y shares one evaluation of f, of f(-.) and of the odd quotient on
+    the (len(y), n_theta) array of w.  At (0, 0), where the integral form
+    does not apply, f(0) is returned by the continuity convention.
     """
-    return _translate(as_order(alpha).alpha, as_smooth(f), float(x), float(y))
-
-
-def _translate(a: float, f: SmoothFunction, x: float, y: float):
-    """translation's angular integral, f already a SmoothFunction."""
-    if x == 0.0 and y == 0.0:
-        return np.asarray(f(0.0)).item()
+    a = as_order(alpha).alpha
+    f, x, y = as_smooth(f), float(x), np.asarray(y, dtype=float)
+    origin = (x == 0.0) & (y == 0.0)
+    ys = np.where(origin, 1.0, y).reshape(-1, 1)  # a stand-in at (0, 0), replaced by f(0) below
     rule = theta_rule(a)
     cos_t = np.cos(rule.nodes)
-    w = np.sqrt(np.maximum(x * x + y * y - 2.0 * abs(x * y) * cos_t, 0.0))
-    sgn = float(np.sign(x) * np.sign(y))
+    w = np.sqrt(np.maximum(x * x + ys * ys - 2.0 * np.abs(x * ys) * cos_t, 0.0))
     fe = 0.5 * (np.asarray(f(w)) + np.asarray(f(-w)))
-    integrand = (fe + (x + y) * np.asarray(f.odd_quotient(w))) * (1.0 - sgn * cos_t)
-    return a_const(a) * np.sum(rule.weights * integrand)
+    integrand = (fe + (x + ys) * np.asarray(f.odd_quotient(w))) * (1.0 - np.sign(x) * np.sign(ys) * cos_t)
+    tau = (a_const(a) * np.sum(rule.weights * integrand, axis=-1)).reshape(y.shape)
+    return (np.where(origin, f(0.0), tau) if np.any(origin) else tau)[()]
 
 
 def convolution(alpha: OrderParam | float, f, g, x: float):
     """Weighted convolution int_R tau_x f(-y) g(y) |y|^(2 alpha + 1) dy.
 
     The radial rule of int_0^14 (.) y^(2 alpha + 1) dy, weight absorbed (see
-    radial_rule), integrates both half-lines folded together.
+    radial_rule), integrates both half-lines folded together: one
+    ``translation`` call on every node of both signs, one call of g per sign.
     """
     a = as_order(alpha).alpha
-    f, x = as_smooth(f), float(x)
-    y_rule = radial_rule(a, 14.0)
-    total = 0.0
-    for y, w in zip(y_rule.nodes, y_rule.weights):
-        tau_minus = _translate(a, f, x, float(-y))
-        tau_plus = _translate(a, f, x, float(y))
-        total += w * (tau_minus * np.asarray(g(y)) + tau_plus * np.asarray(g(-y)))
-    return total
+    rule = radial_rule(a, 14.0)
+    y = rule.nodes
+    tau_minus, tau_plus = np.split(translation(a, f, x, np.concatenate([-y, y])), 2)
+    return np.sum(rule.weights * (tau_minus * np.asarray(g(y)) + tau_plus * np.asarray(g(-y))))

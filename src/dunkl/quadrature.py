@@ -65,21 +65,23 @@ class TailNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and positive weights on a canonical interval."""
+    """Nodes and positive weights on a canonical interval.  Memoized rules
+    are shared between callers, so every rule keeps read-only copies."""
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be equal-length 1-d arrays")
         if nodes.size and np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -120,19 +122,21 @@ def _jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadRule:
     # transport (1-x)^a (1+x)^b dx on [-1,1] to (1-s)^a s^b ds on [0,1]
     w = w / 2.0 ** (a_exp + b_exp + 1.0)
     order = np.argsort(s)
-    rule = QuadRule(nodes=s[order], weights=w[order], kind=f"gauss_jacobi({a_exp},{b_exp})")
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return QuadRule(nodes=s[order], weights=w[order], kind=f"gauss_jacobi({a_exp},{b_exp})")
 
 
 def theta_rule(alpha: OrderParam | float, n: int = DEFAULT_JACOBI_NODES) -> QuadRule:
-    """Rule for int_0^pi g(theta) sin^(2 alpha) theta dtheta.
+    """Rule for int_0^pi g(theta) sin^(2 alpha) theta dtheta, memoized on
+    (alpha, n) like ``jacobi_rule``.
 
     The substitution s = (1 - cos theta)/2 turns the weight into
     2^(2 alpha) (s(1-s))^(alpha-1/2) on [0, 1].
     """
-    a = as_order(alpha).alpha
+    return _theta_rule(as_order(alpha).alpha, int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _theta_rule(a: float, n: int) -> QuadRule:
     base = jacobi_rule(a - 0.5, a - 0.5, n)
     theta = np.arccos(1.0 - 2.0 * base.nodes)
     weights = (2.0 ** (2.0 * a)) * base.weights
@@ -156,10 +160,7 @@ def legendre_rule(n: int) -> QuadRule:
     """Gauss-Legendre rule on [-1, 1], memoized per size and shared between
     callers, so its arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    rule = QuadRule(nodes=x, weights=w, kind="gauss_legendre")
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return QuadRule(nodes=x, weights=w, kind="gauss_legendre")
 
 
 def legendre_panels(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:

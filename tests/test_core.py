@@ -2,6 +2,7 @@
 convolution.  Monomial actions are exact oracles; quadrature routes are
 checked against them and against Gaussian closed forms."""
 
+import collections
 import math
 
 import numpy as np
@@ -308,6 +309,18 @@ class TestTranslation:
                 want = kf(x) * kf(y)
                 assert abs(got - want) <= 1e-8 * abs(want)
 
+    @pytest.mark.parametrize("x", [0.0, 0.7, -1.3])
+    def test_array_y_matches_scalar_calls(self, x):
+        # one batched integral per array, the (0, 0) convention per entry
+        ys = np.array([0.0, -1.1, 0.9, 1.3, -0.7, 0.7, 2.0])
+        for f in (gaussian(), KernelFunction(0.6, 1.5j), lambda v: (1.0 + v) * np.exp(-v * v)):
+            got = translation(0.6, f, x, ys)
+            want = np.array([translation(0.6, f, x, y) for y in ys])
+            assert got.shape == ys.shape
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+            assert np.isscalar(translation(0.6, f, x, 0.9)) and np.isscalar(translation(0.6, f, x, 0.0))
+        assert translation(0.6, gaussian(), 0.0, ys)[0] == 1.0
+
     def test_transform_side_oracle(self, plan_factory):
         # tau_x f(y) = c_a int E(i l x) E(i l y) Ff(l) |l|^(2a+1) dl
         a = 0.5
@@ -322,6 +335,30 @@ class TestTranslation:
         want = plan.c_alpha * np.sum(plan.lambda_weights * ker * spectrum)
         got = translation(a, f, x, -x)
         assert got == pytest.approx(float(np.real(want)), rel=1e-8)
+
+
+class _Counting:
+    """A SmoothFunction that counts its value and odd-quotient calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, collections.Counter()
+
+    def __call__(self, x):
+        self.calls["value"] += 1
+        return self.f(x)
+
+    def odd_quotient(self, x):
+        self.calls["odd_quotient"] += 1
+        return self.f.odd_quotient(x)
+
+    def even_part(self, x):
+        return self.f.even_part(x)
+
+    def derivative(self, x):
+        return self.f.derivative(x)
+
+    def taylor_coeff(self, k):
+        return self.f.taylor_coeff(k)
 
 
 class TestConvolution:
@@ -350,6 +387,15 @@ class TestConvolution:
         rule = radial_rule(a, 14.0, 128)
         direct = np.sum(rule.weights * (f(rule.nodes) * g(rule.nodes) + f(-rule.nodes) * g(-rule.nodes)))
         assert convolution(a, f, g, 0.0) == pytest.approx(float(direct), rel=1e-9)
+
+    def test_one_batched_translation(self):
+        # f and its odd quotient are evaluated once per sign of w, g once per
+        # sign of y, not once per radial node
+        f, g = _Counting(gaussian()), _Counting(PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0))
+        got = convolution(0.7, f, g, 0.9)
+        assert f.calls == {"value": 2, "odd_quotient": 1}
+        assert g.calls == {"value": 2}
+        assert got == convolution(0.7, f.f, g.f, 0.9)
 
     def test_transform_identity(self, plan_factory):
         # F(f * g) = F f F g on a reduced plan

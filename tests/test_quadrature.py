@@ -165,6 +165,21 @@ class TestThetaRule:
             want = 2.0 ** (2 * a) * beta_fn(a + 0.5, a + 0.5)
             assert np.sum(rule.weights) == pytest.approx(want, rel=1e-12)
 
+    def test_same_read_only_rule_comes_back(self):
+        from dunkl.quadrature import _theta_rule
+
+        rule = theta_rule(0.6)
+        assert theta_rule(0.6, 64) is rule
+        assert theta_rule(np.float64(0.6), np.int64(64)) is rule
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        fresh = _theta_rule.__wrapped__(0.6, 64)
+        assert fresh is not rule
+        assert np.array_equal(fresh.nodes, rule.nodes)
+        assert np.array_equal(fresh.weights, rule.weights)
+
 
 class TestSemiInfinite:
     def test_gamma_half(self):
