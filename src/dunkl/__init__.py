@@ -9,7 +9,6 @@ verification CLI that machine-checks the identities tying them together.
 
 from .special import (
     OrderParam,
-    Z_MAX,
     a_const,
     a_sonine,
     as_order,
@@ -19,7 +18,6 @@ from .special import (
     d_const,
     inverse_intertwiner_const,
     log_b_coeff,
-    log_gamma,
 )
 from .quadrature import (
     PairingResult,

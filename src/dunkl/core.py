@@ -27,8 +27,8 @@ from .sonine import (
     sonine_diagonal_factors,
 )
 from .special import (
+    _RE_MAX,
     OrderParam,
-    Z_MAX,
     a_const,
     as_order,
     bessel_mod_array,
@@ -50,10 +50,8 @@ __all__ = [
 
 _BOCHNER_BOX = 1e3
 
-#: ``series`` mode's bound on |Im z|; at alpha = -0.4 its error is 3e-12 inside, 3e-10 at -40+30j.
-_SERIES_IM_MAX = 10.0
-#: log of the largest double: beyond |Re z| = 709.78, E_alpha(z) overflows and every mode raises.
-_RE_MAX = math.log(np.finfo(float).max)
+#: ``series`` mode's strip |z| <= 60, |Im z| <= 10; at alpha = -0.4 its error is 3e-12 inside, 3e-10 at -40+30j.
+_SERIES_RADIUS, _SERIES_IM_MAX = 60.0, 10.0
 #: step of the local interpolant that differentiates the inverse intertwiner's braces
 _DERIV_STEP = 0.12
 
@@ -79,22 +77,22 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
     """Kernel E_alpha(z): the unique analytic eigenfunction normalised to 1 at 0.
 
     Modes (each rejects |Re z| > log(max double) = 709.78, where E_alpha(z) overflows):
-      * ``series``  -- power series sum z^n / b_n(alpha), |z| <= Z_MAX, |Im z| <= 10;
+      * ``series``  -- power series sum z^n / b_n(alpha), |z| <= 60, |Im z| <= 10;
       * ``bochner`` -- compact integral a_alpha int_-1^1 e^(zt) (1-t)^(alpha-1/2) (1+t)^(alpha+1/2) dt,
-        one Gauss-Jacobi rule in s = (1+t)/2;
-      * ``bessel``  -- B_alpha(z) + z/(2(alpha+1)) B_(alpha+1)(z) by bessel_mod_array, |z| <= Z_MAX;
-      * ``auto``    -- series where it accepts z, else bessel inside Z_MAX, else the integral.
+        one Gauss-Jacobi rule in s = (1+t)/2, |Re z|, |Im z| <= 1e3;
+      * ``bessel``  -- B_alpha(z) + z/(2(alpha+1)) B_(alpha+1)(z) by bessel_mod_array, on the whole box;
+      * ``auto``    -- series where it accepts z, else bessel.
     """
     a = as_order(alpha).alpha
     z = complex(z)
     if abs(z.real) > _RE_MAX:
         raise ValueError(f"|Re z|={abs(z.real):.6g} exceeds log(max double) = {_RE_MAX:.2f}: E_alpha(z) overflows")
-    series_ok = abs(z.imag) <= _SERIES_IM_MAX
+    in_radius, series_ok = abs(z) <= _SERIES_RADIUS, abs(z.imag) <= _SERIES_IM_MAX
     if mode == "auto":
-        mode = "bochner" if abs(z) > Z_MAX else "series" if series_ok else "bessel"
+        mode = "series" if in_radius and series_ok else "bessel"
     if mode == "series":
-        if abs(z) > Z_MAX:
-            raise ValueError(f"|z|={abs(z):.3g} exceeds the series radius {Z_MAX}; use mode='bochner'")
+        if not in_radius:
+            raise ValueError(f"|z|={abs(z):.3g} exceeds the series radius {_SERIES_RADIUS:g}; use mode='bessel'")
         if not series_ok:
             raise ValueError(f"|Im z|={abs(z.imag):.3g} > {_SERIES_IM_MAX:g}: the series cancels; use mode='bessel'")
         return _kernel_series(a, z)

@@ -231,7 +231,9 @@ class KernelFunction:
     odd quotient and Taylor data.
 
     E_alpha(z) = B_alpha(z) + z/(2(alpha+1)) B_{alpha+1}(z) where B is the
-    even entire function bessel_mod_array.
+    even entire function bessel_mod_array, so every method accepts the points
+    with |Re(lam x)| <= 709.78 and raises ValueError beyond, where E overflows;
+    the derivative also raises where lam E'(lam x) itself overflows.
     """
 
     def __init__(self, alpha: OrderParam | float, lam: complex):
@@ -244,12 +246,12 @@ class KernelFunction:
         return bessel_mod_array(a, z) + z / (2.0 * (a + 1.0)) * bessel_mod_array(a + 1.0, z)
 
     def derivative(self, x):
-        # E'(z) = [(z+1) B_{a+1}(z) + z^2 B_{a+2}(z)/(2(a+2))] / (2(a+1))
-        a = self.order.alpha
-        z = self.lam * np.asarray(x, dtype=complex)
-        b1, b2 = bessel_mod_array(a + 1.0, z), bessel_mod_array(a + 2.0, z)
-        ez = ((z + 1.0) * b1 + z**2 * b2 / (2.0 * (a + 2.0))) / (2.0 * (a + 1.0))
-        return self.lam * ez
+        # the eigen-equation f' + (2 alpha + 1) * odd quotient = lam f
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            out = self.lam * self(x) - (2.0 * self.order.alpha + 1.0) * self.odd_quotient(x)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("lam E_alpha'(lam x) overflows a double")
+        return out
 
     def odd_quotient(self, x):
         a = self.order.alpha

@@ -14,16 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import jv, jve
 
 __all__ = [
     "OrderParam",
     "CLASSICAL_ORDER",
     "SeriesNonConvergence",
-    "Z_MAX",
     "as_order",
     "as_source_order",
-    "log_gamma",
     "b_coeff",
     "log_b_coeff",
     "a_const",
@@ -36,15 +34,14 @@ __all__ = [
     "bessel_mod_array",
 ]
 
-#: Radius of the kernel's series and Bessel routes.
-Z_MAX = 60.0
-
 _SERIES_LOSS = 0.35  # j_norm's series bound on |u| - |Im u|
 _SERIES_CAP = 500
 _REL_STOP = 1e-16
 _HANKEL_MIN = 20.0  # j_norm_pair's Hankel band starts here
 _HANKEL_CAP = 64
 _TAIL = 1e-17  # truncation bound of Miller's start order and Hankel's term count
+#: log of the largest double: beyond |Re z| = 709.78, e^z and the kernel overflow.
+_RE_MAX = math.log(np.finfo(float).max)
 
 
 class SeriesNonConvergence(RuntimeError):
@@ -92,19 +89,6 @@ def as_source_order(alpha: OrderParam | float) -> OrderParam:
     if alpha is CLASSICAL_ORDER or (not isinstance(alpha, OrderParam) and float(alpha) == -0.5):
         return CLASSICAL_ORDER
     return as_order(alpha)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Raises a domain error for x <= 0; the few reciprocal-Gamma values needed
-    at negative arguments elsewhere are obtained through reflection by the
-    callers that need them.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def log_b_coeff(n: int, alpha: OrderParam | float) -> float:
@@ -193,7 +177,7 @@ def _series(a: float, u: np.ndarray) -> np.ndarray:
     w = -((u / 2.0) ** 2)
     term, total = np.ones_like(w), np.ones_like(w)
     for n in range(1, _SERIES_CAP + 1):
-        term = term * w / (n * (n + a))
+        term = term * (w / (n * (n + a)))  # w / n^2 first: term * w overflows near |u| = 709
         total += term
         if n >= 3 and np.all(np.abs(term) < _REL_STOP * np.maximum(np.abs(total), 1e-300)):
             return total
@@ -255,7 +239,9 @@ def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
 
     Real u takes the first part of ``j_norm_pair``.  Complex u sums the series
     where its cancellation factor exp(|u| - |Im u|) is below e^0.35, and calls
-    ``jv`` (Amos) elsewhere, after mapping u to Re u >= 0 by evenness.
+    ``jve`` (Amos, scaled by e^-|Im u|) elsewhere, after mapping u to Re u >= 0
+    by evenness; the scale e^|Im u| is applied last, so no factor overflows
+    while the value itself does not (unscaled ``jv`` gives nan or inf there).
     """
     if not np.iscomplexobj(u):
         return j_norm_pair(alpha, u)[0]
@@ -265,14 +251,15 @@ def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
     series = np.abs(u) - np.abs(u.imag) < _SERIES_LOSS
     out[series] = _series(a, u[series])
     ub = np.where(u.real < 0, -u, u)[~series]
-    out[~series] = math.exp(math.lgamma(a + 1.0)) * (2.0 / ub) ** a * jv(a, ub)
+    out[~series] = math.exp(math.lgamma(a + 1.0)) * (2.0 / ub) ** a * jve(a, ub) * np.exp(np.abs(ub.imag))
     return out
 
 
 def bessel_mod_array(alpha: OrderParam | float, z) -> np.ndarray:
     """Modified normalized Bessel function of order alpha, j_norm(alpha, iz) =
-    Gamma(alpha+1) sum_n (z/2)^(2n) / (n! Gamma(n+alpha+1)), for |z| <= Z_MAX."""
+    Gamma(alpha+1) sum_n (z/2)^(2n) / (n! Gamma(n+alpha+1)), on the box |Re z| <= 709.78
+    beyond which it overflows; there it raises ValueError."""
     z = np.asarray(z, dtype=complex)
-    if z.size and np.max(np.abs(z)) > Z_MAX:
-        raise ValueError(f"argument exceeds the radius Z_MAX = {Z_MAX}")
+    if z.size and np.max(np.abs(z.real)) > _RE_MAX:
+        raise ValueError(f"|Re z| exceeds log(max double) = {_RE_MAX:.2f}: the value overflows")
     return j_norm(alpha, 1j * z)

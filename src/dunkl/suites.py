@@ -20,7 +20,7 @@ import numpy as np
 
 from . import core, fractional, lizorkin, sonine, transform
 from .functions import KernelFunction, PolyFunction, PolyGaussian, gaussian, monomial_gaussian
-from .quadrature import legendre_rule, radial_rule
+from .quadrature import jacobi_rule, radial_rule
 from .report import max_errs, run_check
 from .sonine import SoninePair
 from .special import b_coeff
@@ -200,19 +200,6 @@ def suite_transmutation(config: RunConfig, ctx: RunContext) -> list:
     return reports
 
 
-def _intertwiner_duality(a: float, params: dict) -> tuple[float, float]:
-    f = PolyFunction.monomial(2)
-    g = gaussian()
-    vf = core.intertwiner_v(a, f)
-    rule = radial_rule(a, 14.0, 128)
-    lhs = np.sum(rule.weights * (vf(rule.nodes) * g(rule.nodes) + vf(-rule.nodes) * g(-rule.nodes)))
-    gl = legendre_rule(160)
-    nodes = 14.0 * gl.nodes
-    weights = 14.0 * gl.weights
-    tvg = core.dual_intertwiner_v_grid(a, g, nodes, u_max=400.0)
-    return _sides(params, lhs, np.sum(weights * f(nodes) * tvg))
-
-
 def _sonine_duality(a: float, b: float, params: dict) -> tuple[float, float]:
     pair = SoninePair.of(a, b)
     f = PolyFunction.monomial(2)
@@ -220,19 +207,20 @@ def _sonine_duality(a: float, b: float, params: dict) -> tuple[float, float]:
     sf = sonine.sonine_apply(pair, f)
     rule_b = radial_rule(b, 14.0, 128)
     lhs = np.sum(rule_b.weights * (sf(rule_b.nodes) * g(rule_b.nodes) + sf(-rule_b.nodes) * g(-rule_b.nodes)))
-    rule_a = radial_rule(a, 14.0, 128)
-    tsg = sonine.dual_sonine_grid(pair, g, rule_a.nodes, u_max=400.0)
-    tsg_neg = sonine.dual_sonine_grid(pair, g, -rule_a.nodes, u_max=400.0)
-    return _sides(params, lhs, np.sum(rule_a.weights * (f(rule_a.nodes) * tsg + f(-rule_a.nodes) * tsg_neg)))
+    base = jacobi_rule(0.0, 2.0 * a + 1.0, 128)  # radial_rule(a, 14.0, 128), which rejects the classical a = -1/2
+    nodes, weights = base.nodes * 14.0, base.weights * 14.0 ** (2.0 * a + 2.0)
+    tsg = sonine.dual_sonine_grid(pair, g, nodes, u_max=400.0)
+    tsg_neg = sonine.dual_sonine_grid(pair, g, -nodes, u_max=400.0)
+    return _sides(params, lhs, np.sum(weights * (f(nodes) * tsg + f(-nodes) * tsg_neg)))
 
 
 def suite_duality(config: RunConfig, ctx: RunContext) -> list:
-    """Weighted duality pairings of the intertwiner and the Sonine pair."""
+    """Weighted duality pairings of the Sonine pairs, the intertwiner V_alpha = S_{-1/2,alpha} first."""
     grid = "independent weighted quadratures"
     reports = []
     for a in config.order_sweep():
         params = {"alpha": a, "pair": "x^2, exp(-x^2)"}
-        reports.append(run_check("duality", params, grid, _intertwiner_duality, a, params))
+        reports.append(run_check("duality", params, grid, _sonine_duality, -0.5, a, params))
     for (a, b) in config.pair_sweep():
         params = {"alpha": a, "beta": b, "pair": "x^2, exp(-x^2)"}
         reports.append(run_check("duality", params, grid, _sonine_duality, a, b, params))

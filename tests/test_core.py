@@ -2,12 +2,15 @@
 convolution.  Monomial actions are exact oracles; quadrature routes are
 checked against them and against Gaussian closed forms."""
 
+import cmath
 import collections
 import math
 
 import numpy as np
 import pytest
 
+import dunkl.core
+import dunkl.quadrature
 from dunkl.core import (
     convolution,
     dual_intertwiner_v,
@@ -33,6 +36,15 @@ from dunkl.transform import forward
 
 ALPHAS = (-0.4, 0.0, 0.5, 1.5, 2.7)
 Z_SET = (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 10j, -10j, 3 + 4j)
+# the overflow box |Re z| <= 709.78: |z| in {30, 61, 150, 400, 700, 1000} at 16 angles each, 8 on
+# each half-plane's arc with |Re z| <= 700, and four points at its edges and far up the imaginary axis
+BOX = tuple(
+    r * cmath.exp(1j * (t0 + (math.pi - 2.0 * t0) * (k + 0.5) / 8.0 + side * math.pi))
+    for r in (30.0, 61.0, 150.0, 400.0, 700.0, 1000.0)
+    for t0 in (math.acos(min(700.0 / r, 1.0)),)
+    for side in (0, 1)
+    for k in range(8)
+) + (705 + 0.5j, 709 + 50j, -709.7 - 0.1j, 1e4j)
 
 
 def kernel_half_closed(z):
@@ -64,7 +76,7 @@ class TestKernel:
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_series_radius_error(self):
-        with pytest.raises(ValueError, match="bochner"):
+        with pytest.raises(ValueError, match="bessel"):
             dunkl_kernel(0.5, 100.0, "series")
 
     def test_series_rejects_oscillatory_band(self):
@@ -81,7 +93,7 @@ class TestKernel:
         def b(shift, z):
             return complex(mpmath.hyp0f1(alpha + shift + 1, mpmath.mpc(z) ** 2 / 4))
 
-        for z in (20j, 30j, 40j, 59j, -59j, 10 + 50j, -30 + 20j):
+        for z in (20j, 30j, 40j, 59j, -59j, 10 + 50j, -30 + 20j, 200j, 300 + 5j):
             q1, q2 = b(1, z) / (2 * (alpha + 1)), b(2, z) / (4 * (alpha + 1) * (alpha + 2))
             kernel = b(0, z) + z * q1
             kf = KernelFunction(alpha, z)
@@ -127,6 +139,51 @@ class TestKernel:
         a, w = 1.5, mpmath.mpc(z) ** 2 / 4
         want = complex(mpmath.hyp0f1(a + 1, w) + z / (2 * (a + 1)) * mpmath.hyp0f1(a + 2, w))
         assert abs(dunkl_kernel(a, z, "bochner") - want) <= 5e-11 * abs(want)
+
+
+class TestKernelBox:
+    """Beyond the series strip ``auto`` is ``bessel``, on the whole overflow box."""
+
+    @pytest.fixture
+    def no_jacobi_rule(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built a Gauss-Jacobi rule")
+
+        monkeypatch.setattr(dunkl.core, "jacobi_rule", forbidden)
+        monkeypatch.setattr(dunkl.quadrature, "jacobi_rule", forbidden)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_mpmath(self, alpha, no_jacobi_rule):
+        # 1e-12 relative, or 1e-10 where Re z < 0 and the kernel's two parts cancel;
+        # KernelFunction(alpha, 1) at x = z gives E(z), B_(alpha+1)(z) / (2(alpha+1)) and E'(z)
+        import mpmath
+
+        mpmath.mp.dps = 30
+        a = mpmath.mpf(alpha)  # alpha + 2 rounded in double moves B_(alpha+1) by 7e-16 at |z| = 1000
+        kf = KernelFunction(alpha, 1.0)
+        got = np.array([kf(BOX), kf.odd_quotient(BOX), kf.derivative(BOX)])
+        for k, z in enumerate(BOX):
+            w = mpmath.mpc(z) ** 2 / 4
+            b0, b1 = mpmath.hyp0f1(a + 1, w), mpmath.hyp0f1(a + 2, w)
+            q1, kernel = b1 / (2 * (a + 1)), b0 + b1 * z / (2 * (a + 1))
+            # E' = (1 + z) q1 + z^2 B_(alpha+2) / (4(alpha+1)(alpha+2)), and that last term is b0 - b1 (DLMF 10.29.1)
+            values = (dunkl_kernel(alpha, z), dunkl_kernel(alpha, z, "bessel"), *got[:, k])
+            for value, want in zip(values, (kernel, kernel, kernel, q1, (1 + z) * q1 + b0 - b1)):
+                assert abs(value - want) <= (1e-12 if z.real >= 0 else 1e-10) * abs(want), (z, value, want)
+
+    def test_auto_builds_no_jacobi_rule(self, no_jacobi_rule):
+        # the box's far corners and the series strip's edge; test_against_mpmath covers its grid
+        corners = (709.7 + 1e3j, 709.7 - 1e4j, -709.7 + 1e4j, -709.7 - 1e3j, 60.5j, -60.5 + 10j, 0.0)
+        for alpha in ALPHAS:
+            for z in corners:
+                assert np.isfinite(dunkl_kernel(alpha, z))
+
+    def test_derivative_raises_where_it_overflows(self):
+        # lam E'(lam) is about 705 E(705) > max double, though E(705 + 0.5i) itself is finite
+        kf = KernelFunction(-0.4, 705 + 0.5j)
+        assert np.isfinite(kf(1.0))
+        with pytest.raises(ValueError, match="overflows"):
+            kf.derivative(1.0)
 
 
 class TestOperator:
