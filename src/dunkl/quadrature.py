@@ -292,27 +292,25 @@ def weyl_integral(
     edges = np.asarray(edges)
     n_edges = edges.size
 
-    head = jacobi_rule(0.0, mu - 1.0, WEYL_HEAD_NODES)
-
-    # shared panel nodes and h values, evaluated once
-    panel_u, panel_w = legendre_panels(edges, WEYL_PANEL_NODES)
-    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
-
     if s_values.size and np.max(s_values) >= edges[-1]:
         raise ValueError("largest s must sit inside the truncated domain; raise u_max")
 
-    # per-s heads, batched into a single evaluation per integrand
+    head = jacobi_rule(0.0, mu - 1.0, WEYL_HEAD_NODES)
+    panel_u, panel_w = legendre_panels(edges, WEYL_PANEL_NODES)
     head_start = np.searchsorted(edges, s_values, side="right") - 1
     head_end_idx = np.minimum(head_start + 2, n_edges - 1)
     head_span = edges[head_end_idx] - s_values
     u_heads = s_values[:, None] + head_span[:, None] * head.nodes[None, :]
-    h_heads = [np.asarray(h(u_heads.ravel())).reshape(u_heads.shape) for h in h_fns]
 
-    heads = np.stack([h @ head.weights for h in h_heads]) * head_span**mu
+    # one evaluation per integrand, on the shared panels and every per-s head
+    u_all = np.concatenate([panel_u.ravel(), u_heads.ravel()])
+    h_all = [np.asarray(h(u_all)) for h in h_fns]
+    h_panel = [h[: panel_u.size] for h in h_all]
+    heads = np.stack([h[panel_u.size :].reshape(u_heads.shape) @ head.weights for h in h_all]) * head_span**mu
     # panel k belongs to the tail of s once it starts at or beyond s's head end
     live = np.arange(n_edges - 1)[None, :] >= head_end_idx[:, None]
     kernel = _panel_kernel(live, panel_u[None] - s_values[:, None, None], panel_w, mu)
-    return heads + (kernel @ np.stack([h.ravel() for h in h_panel], axis=1)).T
+    return heads + (kernel @ np.stack(h_panel, axis=1)).T
 
 
 def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: float) -> np.ndarray:
@@ -357,51 +355,38 @@ def riemann_liouville_integral(
 
     head = jacobi_rule(0.0, mu - 1.0, RL_NODES)
     panel_u, panel_w = legendre_panels(edges, RL_NODES)
-    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
 
-    # the first panel touches u = 0, where u^b is only Jacobi-smooth:
-    # per-integrand nodes/weights with the power absorbed
-    first_u, first_wt, h_first = [], [], []
-    for h, b_exp in zip(h_fns, left_exponents):
-        rule0 = jacobi_rule(0.0, b_exp, RL_NODES)
-        u0 = rule0.nodes * edges[1]
-        first_u.append(u0)
-        first_wt.append(rule0.weights * edges[1] ** (b_exp + 1.0))
-        h_first.append(np.asarray(h(u0)))
-
-    # heads: [E_(j-1), s] where E_j <= s < E_(j+1), batched per integrand;
-    # for s inside the first two panels the head covers [0, s] with both
-    # endpoint weights absorbed per integrand (the u^b factor is only smooth
-    # once the head sits clear of the origin).
+    # heads: [E_(j-1), s] where E_j <= s < E_(j+1); for s inside the first
+    # two panels the head covers [0, s] with both endpoint weights absorbed
+    # per integrand (the u^b factor is only smooth once the head sits clear
+    # of the origin).
     j_idx = np.searchsorted(edges, s_values, side="right") - 1
     j_idx = np.minimum(j_idx, n_panels - 1)
     small = j_idx < 2
-    head_lo = edges[np.maximum(j_idx - 1, 0)]
-    span = s_values - head_lo
-    u_heads = s_values[:, None] - span[:, None] * head.nodes[None, :]
-
-    out = np.zeros(
-        (len(h_fns), s_values.size),
-        dtype=np.result_type(*[v.dtype for v in h_panel], float),
-    )
     big = ~small
-    for fi, (h, b_exp) in enumerate(zip(h_fns, left_exponents)):
-        if np.any(small):
-            rule = jacobi_rule(mu - 1.0, b_exp, RL_NODES)
-            s_small = s_values[small]
-            u_sm = s_small[:, None] * rule.nodes[None, :]
-            vals = np.asarray(h(u_sm.ravel())).reshape(u_sm.shape)
-            out[fi, small] = (vals @ rule.weights) * s_small ** (mu + b_exp)
-        if np.any(big):
-            vals = np.asarray(h(u_heads[big].ravel())).reshape((-1, RL_NODES))
-            weighted = vals * u_heads[big] ** b_exp
-            out[fi, big] = (weighted @ head.weights) * span[big] ** mu
-    s_big = s_values[big]
+    s_small, s_big = s_values[small], s_values[big]
+    span = s_big - edges[j_idx[big] - 1]
+    u_heads = s_big[:, None] - span[:, None] * head.nodes[None, :]
+
+    # one evaluation per integrand, on all its points: the shared panels, the
+    # first panel and every head.  The first panel touches u = 0, where u^b is
+    # only Jacobi-smooth, so it takes a per-integrand rule with the power absorbed.
+    rules, values = [], []
+    for h, b_exp in zip(h_fns, left_exponents):
+        first, small_rule = jacobi_rule(0.0, b_exp, RL_NODES), jacobi_rule(mu - 1.0, b_exp, RL_NODES)
+        pieces = (panel_u, first.nodes * edges[1], s_small[:, None] * small_rule.nodes, u_heads)
+        vals = np.asarray(h(np.concatenate([p.ravel() for p in pieces])))
+        rules.append((first, small_rule))
+        values.append(np.split(vals, np.cumsum([p.size for p in pieces[:-1]])))
+
     # panels 1 .. j-2 lie between the first panel and the head of s
     k = np.arange(n_panels)[None, :]
     live = (k >= 1) & (k < j_idx[big][:, None] - 1)
     kernel = _panel_kernel(live, s_big[:, None, None] - panel_u[None], panel_w, mu)
-    for fi, b_exp in enumerate(left_exponents):
-        first = (first_wt[fi] * (s_big[:, None] - first_u[fi]) ** (mu - 1.0)) @ h_first[fi]
-        out[fi, big] += first + kernel @ (panel_u**b_exp * h_panel[fi]).ravel()
+    out = np.empty((len(h_fns), s_values.size), dtype=np.result_type(*(v[0] for v in values), float))
+    for row, b_exp, (first, small_rule), (h_panel, h_first, h_small, h_heads) in zip(out, left_exponents, rules, values):
+        row[small] = (h_small.reshape(-1, RL_NODES) @ small_rule.weights) * s_small ** (mu + b_exp)
+        row[big] = ((h_heads.reshape(u_heads.shape) * u_heads**b_exp) @ head.weights) * span**mu
+        first_w = first.weights * edges[1] ** (b_exp + 1.0) * (s_big[:, None] - first.nodes * edges[1]) ** (mu - 1.0)
+        row[big] += first_w @ h_first + kernel @ (panel_u.ravel() ** b_exp * h_panel)
     return out

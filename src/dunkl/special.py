@@ -192,9 +192,13 @@ def _miller_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = next(n for n in range(2, 200, 2) if half**n / math.factorial(n) < _TAIL)
     g = np.cumprod([1.0, *((a + k) / (k + 1) for k in range(1, n // 2))])  # Gamma(a+k) / (k! Gamma(a+1)), k >= 1
     d = [1.0, *((a + 2 * k) * g[k - 1] for k in range(1, n // 2 + 1))]  # the Neumann weights over Gamma(a+1)
-    two_u, upper, cur, total = 2.0 / u, np.zeros_like(u), np.full_like(u, 1e-200), d[-1] * 1e-200
-    for v in range(n, 0, -1):  # (upper, cur) = (J_{a+v}, J_{a+v-1}), unnormalised
-        upper, cur = cur, (a + v) * two_u * cur - upper
+    two_u, total = 2.0 / u, d[-1] * 1e-200
+    upper, cur, spare = np.zeros_like(u), np.full_like(u, 1e-200), np.empty_like(u)
+    for v in range(n, 0, -1):  # (upper, cur) = (J_{a+v}, J_{a+v-1}), unnormalised, in place
+        np.multiply(two_u, a + v, out=spare)
+        spare *= cur
+        spare -= upper
+        upper, cur, spare = cur, spare, upper
         if v % 2:
             total = total + d[v // 2] * cur
     return cur / total, (a + 1.0) * two_u * upper / total
@@ -214,22 +218,38 @@ def _hankel_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return gamma * jv(a, u), (a + 1.0) * (2.0 / u) * gamma * jv(a + 1.0, u)
     coef[-1] = (0.0, 0.0)  # the first omitted term; with an even count, the rows pair up
     rows = np.reshape(coef[: len(coef) // 2 * 2], (-1, 4, 1))[::-1]  # (P_a, P_{a+1}, uQ_a, uQ_{a+1}) in -1/u^2
-    p_a, p_b, uq_a, uq_b = np.polyval(rows, -1.0 / (u * u))
+    x, acc = -1.0 / (u * u), np.empty((4, u.size))
+    acc[:] = rows[0]
+    for row in rows[1:]:  # Horner's rule in place: np.polyval's steps without its temporaries
+        acc *= x
+        acc += row
+    p_a, p_b, uq_a, uq_b = acc
     w = np.exp(1j * u) * cmath.exp(-1j * math.pi * ((a / 2.0 + 0.25) % 2.0))
     scale = math.exp(math.lgamma(a + 1.0)) / math.sqrt(math.pi) * (2.0 / u) ** (a + 0.5)
     return scale * ((p_a + 1j * uq_a / u) * w).real, (a + 1.0) * (2.0 / u) * scale * ((p_b + 1j * uq_b / u) * w).imag
 
 
+def _series_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _series(a, u), _series(a + 1.0, u)
+
+
+#: edges between j_norm_pair's bands of |u|: the series, Miller's recurrence and three
+#: Hankel sub-bands, each of which takes its term count from its own smallest u
+_BAND_EDGES = (_SERIES_LOSS, _HANKEL_MIN, 40.0, 80.0)
+_BANDS = (_series_pair, _miller_pair, _hankel_pair, _hankel_pair, _hankel_pair)
+
+
 def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
     """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u: the power series where
-    |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond."""
+    |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in
+    the sub-bands [20, 40), [40, 80) and [80, inf)."""
     a, u = as_order(alpha).alpha, np.abs(np.asarray(u, dtype=float))
     out = np.empty((2, *u.shape))
-    near, far = u < _SERIES_LOSS, ~(u < _HANKEL_MIN)  # nan takes the far band and jv
-    for band, pair in ((near, lambda v: (_series(a, v), _series(a + 1.0, v))),
-                       (~(near | far), lambda v: _miller_pair(a, v)), (far, lambda v: _hankel_pair(a, v))):
+    index = np.searchsorted(_BAND_EDGES, u, side="right")  # nan sorts last: the top band and jv
+    for k, pair in enumerate(_BANDS):
+        band = index == k
         if np.any(band):
-            out[:, band] = pair(u[band])
+            out[0][band], out[1][band] = pair(a, u[band])
     return out[0], out[1]
 
 
@@ -249,7 +269,8 @@ def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     out = np.empty(u.shape, dtype=complex)
     series = np.abs(u) - np.abs(u.imag) < _SERIES_LOSS
-    out[series] = _series(a, u[series])
+    if np.any(series):
+        out[series] = _series(a, u[series])
     ub = np.where(u.real < 0, -u, u)[~series]
     out[~series] = math.exp(math.lgamma(a + 1.0)) * (2.0 / ub) ** a * jve(a, ub) * np.exp(np.abs(ub.imag))
     return out

@@ -270,7 +270,7 @@ class _ChebProxy:
         self.n_panels = math.ceil(self.radius / self.PANEL_WIDTH + 0.5)
         self.width = self.radius / (self.n_panels - 0.5)
         self.n = math.ceil(nu_max * self.width / 2.0) + 21  # degree + 1 points per panel
-        self.size = 2 * self.n_panels * self.n  # direct sums of a build: both parts at every sample
+        self.size = self.n_panels * self.n  # sample points: a build costs as much as a call on this many
         self.coeffs: tuple[np.ndarray, ...] = ()
 
     def sample_points(self) -> np.ndarray:
@@ -316,17 +316,20 @@ class SpectralFunction:
 
     A SpectralFunction with a plan keeps a ``_ChebProxy`` of its even part
     and odd quotient on the plan's synthesis radius, built at most once from
-    exact kernel values.  When its distinct |nu| are the plan's positive
-    lambda-nodes (``from_spectrum``), the build is two mat-vecs on the plan's
-    shared ``jnorm_table``, so every call within the radius reads the proxy,
-    whatever its size.  Any other object with a plan (a multiplier image)
-    builds from its own ``j_norm_pair`` call, so it reads the proxy only on
-    calls of more points than the direct sums of that build, all within the
-    radius: no call pays more for the build than for its own direct sum.
-    Every other call, and every call of an object without a plan, sums
-    directly, both kernel components from one ``j_norm_pair`` call; the
-    object keeps its last two such sums, so a call for the other part at
-    the same points reuses one.  The derivative needs no third order:
+    exact kernel values.  A call with every point within the radius reads it
+    by the ski-rental rule: once it is built, or once the points the object
+    has summed directly within the radius, plus this call's, exceed one
+    build.  When its distinct |nu| are the plan's positive lambda-nodes
+    (``from_spectrum``), the build is two mat-vecs on the plan's shared
+    ``jnorm_table`` and costs nothing, so every such call reads the proxy.
+    Any other object with a plan (a multiplier image) builds from its own
+    ``j_norm_pair`` call on the proxy's sample points, so it never evaluates
+    more than twice the kernel points of the better choice in hindsight:
+    summing every call directly, or building at once.  Every other call,
+    and every call of an object without a plan, sums directly, both kernel
+    components from one ``j_norm_pair`` call; the object keeps its last two
+    such sums, so a call for the other part at the same points reuses one
+    and costs nothing.  The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
 
@@ -346,14 +349,14 @@ class SpectralFunction:
         np.add.at(self._w_odd, where, np.sign(self.nodes) * self.wspec)
         self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
         self._proxy = self._table_plan = None
-        self._direct_max = 0  # calls on more points than this, all within the radius, read the proxy
+        self._direct_left = 0  # points within the radius still to sum directly before a build pays
         self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two direct sums
         if plan is not None and self.nodes.size:
             self._proxy = _ChebProxy(plan.synthesis_radius, float(self._abs_nodes[-1]))
             if np.array_equal(self._abs_nodes, plan.lambda_nodes[plan.lambda_nodes.size // 2 :]):
                 self._table_plan = plan  # its synthesis tables build the proxy
             else:
-                self._direct_max = self._proxy.size
+                self._direct_left = self._proxy.size
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":
@@ -371,14 +374,16 @@ class SpectralFunction:
         """Even part (0) and odd quotient (1), as listed in ``parts``, at the
         points of a 1-d array."""
         proxy = self._proxy
-        if proxy is not None and x.size > self._direct_max and np.max(np.abs(x)) <= proxy.radius:
+        within = proxy is not None and x.size > 0 and np.max(np.abs(x)) <= proxy.radius
+        # callers ask for each part in turn on the same points, with other
+        # points in between: keep the last two sums
+        sums = next((sums for sums in self._recent_sums if np.array_equal(sums[0], x)), None)
+        if within and (proxy.coeffs or (sums is None and x.size > self._direct_left)):
             if not proxy.coeffs:
                 self._build_proxy()
             return [proxy(part, x) for part in parts]
-        # quadrature asks for each part in turn on the same panels, with
-        # other points in between: keep the last two sums
-        sums = next((sums for sums in self._recent_sums if np.array_equal(sums[0], x)), None)
         if sums is None:
+            self._direct_left -= x.size if within else 0
             even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
             sums = (x.copy(), even @ self._w_even, odd @ self._w_quotient)
             self._recent_sums = [sums, *self._recent_sums[:1]]

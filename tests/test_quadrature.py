@@ -425,3 +425,37 @@ class TestVectorizedAgainstLoops:
         h_fns = _poly_gaussian_parts()
         got = riemann_liouville_integral(h_fns, [0.5, 1.5], mu, s)
         self._close(got, _riemann_liouville_reference(h_fns, [0.5, 1.5], mu, s))
+
+
+class TestOneCallPerIntegrand:
+    """Each integrand is evaluated once per call, on all its points at once:
+    panels, first panel and heads.  A synthesized integrand then meets one
+    large call, which pays for its proxy at once, not many small ones."""
+
+    @staticmethod
+    def _counted(h_fns):
+        calls = collections.Counter()
+
+        def counting(i, h):
+            def call(u):
+                calls[i] += 1
+                return h(u)
+
+            return call
+
+        return calls, [counting(i, h) for i, h in enumerate(h_fns)]
+
+    def test_weyl(self):
+        calls, h_fns = self._counted(_poly_gaussian_parts())
+        s = np.array([0.0, 0.2, 1.5, 4.0, 64.0, 300.0])
+        got = weyl_integral(h_fns, 1.5, s, u_max=512.0)
+        assert calls == {0: 1, 1: 1}
+        assert np.array_equal(got, weyl_integral(_poly_gaussian_parts(), 1.5, s, u_max=512.0))
+
+    @pytest.mark.parametrize("s", [np.array([0.05, 0.4, 2.0, 7.1, 20.0]), np.array([7.1, 20.0]), np.array([0.4])])
+    def test_riemann_liouville(self, s):
+        # s inside the first two panels, beyond them, and both
+        calls, h_fns = self._counted(_poly_gaussian_parts())
+        got = riemann_liouville_integral(h_fns, [0.5, 1.5], 0.75, s)
+        assert calls == {0: 1, 1: 1}
+        assert np.array_equal(got, riemann_liouville_integral(_poly_gaussian_parts(), [0.5, 1.5], 0.75, s))

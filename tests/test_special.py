@@ -22,6 +22,7 @@ from dunkl.special import (
     j_norm_pair,
     log_b_coeff,
 )
+from dunkl.special import _hankel_pair, _miller_pair, _series
 from dunkl.quadrature import jacobi_rule
 
 ALPHAS = (-0.4, 0.0, 0.5, 1.0, 2.7)
@@ -183,8 +184,8 @@ class TestBesselMod:
 
 
 # j_norm_pair's band edges (series below 0.35, Miller's recurrence below 20,
-# Hankel's expansion beyond) and one ulp below each
-_EDGES = (0.35, np.nextafter(0.35, 0.0), 20.0, np.nextafter(20.0, 0.0))
+# Hankel's expansion beyond, in sub-bands split at 40 and 80) and one ulp below each
+_EDGES = tuple(v for edge in (0.35, 20.0, 40.0, 80.0) for v in (edge, np.nextafter(edge, 0.0)))
 _GRID = np.concatenate([np.linspace(0.0, 600.0, 601), np.linspace(0.0, 30.0, 201), _EDGES])
 
 
@@ -215,7 +216,14 @@ class TestJNormPair:
     @given(
         nu=st.floats(-0.45, 8.0),
         u=st.lists(
-            st.one_of(st.floats(0.0, 600.0), st.floats(0.3, 0.4), st.floats(19.9, 20.1), st.sampled_from(_EDGES)),
+            st.one_of(
+                st.floats(0.0, 600.0),
+                st.floats(0.3, 0.4),
+                st.floats(19.9, 20.1),
+                st.floats(39.9, 40.1),
+                st.floats(79.9, 80.1),
+                st.sampled_from(_EDGES),
+            ),
             min_size=1,
             max_size=16,
         ),
@@ -229,3 +237,20 @@ class TestJNormPair:
         residual = first - second + u * u * third / (4.0 * (nu + 1.0) * (nu + 2.0))
         assert np.max(np.abs(residual) / _envelope(nu, u)) <= 1e-14
         assert np.array_equal(j_norm(nu, u), first)
+
+    @pytest.mark.parametrize("alpha", (-0.45, 0.0, 1.5, 12.0))
+    def test_each_band_is_its_evaluator_alone(self, alpha):
+        # every band is evaluated on its own points only, so a point's value
+        # depends on the other points only through its band's term counts
+        bands = (
+            (0.0, 0.35, lambda v: (_series(alpha, v), _series(alpha + 1.0, v))),
+            (0.35, 20.0, lambda v: _miller_pair(alpha, v)),
+            (20.0, 40.0, lambda v: _hankel_pair(alpha, v)),
+            (40.0, 80.0, lambda v: _hankel_pair(alpha, v)),
+            (80.0, math.inf, lambda v: _hankel_pair(alpha, v)),
+        )
+        first, second = j_norm_pair(alpha, _GRID)
+        for lo, hi, pair in bands:
+            on = (lo <= _GRID) & (_GRID < hi)
+            want_first, want_second = pair(_GRID[on])
+            assert np.array_equal(first[on], want_first) and np.array_equal(second[on], want_second), (lo, hi)

@@ -160,12 +160,13 @@ class TestFoldedKernel:
     def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
         """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
         kernel value once per distinct |node| and point, both parts from one
-        j_norm_pair call: 282 408 points, which are the multiplier's 32 256
-        kernel points and the 250 152 of its image's direct sums (quadrature
-        points, each call below its proxy's size; the call for the other
-        part on the same points reuses the sum).  The objects on the plans'
-        own nodes build their proxies from the plans' synthesis tables,
-        built before the count."""
+        j_norm_pair call: 128 016 points, which are the multiplier's 32 256
+        kernel points and the 95 760 of its image's proxy build (570 sample
+        points times 168 nodes).  The fractional integral asks the image for
+        each part once, on all its points, and that first call already costs
+        more than a build, so the image builds at once and sums nothing
+        directly.  The objects on the plans' own nodes build their proxies
+        from the plans' synthesis tables, built before the count."""
         plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
         for plan in (plan_a, plan_b):
             plan.jnorm_table(0)
@@ -180,7 +181,7 @@ class TestFoldedKernel:
         monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         report = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
         assert report.passed()
-        assert 0 < sum(pairs) <= 282_408
+        assert 0 < sum(pairs) <= 128_016
 
     @_PROPERTY
     @given(alpha=st.floats(-0.45, 3.0), lam=_point_sets(12.0), xs=_point_sets(12.0))
@@ -504,11 +505,13 @@ class TestSynthesisProxy:
             assert fn._proxy.coeffs
 
     def test_small_call_is_the_direct_sum(self, witness_plan_factory, witness_factory, builds):
-        """A multiplier image builds its proxy from its own j_norm_pair call,
-        so a call of no more points than that build's sums is a direct sum."""
+        """A multiplier image builds its proxy from its own j_norm_pair call
+        on the proxy's sample points, by the ski-rental rule: a first call
+        below that build's cost is a direct sum, and the call that brings the
+        object's direct sums over one build reads the proxy."""
         plan = witness_plan_factory(0.5)
         fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
-        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size)
+        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size - 10)
         even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
         assert np.array_equal(fn.odd_quotient(x), odd_q)
@@ -516,6 +519,44 @@ class TestSynthesisProxy:
         fn.even_part(x)[:] = 0.0  # the object keeps its sums, not the caller's arrays
         assert np.array_equal(fn.even_part(x), even)
         assert builds == []
+        beyond = np.linspace(1.01, 2.0, 20) * plan.synthesis_radius  # no proxy reaches here: not counted
+        last = np.linspace(-3.0, 3.0, 10)  # together with x, exactly one build
+        for y in (beyond, last):
+            assert np.array_equal(fn.even_part(y), _exact_parts(fn, y)[0])
+        assert builds == []
+        one = np.array([0.5])
+        assert np.array_equal(fn.even_part(one), fn._proxy(0, one))
+        assert builds == [fn]
+        assert np.array_equal(fn.even_part(x), fn._proxy(0, x))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(570,), (571,), (569, 2), (50, 50, 50), (100,) * 15, (400,) * 4, (1, 2000), (200, 400, 5, 5)],
+    )
+    def test_ski_rental_bound(self, witness_plan_factory, witness_factory, monkeypatch, sizes):
+        """Over any sequence of calls within the radius, a multiplier image
+        evaluates at most twice the kernel points of the better choice in
+        hindsight, summing every call directly or building at once, and
+        exactly the direct sums while they stay within one build."""
+        plan = witness_plan_factory(0.5)
+        fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
+        build = fn._proxy.size
+        assert build == 570  # the witness plans' proxies
+        points = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            points.append(np.size(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        rng = np.random.default_rng(sum(sizes))
+        for size in sizes:
+            fn.even_part(rng.uniform(-plan.synthesis_radius, plan.synthesis_radius, size))
+        nodes = fn._abs_nodes.size
+        assert sum(points) <= 2 * min(sum(sizes), build) * nodes
+        if sum(sizes) <= build:
+            assert sum(points) == sum(sizes) * nodes
 
     def test_small_call_on_plan_nodes_reads_the_proxy(self, witness_plan_factory, witness_factory, builds):
         plan = witness_plan_factory(0.5)
