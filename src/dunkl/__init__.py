@@ -15,8 +15,6 @@ from .special import (
     b_coeff,
     bessel_mod_array,
     c_const,
-    d_const,
-    inverse_intertwiner_const,
     log_b_coeff,
 )
 from .quadrature import (

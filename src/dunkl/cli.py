@@ -22,7 +22,7 @@ from . import __version__
 from .core import dunkl_kernel
 from .report import IdentityReport, reports_from_json, reports_to_csv, reports_to_json
 from .sonine import SoninePair, dual_sonine_apply, sonine_apply
-from .functions import WrappedFunction
+from .functions import gaussian
 from .special import OrderParam
 from .suites import DEFAULT_TOLERANCES, RunConfig, run_suites, suite_names
 from .transform import PlanSelfTestError, build_plan, forward, inverse
@@ -152,11 +152,7 @@ def cmd_sonine(args) -> int:
         pair = SoninePair(OrderParam(args.alpha), args.beta)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    rate = args.rate
-    f = WrappedFunction(
-        lambda x: np.exp(-rate * np.asarray(x) ** 2),
-        df=lambda x: -2.0 * rate * np.asarray(x) * np.exp(-rate * np.asarray(x) ** 2),
-    )
+    f = gaussian(args.rate)
     apply = dual_sonine_apply if args.dual else sonine_apply
     records = [{"x": x, "value": float(np.real(apply(pair, f, x)))} for x in args.x]
     _emit(records, args.format, args.out)
@@ -178,6 +174,17 @@ def _parse_tolerances(entries) -> dict:
     return out
 
 
+#: the keys a config file may hold, and those of its ``grid`` and ``output`` tables
+_CONFIG_KEYS = ("alpha", "beta", "grid", "tolerances", "suites", "output")
+_CONFIG_TABLES = {"grid": ("L", "n_x", "lambda_max", "n_lambda"), "output": ("format", "path")}
+
+
+def _reject_unknown(table: dict, known: tuple, where: str) -> None:
+    for key in table:
+        if key not in known:
+            raise CliError(f"unknown config key {where}{key!r}; known: {', '.join(known)}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -187,6 +194,9 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError("config file must hold a JSON object")
+    _reject_unknown(data, _CONFIG_KEYS, "")
+    for name, known in _CONFIG_TABLES.items():
+        _reject_unknown(data.get(name, {}), known, f"{name}.")
     return data
 
 

@@ -3,23 +3,26 @@ operator, intertwiner and its inverse and dual, translation, convolution.
 
 The intertwiner is the Sonine transform from the classical order:
 V_alpha = S_{-1/2,alpha} and tV_alpha = tS_{-1/2,alpha} (see dunkl.sonine),
-so its routes here are thin wrappers.  Monomial actions are exact; every
-quadrature path is validated against them in the tests.  Inputs are read
-through the SmoothFunction protocol, and bare callables are wrapped by
-``as_smooth``: odd-part quotients come from the objects' ``odd_quotient``,
-which the function classes evaluate exactly at the removable singularity.
+so its routes here are thin wrappers; its inverse is V_beta^{-1} S_{alpha,beta}
+at a half-integer beta, where V_beta^{-1} is a polynomial in x d/dx.
+Monomial actions are exact; every quadrature path is validated against them
+in the tests.  Inputs are read through the SmoothFunction protocol, and bare
+callables are wrapped by ``as_smooth``: odd-part quotients come from the
+objects' ``odd_quotient``, which the function classes evaluate exactly at the
+removable singularity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .functions import GridFunction, PolyFunction, as_smooth, dunkl_operator
+from .functions import GridFunction, PolyFunction, WrappedFunction, as_smooth, dunkl_operator
 from .quadrature import jacobi_rule, radial_rule, theta_rule
 from .sonine import (
+    SoninePair,
     classical_pair,
     dual_sonine_apply,
     dual_sonine_grid,
@@ -32,7 +35,6 @@ from .special import (
     a_const,
     as_order,
     bessel_mod_array,
-    inverse_intertwiner_const,
 )
 
 __all__ = [
@@ -52,7 +54,7 @@ _BOCHNER_BOX = 1e3
 
 #: ``series`` mode's strip |z| <= 60, |Im z| <= 10; at alpha = -0.4 its error is 3e-12 inside, 3e-10 at -40+30j.
 _SERIES_RADIUS, _SERIES_IM_MAX = 60.0, 10.0
-#: step of the local interpolant that differentiates the inverse intertwiner's braces
+#: step of the local interpolant that differentiates S_{alpha,beta} f in the inverse intertwiner
 _DERIV_STEP = 0.12
 
 
@@ -122,87 +124,51 @@ def intertwiner_v(alpha: OrderParam | float, f, x: Optional[float] = None):
     return sonine_apply(classical_pair(alpha), f, x)
 
 
-def _operator_terms(r: int, even_part: bool) -> list[tuple[int, int, float]]:
-    """Expansion of (d/dx)(d/(x dx))^r  [even]  or  (d/(x dx))^(r+1)  [odd]
-    as sum coeff * B^(j)(x) * x^power."""
-    terms: dict[tuple[int, int], float] = {(0, 0): 1.0}
-
-    def x_pow_ddx(ts, shift: int):
-        """x^shift d/dx: shift -1 for d/(x dx), 0 for d/dx."""
-        out: dict[tuple[int, int], float] = {}
-        for (j, p), c in ts.items():
-            out[(j + 1, p + shift)] = out.get((j + 1, p + shift), 0.0) + c
-            if p != 0:
-                out[(j, p + shift - 1)] = out.get((j, p + shift - 1), 0.0) + c * p
-        return out
-
-    for _ in range(r if even_part else r + 1):
-        terms = x_pow_ddx(terms, -1)
-    if even_part:
-        terms = x_pow_ddx(terms, 0)
-    return [(j, p, c) for (j, p), c in terms.items() if c != 0.0]
-
-
-def _local_derivatives(fn: Callable[[float], complex], x: float, j_max: int, h: float) -> np.ndarray:
-    """B(x), B'(x), ..., B^(j_max)(x) from a local polynomial interpolant."""
-    m = max(j_max + 3, 6)
-    ks = np.arange(-m, m + 1, dtype=float)
-    vals = np.asarray([fn(x + k * h) for k in ks])
-    deg = len(ks) - 1
-    coef = np.polynomial.polynomial.polyfit(ks, vals, deg)
-    return np.array([math.factorial(j) * coef[j] / h**j for j in range(j_max + 1)], dtype=complex)
+def _theta_coeffs(n: int, shift: float) -> np.ndarray:
+    """Coefficients on x^i D^i, i = 0..n, of prod_{j<n} (theta + shift + 2j)/(1 + 2j),
+    theta = x d/dx, by (theta + c) x^i D^i = (i + c) x^i D^i + x^(i+1) D^(i+1)."""
+    c = np.eye(n + 1)[0]
+    for j in range(n):
+        c = ((np.arange(n + 1) + shift + 2 * j) * c + np.append(0.0, c[:-1])) / (1 + 2 * j)
+    return c
 
 
 def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = None):
-    """Inverse of the intertwiner.
+    """Inverse of the intertwiner, for every alpha > -1/2 and every x.
 
     PolyFunction path: exact diagonal x^n -> (b_n/n!) x^n.  Smooth/grid path:
-    the one-sided fractional-integral inversion formulas with r = [alpha+1/2],
-      even part:  const * (d/dx)(d/(x dx))^r { x^(2r+1) int_0^1 f_e(xt)(1-t^2)^(r-alpha-1/2) t^(2 alpha+1) dt }
-      odd part:   const * (d/(x dx))^(r+1)   { x^(2r+2) int_0^1 f_o(xt)(1-t^2)^(r-alpha-1/2) t^(2 alpha+2) dt }
-    with const = inverse_intertwiner_const.  Orders with alpha+1/2 integer are
-    rejected; the outer derivatives need |x| comfortably away from 0.
+    Sonine transitivity V_beta = S_{alpha,beta} V_alpha gives
+    V_alpha^{-1} = V_beta^{-1} S_{alpha,beta}, taken at the half-integer
+    beta = n - 1/2, n = ceil(alpha + 1), so that beta - alpha is in [1/2, 3/2).
+    There V_beta^{-1} is the diagonal b_m(beta)/m! on x^m, that is
+    prod_{j<n} (theta + 1 + 2j)/(1 + 2j) on the even part and
+    prod_{j<n} (theta + 2 + 2j)/(1 + 2j) on the odd part, theta = x d/dx.
+    The derivatives of S_{alpha,beta} f come from a local polynomial fit to
+    its sonine_apply values on the stencil +-(x + k h), |k| <= max(n + 3, 6).
+    A plain callable without a derivative raises where a stencil point is
+    nonzero but within about 1e-6 of 0 (see WrappedFunction).
     """
     a = as_order(alpha).alpha
     if isinstance(f, PolyFunction) and x is None:
         return f.scaled(v_inverse_diagonal_factors(a, f.degree))
     if x is None:
         raise ValueError("evaluation point required for non-polynomial input")
-    r, const = inverse_intertwiner_const(a)
-
     if isinstance(f, GridFunction):
         if f.smoothness_hint == "generic":
             raise ValueError("grid input needs a smoothness hint other than 'generic'")
         from scipy.interpolate import CubicSpline  # loaded only here: importing dunkl stays light
 
         spline = CubicSpline(f.grid, f.values)
-        evaluate = lambda u: spline(u)
-    else:
-        evaluate = f
-
-    if abs(x) < 4.0 * _DERIV_STEP:
-        raise ValueError(f"evaluation point |x|={abs(x):.3g} too close to 0 for the derivative stack (h={_DERIV_STEP})")
-
-    rule_e = jacobi_rule(r - a - 0.5, a)
-    rule_o = jacobi_rule(r - a - 0.5, a + 0.5)
-    se = np.sqrt(rule_e.nodes)
-    so = np.sqrt(rule_o.nodes)
-
-    def brace_even(u: float) -> complex:
-        vals = 0.5 * (np.asarray(evaluate(u * se)) + np.asarray(evaluate(-u * se)))
-        return u ** (2 * r + 1) * 0.5 * np.sum(rule_e.weights * vals)
-
-    def brace_odd(u: float) -> complex:
-        vals = 0.5 * (np.asarray(evaluate(u * so)) - np.asarray(evaluate(-u * so)))
-        return u ** (2 * r + 2) * 0.5 * np.sum(rule_o.weights * vals)
-
-    out = 0.0 + 0.0j
-    for brace, parity_even in ((brace_even, True), (brace_odd, False)):
-        terms = _operator_terms(r, parity_even)
-        j_max = max(j for j, _, _ in terms)
-        derivs = _local_derivatives(brace, x, j_max, _DERIV_STEP)
-        out += sum(c * derivs[j] * x**p for j, p, c in terms)
-    result = const * out
+        f = WrappedFunction(spline, spline.derivative())
+    n = math.ceil(a + 1.0)
+    pair, m = SoninePair(a, n - 0.5), max(n + 3, 6)
+    ks = np.arange(-m, m + 1, dtype=float)
+    vals = np.asarray([[sonine_apply(pair, f, s * (x + k * _DERIV_STEP)) for k in ks] for s in (1.0, -1.0)])
+    parts = np.stack([vals[0] + vals[1], vals[0] - vals[1]], axis=1) / 2.0  # even, odd part on the stencil
+    taylor = np.polynomial.polynomial.polyfit(ks, parts, 2 * m)[: n + 1]  # rows i: h^i D^i g(x) / i!
+    scale = np.array([math.factorial(i) * (x / _DERIV_STEP) ** i for i in range(n + 1)])
+    theta = np.array([_theta_coeffs(n, 1.0), _theta_coeffs(n, 2.0)]).T
+    result = complex(np.sum(theta * taylor * scale[:, None]))
     if abs(result.imag) < 1e-13 * max(abs(result.real), 1.0):
         return result.real
     return result

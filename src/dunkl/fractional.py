@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
-from .quadrature import doubling_tail, homogeneous_pairing, jacobi_rule, legendre_panels
+from .quadrature import doubling_tail, homogeneous_pairing, integrate_semi_infinite, jacobi_rule, legendre_panels
 from .report import IdentityReport, pair_errs, run_check
 from .special import OrderParam, as_order, c_const
 from .transform import SpectralFunction, TransformPlan, spectral_support
@@ -120,10 +120,7 @@ def frac_power_kernel(
             2 * math.lgamma(a + 0.5) - math.lgamma(2 * a + 1.0)
         )
         even = lambda y: np.asarray(f(y)) + np.asarray(f(-y))
-        rule = jacobi_rule(0.0, -(2.0 * lam + 1.0), 64)
-        head = np.real(np.sum(rule.weights * even(rule.nodes)))
-        total = doubling_tail(lambda y, w: np.real(w * y ** (-(2.0 * lam + 1.0)) * even(y)), 1.0, head, _TAIL_TOL)
-        return pref * mass * float(total)
+        return pref * mass * float(np.real(integrate_semi_infinite(even, -(2.0 * lam + 1.0))))
 
     delta = _GAP_RATIO * ax
     total = 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from .functions import GridFunction
 from .report import IdentityReport, pair_errs, run_check
 from .sonine import SoninePair, dual_sonine_grid, sonine_grid
-from .special import OrderParam, c_const
+from .special import OrderParam, as_order, c_const
 from .transform import (
     MultiplierSpec,
     SpectralFunction,
@@ -130,7 +130,11 @@ def make_witness(
     scale: float = 1.0,
     flat: float = DEFAULT_FLAT,
 ) -> LizorkinWitness:
-    """Realize a witness for the order of ``plan`` from the flat profile."""
+    """Realize a witness for the order of ``plan`` from the flat profile;
+    ``alpha`` must be that order."""
+    a = as_order(alpha).alpha
+    if abs(a - plan.alpha) > 1e-12:
+        raise ValueError(f"witness of order {a} asked of a plan of order {plan.alpha}")
     spectrum = scale * witness_profile(plan.lambda_nodes, m, flat)
     values = inverse(plan, spectrum)
     fn = SpectralFunction.from_spectrum(plan, spectrum)

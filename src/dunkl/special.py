@@ -2,7 +2,7 @@
 calculus, and its normalized Bessel evaluators ``j_norm`` and ``j_norm_pair``.
 
 Everything downstream (quadrature weights, kernel series, Sonine prefactors,
-inversion constants) is a ratio of Gamma values.  All ratios are formed as
+the Plancherel constant) is a ratio of Gamma values.  All ratios are formed as
 differences of log-Gamma and exponentiated at the end, so factorial-scale
 coefficient growth never overflows an intermediate.
 """
@@ -27,8 +27,6 @@ __all__ = [
     "a_const",
     "a_sonine",
     "c_const",
-    "d_const",
-    "inverse_intertwiner_const",
     "j_norm",
     "j_norm_pair",
     "bessel_mod_array",
@@ -135,43 +133,6 @@ def c_const(alpha: OrderParam | float) -> float:
     return math.exp(-2.0 * ((a + 1) * math.log(2) + math.lgamma(a + 1)))
 
 
-def _half_integer_order(a: float, tol: float = 1e-12) -> bool:
-    return abs((a + 0.5) - round(a + 0.5)) < tol
-
-
-def d_const(alpha: OrderParam | float) -> tuple[int, float]:
-    """Integer part r = [alpha+1/2] and the constant
-    2^(-r) pi / (Gamma(alpha+1) Gamma(r-alpha+1/2)) of the inverse-intertwiner
-    integro-differential formulas.
-
-    Orders with alpha + 1/2 an integer make the fractional order of the inner
-    integral degenerate and are rejected rather than special-cased.
-    """
-    a = as_order(alpha).alpha
-    if _half_integer_order(a):
-        raise ValueError(
-            f"alpha={a}: alpha + 1/2 is an integer; the integro-differential "
-            "inversion formulas are unsupported at these orders"
-        )
-    r = math.floor(a + 0.5)
-    g = r - a + 0.5
-    if g <= 0:
-        raise ValueError(f"alpha={a}: nonpositive Gamma argument {g} in inversion constant")
-    d = math.exp(-r * math.log(2) + math.log(math.pi) - math.lgamma(a + 1) - math.lgamma(g))
-    return r, d
-
-
-def inverse_intertwiner_const(alpha: OrderParam | float) -> tuple[int, float]:
-    """Working normalization of the inverse-intertwiner formulas.
-
-    Equals d_const / sqrt(pi).  The sqrt(pi) mismatch of the d_const value
-    against the actual operator inverse is verified numerically in the test
-    suite: with d_const itself the formulas return sqrt(pi) * V^{-1}(f).
-    """
-    r, d = d_const(alpha)
-    return r, d / math.sqrt(math.pi)
-
-
 def _series(a: float, u: np.ndarray) -> np.ndarray:
     """sum_n (-u^2/4)^n / (n! (a+1)_n), where |u| - |Im u| < _SERIES_LOSS."""
     w = -((u / 2.0) ** 2)
@@ -233,19 +194,24 @@ def _series_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _series(a, u), _series(a + 1.0, u)
 
 
+def _nan_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.full_like(u, np.nan), np.full_like(u, np.nan)
+
+
 #: edges between j_norm_pair's bands of |u|: the series, Miller's recurrence and three
-#: Hankel sub-bands, each of which takes its term count from its own smallest u
-_BAND_EDGES = (_SERIES_LOSS, _HANKEL_MIN, 40.0, 80.0)
-_BANDS = (_series_pair, _miller_pair, _hankel_pair, _hankel_pair, _hankel_pair)
+#: Hankel sub-bands, each of which takes its term count from its own smallest u, and
+#: last inf and nan (which sorts last), whose values are nan
+_BAND_EDGES = (_SERIES_LOSS, _HANKEL_MIN, 40.0, 80.0, math.inf)
+_BANDS = (_series_pair, _miller_pair, _hankel_pair, _hankel_pair, _hankel_pair, _nan_pair)
 
 
 def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
     """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u: the power series where
     |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in
-    the sub-bands [20, 40), [40, 80) and [80, inf)."""
+    the sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan."""
     a, u = as_order(alpha).alpha, np.abs(np.asarray(u, dtype=float))
     out = np.empty((2, *u.shape))
-    index = np.searchsorted(_BAND_EDGES, u, side="right")  # nan sorts last: the top band and jv
+    index = np.searchsorted(_BAND_EDGES, u, side="right")
     for k, pair in enumerate(_BANDS):
         band = index == k
         if np.any(band):

@@ -144,6 +144,12 @@ class TestSonineCommand:
         assert code == 2
         assert "beta > alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_nonpositive_rate_exits_2(self, rate, capsys):
+        code = main(["sonine", "--alpha", "0", "--beta", "1", "--x", "1", f"--rate={rate}"])
+        assert code == 2
+        assert "rate must be positive" in capsys.readouterr().err
+
 
 # exact bytes of the record output, written by the per-command writers that
 # the single record writer replaced
@@ -264,6 +270,22 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text().startswith("name,params,grid")
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [
+            ({"tolerence": {"kernel-consistency": 1e-30}}, "'tolerence'"),
+            ({"grid": {"nx": 64}}, "grid.'nx'"),
+            ({"output": {"fromat": "csv"}}, "output.'fromat'"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, cfg, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["kernel-consistency"], **cfg}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "rep.json")])
+        assert code == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
 
     def test_csv_format_flag(self, tmp_path):
         out_path = tmp_path / "rep.csv"

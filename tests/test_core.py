@@ -31,6 +31,7 @@ from dunkl.functions import (
     monomial_gaussian,
 )
 from dunkl.quadrature import radial_rule
+from dunkl.sonine import SonineImage, classical_pair
 from dunkl.special import b_coeff
 from dunkl.transform import forward
 
@@ -268,16 +269,35 @@ class TestInverseIntertwiner:
         out = intertwiner_v_inverse(a, PolyFunction.monomial(4))
         assert out.coeffs[4] == pytest.approx(b_coeff(4, a) / math.factorial(4), rel=1e-13)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.49, 1.2])
+    @staticmethod
+    def _kernel_errors(alpha):
+        """Relative errors of V^{-1} E_alpha(lam .) = e^(lam .) on the points
+        that straddle 0, at real, imaginary and complex lam."""
+        for lam in (1.1, -0.7, 2j, 0.5 + 1j):
+            kf = KernelFunction(alpha, lam)
+            for x in (-1.3, 0.0, 0.05, 0.9, 1.6):
+                want = cmath.exp(lam * x)
+                yield abs(intertwiner_v_inverse(alpha, kf, x) - want) / abs(want)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.49, 1.2, 2.7])
     def test_kernel_maps_back_to_exponential(self, alpha):
-        lam = 1.1
-        kf = KernelFunction(alpha, lam)
-        for x in (0.9, 1.6, -1.3):
-            got = intertwiner_v_inverse(alpha, kf, x)
-            assert got == pytest.approx(math.exp(lam * x), rel=1e-5)
+        assert max(self._kernel_errors(alpha)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_half_integer_orders(self, alpha):
+        # alpha + 1/2 an integer: beta - alpha = 1, the Sonine rule has no singular end
+        assert max(self._kernel_errors(alpha)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.2, 1.5, 2.7])
+    def test_sonine_image_roundtrip(self, alpha):
+        # V^{-1} V f = f on f = (1 + 0.4 x) e^(-x^2), the image read through SonineImage
+        f = PolyGaussian(PolyFunction(np.array([1.0, 0.4])), 1.0)
+        image = SonineImage(classical_pair(alpha), f)
+        for x in (-1.3, 0.0, 0.9):
+            assert abs(intertwiner_v_inverse(alpha, image, x) - f(x)) <= 1e-8
 
     def test_alpha_zero_square_example(self):
-        # r = 0 even-part formula applied to x^2 must produce b_2(0)/2! x^2 = 2 x^2
+        # V_0^{-1} x^2 = b_2(0)/2! x^2 = 2 x^2, through beta = 1/2: (theta + 1) x^2 = 3 x^2 after S_{0,1/2}
         f = WrappedFunction(lambda x: np.asarray(x, dtype=float) ** 2)
         for x in (0.9, 1.4):
             assert intertwiner_v_inverse(0.0, f, x) == pytest.approx(2.0 * x * x, rel=1e-8)
@@ -295,10 +315,6 @@ class TestInverseIntertwiner:
         gf = GridFunction(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             intertwiner_v_inverse(0.3, gf, 0.9)
-
-    def test_half_integer_rejected(self):
-        with pytest.raises(ValueError):
-            intertwiner_v_inverse(0.5, KernelFunction(0.5, 1.0), 1.0)
 
 
 class TestDualIntertwiner:

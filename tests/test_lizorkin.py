@@ -59,6 +59,11 @@ class TestWitnessProfile:
         with pytest.raises(ValueError):
             witness_profile(np.array([1.0]), 2)
 
+    def test_order_other_than_the_plans_rejected(self, setup):
+        # the witness's order is the plan's: a different alpha is an error, not ignored
+        with pytest.raises(ValueError, match="plan of order 0.5"):
+            make_witness(1.5, setup["plan_a"])
+
 
 class TestWitnessMembership:
     @pytest.mark.parametrize("m", [0, 1])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
+from dunkl import special
 from dunkl.special import (
     OrderParam,
     a_const,
@@ -16,8 +18,6 @@ from dunkl.special import (
     b_coeff,
     bessel_mod_array,
     c_const,
-    d_const,
-    inverse_intertwiner_const,
     j_norm,
     j_norm_pair,
     log_b_coeff,
@@ -125,37 +125,6 @@ class TestCConst:
         assert c_const(-0.499999) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-4)
 
 
-class TestDConst:
-    def test_alpha_zero(self):
-        r, d = d_const(0.0)
-        assert r == 0
-        assert d == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_alpha_1_2(self):
-        r, d = d_const(1.2)
-        assert r == 1
-        want = math.pi / (2.0 * math.gamma(2.2) * math.gamma(0.3))
-        assert d == pytest.approx(want, rel=1e-13)
-
-    def test_alpha_049(self):
-        # r = 0 and the remaining Gamma argument is r - alpha + 1/2 = 0.01
-        r, d = d_const(0.49)
-        assert r == 0
-        want = math.pi / (math.gamma(1.49) * math.gamma(0.01))
-        assert d == pytest.approx(want, rel=1e-13)
-
-    def test_half_integer_rejected(self):
-        for a in (0.5, 1.5, 2.5):
-            with pytest.raises(ValueError):
-                d_const(a)
-
-    def test_working_constant_ratio(self):
-        r, d = d_const(0.0)
-        r2, w = inverse_intertwiner_const(0.0)
-        assert r2 == r
-        assert w == pytest.approx(d / math.sqrt(math.pi), rel=1e-14)
-
-
 class TestBesselMod:
     def test_at_zero(self):
         for a in ALPHAS:
@@ -254,3 +223,15 @@ class TestJNormPair:
             on = (lo <= _GRID) & (_GRID < hi)
             want_first, want_second = pair(_GRID[on])
             assert np.array_equal(first[on], want_first) and np.array_equal(second[on], want_second), (lo, hi)
+
+    def test_nan_leaves_the_top_band_on_hankel(self, monkeypatch):
+        # the term count comes from the smallest u that is not nan: one nan
+        # neither sends the band to jv nor moves the other points
+        u = np.linspace(80.0, 470.0, 4000, endpoint=False)
+        want = j_norm_pair(0.0, u)
+        calls = []
+        monkeypatch.setattr(special, "jv", lambda *args: calls.append(args) or jv(*args))
+        got = j_norm_pair(0.0, np.append(u, np.nan))
+        assert calls == []
+        for g, w in zip(got, want):
+            assert np.isnan(g[-1]) and np.array_equal(g[:-1], w)
