@@ -68,6 +68,7 @@ from .transform import (
     build_plan,
     forward,
     forward_at,
+    forward_fn,
     inverse,
     inverse_at,
     plancherel_check,

@@ -209,21 +209,24 @@ def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float
 
 
 class _ForwardImage(SpectralFunction):
-    """Transform of a test function, sum_j E_alpha(-i xi x_j) w_j phi(x_j) over
-    the plan's x-rule, summed once per |x_j|; its Taylor data are the
-    weighted moments.  Beyond the band the x-rule resolves, or where the grid
-    spectrum is below the double-precision floor, the synthesis is
-    quadrature noise and the values are exact zeros."""
+    """Transform of a test function, the ``forward_fn`` of its samples; its
+    Taylor data are the weighted moments.  Beyond the band the x-rule
+    resolves, or where the grid spectrum is below the double-precision floor,
+    the synthesis is quadrature noise: the values there are exact zeros, and
+    no kernel is evaluated for them."""
 
     def __init__(self, plan: TransformPlan, phi):
         values = np.asarray(phi(plan.x_nodes))
-        super().__init__(plan.order, -plan.x_nodes, plan.x_weights * values)
+        super().__init__(plan.order, -plan.x_nodes, plan.x_weights * values, plan=plan)
         resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width  # highest frequency the x-rule resolves
         self.band_limit = min(resolvable, spectral_support(plan, values, 1e-15))
 
     def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
         inside = np.abs(x) <= self.band_limit
-        return [np.where(inside, v, 0.0) for v in super()._parts(x, parts)]
+        out = [np.zeros(x.shape, (self._w_even, self._w_quotient)[part].dtype) for part in parts]
+        for o, v in zip(out, super()._parts(x[inside], parts) if np.any(inside) else ()):
+            o[inside] = v
+        return out
 
 
 def power_weight_errs(

@@ -360,7 +360,7 @@ def _decomposition_errs(pair: SoninePair, plan_a, plan_b, g, mask: np.ndarray) -
     # the points are beta-plan nodes, so the beta side is read off its grid transform
     beta_side = transform.forward(plan_b, plan_b.sample(g)).values[mask]
     ts_vals = sonine.dual_sonine_grid(pair, g, plan_a.x_nodes, u_max=500.0)
-    return max_errs(beta_side, transform.forward_at(plan_a, ts_vals, plan_b.lambda_nodes[mask]))
+    return max_errs(beta_side, transform.forward_fn(plan_a, ts_vals)(plan_b.lambda_nodes[mask]))
 
 
 def suite_decomposition(config: RunConfig, ctx: RunContext) -> list:

@@ -36,6 +36,7 @@ __all__ = [
     "forward",
     "inverse",
     "forward_at",
+    "forward_fn",
     "inverse_at",
     "plancherel_check",
     "plancherel_errs",
@@ -52,6 +53,13 @@ def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
     """E_alpha(sign i u) for real u, vectorized; both parts from one ``j_norm_pair`` call."""
     even, odd = j_norm_pair(alpha, u)
     return even + (1j * sign) * u * (odd / (2.0 * (alpha + 1.0)))
+
+
+def _real_matvec(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """table @ w for a real table, one real product even for complex w (numpy would copy the table to complex)."""
+    if np.iscomplexobj(w):
+        return (table @ np.stack([w.real, w.imag], axis=1)).view(complex)[:, 0]
+    return table @ w
 
 
 def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int) -> np.ndarray:
@@ -139,25 +147,34 @@ class TransformPlan:
         self.inverse_matrix *= self.c_alpha
         self.synthesis_radius = 1.4 * self.half_width
         self.self_test: dict[str, float] = {}
-        self._jnorm_tables: tuple[np.ndarray, np.ndarray] = ()
+        # proxy radius and positive nodes of the synthesis (lambda to x) and analysis (x to lambda) tables
+        self.table_grids = {"synthesis": (self.synthesis_radius, lambda_nodes[lambda_nodes.size // 2 :]),
+                            "analysis": (self.lambda_max, x_nodes[x_nodes.size // 2 :])}
+        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def jnorm_table(self, shift: int) -> np.ndarray:
         """Synthesis table of the order-(alpha + shift) kernel component,
         shift 0 or 1: j_norm(alpha + shift, y nu) at the sample points y of the
         synthesis proxy (rows) times the positive lambda-nodes nu (columns).
 
-        Every SpectralFunction on the plan's own nodes builds its proxy from
+        Every SpectralFunction on the plan's lambda-nodes builds its proxy from
         these two tables, so both come from one ``j_norm_pair`` call per plan;
         they are shared, so read-only."""
+        return self._table("synthesis", shift)
+
+    def analysis_table(self, shift: int) -> np.ndarray:
+        """The same for ``forward_fn``: a proxy on [0, lambda_max] times the positive x-nodes."""
+        return self._table("analysis", shift)
+
+    def _table(self, side: str, shift: int) -> np.ndarray:
         if shift not in (0, 1):
-            raise ValueError(f"synthesis tables hold shifts 0 and 1, not {shift}")
-        if not self._jnorm_tables:
-            nu = self.lambda_nodes[self.lambda_nodes.size // 2 :]
-            y = _ChebProxy(self.synthesis_radius, float(nu[-1])).sample_points()
-            self._jnorm_tables = j_norm_pair(self.alpha, np.outer(y, nu))
-            for table in self._jnorm_tables:
+            raise ValueError(f"kernel tables hold shifts 0 and 1, not {shift}")
+        if side not in self._tables:
+            radius, nu = self.table_grids[side]
+            self._tables[side] = j_norm_pair(self.alpha, np.outer(_ChebProxy(radius, float(nu[-1])).sample_points(), nu))
+            for table in self._tables[side]:
                 table.flags.writeable = False
-        return self._jnorm_tables[shift]
+        return self._tables[side][shift]
 
     # -- sampling helpers -------------------------------------------------
     def sample(self, f: Callable) -> GridFunction:
@@ -315,15 +332,16 @@ class SpectralFunction:
     the spectrum as given.
 
     A SpectralFunction with a plan keeps a ``_ChebProxy`` of its even part
-    and odd quotient on the plan's synthesis radius, built at most once from
-    exact kernel values.  A call with every point within the radius reads it
-    by the ski-rental rule: once it is built, or once the points the object
-    has summed directly within the radius, plus this call's, exceed one
-    build.  When its distinct |nu| are the plan's positive lambda-nodes
-    (``from_spectrum``), the build is two mat-vecs on the plan's shared
-    ``jnorm_table`` and costs nothing, so every such call reads the proxy.
-    Any other object with a plan (a multiplier image) builds from its own
-    ``j_norm_pair`` call on the proxy's sample points, so it never evaluates
+    and odd quotient, built at most once from exact kernel values.  A call
+    with every point within the proxy's radius reads it by the ski-rental
+    rule: once it is built, or once the points the object has summed
+    directly within the radius, plus this call's, exceed one build.  On the
+    plan's positive lambda-nodes (``from_spectrum``) or x-nodes
+    (``forward_fn``) the build is two mat-vecs on the plan's shared synthesis
+    (``jnorm_table``, synthesis radius) or analysis (lambda_max) table and
+    costs nothing, so every such call reads the proxy.  Any other object
+    with a plan (a multiplier image, on the synthesis radius) builds from its
+    own ``j_norm_pair`` call on the proxy's sample points, so it never evaluates
     more than twice the kernel points of the better choice in hindsight:
     summing every call directly, or building at once.  Every other call,
     and every call of an object without a plan, sums directly, both kernel
@@ -348,15 +366,14 @@ class SpectralFunction:
         np.add.at(self._w_even, where, self.wspec)
         np.add.at(self._w_odd, where, np.sign(self.nodes) * self.wspec)
         self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
-        self._proxy = self._table_plan = None
+        self._proxy = self._table = None
         self._direct_left = 0  # points within the radius still to sum directly before a build pays
         self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two direct sums
         if plan is not None and self.nodes.size:
-            self._proxy = _ChebProxy(plan.synthesis_radius, float(self._abs_nodes[-1]))
-            if np.array_equal(self._abs_nodes, plan.lambda_nodes[plan.lambda_nodes.size // 2 :]):
-                self._table_plan = plan  # its synthesis tables build the proxy
-            else:
-                self._direct_left = self._proxy.size
+            side = next((s for s, (_, nu) in plan.table_grids.items() if np.array_equal(self._abs_nodes, nu)), None)
+            self._proxy = _ChebProxy(plan.table_grids[side or "synthesis"][0], float(self._abs_nodes[-1]))
+            self._table = {"synthesis": plan.jnorm_table, "analysis": plan.analysis_table}.get(side)  # builds the proxy
+            self._direct_left = 0 if side else self._proxy.size
 
     @classmethod
     def from_spectrum(cls, plan: TransformPlan, spectrum) -> "SpectralFunction":
@@ -364,11 +381,11 @@ class SpectralFunction:
         return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
 
     def _build_proxy(self) -> None:
-        if self._table_plan is not None:
-            even, odd = self._table_plan.jnorm_table(0), self._table_plan.jnorm_table(1)
+        if self._table is not None:
+            even, odd = self._table(0), self._table(1)
         else:
             even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points(), self._abs_nodes))
-        self._proxy.fit(even @ self._w_even, odd @ self._w_quotient)
+        self._proxy.fit(_real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
 
     def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
         """Even part (0) and odd quotient (1), as listed in ``parts``, at the
@@ -385,7 +402,7 @@ class SpectralFunction:
         if sums is None:
             self._direct_left -= x.size if within else 0
             even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
-            sums = (x.copy(), even @ self._w_even, odd @ self._w_quotient)
+            sums = (x.copy(), _real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
             self._recent_sums = [sums, *self._recent_sums[:1]]
         return [sums[1 + part].copy() for part in parts]
 
@@ -418,13 +435,21 @@ class SpectralFunction:
         u = np.outer(x, self._abs_nodes)
         j0, j1 = j_norm_pair(a, u)
         q = j1 / (2.0 * (a + 1.0))
-        return (-u * q) @ (self._abs_nodes * self._w_even) + (j0 - (2.0 * a + 1.0) * q) @ (
-            1j * self._abs_nodes * self._w_odd
-        )
+        odd = _real_matvec(j0 - (2.0 * a + 1.0) * q, 1j * self._abs_nodes * self._w_odd)
+        return _real_matvec(-u * q, self._abs_nodes * self._w_even) + odd
 
     def taylor_coeff(self, k: int) -> complex:
         scale = math.exp(-log_b_coeff(k, self.order))
         return scale * 1j**k * np.sum(self._abs_nodes**k * (self._w_odd if k % 2 else self._w_even))
+
+
+def forward_fn(plan: TransformPlan, f) -> SpectralFunction:
+    """Transform of x-grid samples as a function of lambda, the mirror of
+    ``from_spectrum``: a SpectralFunction over the nodes -x_j with weights
+    x_weights_j f(x_j).  Within lambda_max it reads a proxy built from the
+    plan's analysis tables; ``forward_at`` is the exact route."""
+    values = _values_on(f, plan.x_nodes, "x")
+    return SpectralFunction(plan.order, -plan.x_nodes, plan.x_weights * values, plan=plan)
 
 
 def spectral_support(plan: TransformPlan, values: np.ndarray, floor: float) -> float:
@@ -439,7 +464,8 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     """x-space operator inverse o (scale |lambda|^exponent) o forward, returned
     as a synthesizable smooth function.
 
-    The inverse leg runs on a rule with |lambda|^(exponent + 2 alpha + 1)
+    The forward leg reads ``forward_fn`` of f from the plan's analysis table,
+    and the inverse leg runs on a rule with |lambda|^(exponent + 2 alpha + 1)
     absorbed; the exponent must keep that absorbed power integrable.  The
     rule is clipped to the spectral support (where the spectrum exceeds
     1e-12 of its peak, with margin): for large positive exponents the
@@ -459,7 +485,7 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
 
     lam_eff = min(spectral_support(plan, _values_on(f, plan.x_nodes, "x"), 1e-12), plan.lambda_max)
     nodes, weights = mirrored_weighted_rule(a, lam_eff, n_half, extra_exponent=sigma)
-    spectrum = forward_at(plan, f, nodes)
+    spectrum = forward_fn(plan, f)(nodes)
     if sigma < 0:
         inner = np.argsort(np.abs(nodes))[:4]
         if np.max(np.abs(spectrum[inner])) > 1e-6 * max(np.max(np.abs(spectrum)), 1e-300):

@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 
 import dunkl.transform
 from dunkl.core import dunkl_operator
-from dunkl.fractional import _ForwardImage
+from dunkl.fractional import _ForwardImage, power_weight_identity
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
 from dunkl.lizorkin import inversion_check, make_witness, witness_plan
 from dunkl.sonine import SoninePair
+from dunkl.suites import _decomposition_errs
 from dunkl.special import as_order, j_norm, j_norm_pair, log_b_coeff
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
     SpectralFunction,
     TransformPlan,
+    _real_matvec,
     apply_multiplier,
     apply_multiplier_fn,
     build_plan,
     forward,
     forward_at,
+    forward_fn,
     inverse,
     inverse_at,
     kernel_unitary,
@@ -160,16 +163,18 @@ class TestFoldedKernel:
     def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
         """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
         kernel value once per distinct |node| and point, both parts from one
-        j_norm_pair call: 128 016 points, which are the multiplier's 32 256
-        kernel points and the 95 760 of its image's proxy build (570 sample
-        points times 168 nodes).  The fractional integral asks the image for
-        each part once, on all its points, and that first call already costs
-        more than a build, so the image builds at once and sums nothing
-        directly.  The objects on the plans' own nodes build their proxies
-        from the plans' synthesis tables, built before the count."""
+        j_norm_pair call: the 95 760 points of the multiplier image's proxy
+        build (570 sample points times 168 nodes).  The fractional integral
+        asks the image for each part once, on all its points, and that first
+        call already costs more than a build, so the image builds at once and
+        sums nothing directly.  The multiplier reads its spectrum from the
+        transform of its input, and the objects on the plans' own nodes read
+        theirs; all of these build their proxies from the plans' synthesis
+        and analysis tables, built before the count."""
         plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
         for plan in (plan_a, plan_b):
             plan.jnorm_table(0)
+            plan.analysis_table(0)
         witness = make_witness(0.5, plan_b, m=0)  # fresh: no image kept yet
         pairs = []
         original = dunkl.transform.j_norm_pair
@@ -181,7 +186,7 @@ class TestFoldedKernel:
         monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         report = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
         assert report.passed()
-        assert 0 < sum(pairs) <= 128_016
+        assert 0 < sum(pairs) <= 95_760
 
     @_PROPERTY
     @given(alpha=st.floats(-0.45, 3.0), lam=_point_sets(12.0), xs=_point_sets(12.0))
@@ -361,13 +366,15 @@ class TestFoldedSynthesis:
     def test_one_evaluation_per_distinct_node(self, witness_plan_factory, witness_factory, monkeypatch):
         """A direct sum takes both kernel components of each distinct |nu|
         from one j_norm_pair call, and a call for the other part on the same
-        points reuses it.  An object on its plan's nodes reads its proxy,
-        built from the plan's tables, for all but the derivative."""
+        points reuses it.  An object on its plan's lambda-nodes or x-nodes
+        (the transform image) reads its proxy, built from the plan's tables,
+        for all but the derivative."""
         plan = witness_plan_factory(0.5)
         plan.jnorm_table(0)
+        plan.analysis_table(0)
         w = witness_factory(0.5, 0)
-        on_plan = SpectralFunction.from_spectrum(plan, w.spectrum)
-        fns = (on_plan, apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0)), _ForwardImage(plan, gaussian()))
+        image = apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0))
+        fns = (SpectralFunction.from_spectrum(plan, w.spectrum), image, _ForwardImage(plan, gaussian()))
         calls = []
         original = dunkl.transform.j_norm_pair
 
@@ -381,7 +388,7 @@ class TestFoldedSynthesis:
             distinct = np.unique(np.abs(fn.nodes)).size
             assert 2 * distinct == fn.nodes.size
             summed = [x.size * distinct]
-            direct = [] if fn is on_plan else summed
+            direct = summed if fn is image else []
             for call, points, expected in ((fn.even_part, x, direct), (fn.odd_quotient, x, []), (fn, x, []),
                                            (fn.derivative, x, summed), (fn.odd_quotient, x + 1.0, direct)):
                 calls.clear()
@@ -426,8 +433,9 @@ PIPELINE_ORDERS = (0.0, 0.5, 1.5, 2.0)
 
 def _exact_parts(fn, y):
     """Even part and odd quotient by direct synthesis with the exact kernel
-    over the distinct |nu|, the spectrum folded into even and odd weights and
-    both components from one j_norm_pair call, as SpectralFunction sums."""
+    over the distinct |nu|, the spectrum folded into even and odd weights,
+    both components from one j_norm_pair call and each real table times
+    complex weights as one real product, as SpectralFunction sums."""
     a = fn.order.alpha
     abs_nodes, where = np.unique(np.abs(fn.nodes), return_inverse=True)
     w_even = np.zeros(abs_nodes.size, dtype=np.result_type(fn.wspec, float))
@@ -435,7 +443,23 @@ def _exact_parts(fn, y):
     np.add.at(w_even, where, fn.wspec)
     np.add.at(w_odd, where, np.sign(fn.nodes) * fn.wspec)
     j_even, j_odd = j_norm_pair(a, np.outer(y, abs_nodes))
-    return j_even @ w_even, j_odd @ (1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
+    return _real_matvec(j_even, w_even), _real_matvec(j_odd, 1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
+
+
+def _assert_bins_within_direct(y, radius, want, scale, direct, got, label):
+    """In every bin of [0, radius], the error of ``got`` against ``want`` is
+    within 10 times that of the exact direct route ``direct``, plus a
+    rounding floor: 50 ulps of the bin's largest sum of absolute terms
+    ``scale``, or 1e-15 of the peak where that is smaller.  The bins have
+    width 2 in y, whatever panels the proxy uses; the last one takes the
+    endpoint y = radius."""
+    peak = np.max(np.abs(want))
+    bins = np.minimum(y // 2.0, math.ceil(radius / 2.0) - 1)
+    for k in np.unique(bins):
+        on = bins == k
+        floor = min(50.0 * np.finfo(float).eps * np.max(scale[on]), 1e-15 * peak)
+        direct_err = np.max(np.abs(direct[on] - want[on]))
+        assert np.max(np.abs(got[on] - want[on])) <= 10.0 * direct_err + floor, (label, k)
 
 
 def _pipeline_fns(plan, witness_factory, alpha):
@@ -479,16 +503,8 @@ class TestSynthesisProxy:
             absolute = [np.abs(f) @ np.abs(fn.wspec) for f in factors]
             direct = _exact_parts(fn, y)
             proxy = (fn.even_part(y), fn.odd_quotient(y))
-            # bins of width 2 in y, whatever panels the proxy uses; the last
-            # one takes the endpoint y = radius
-            panels = np.minimum(y // 2.0, math.ceil(radius / 2.0) - 1)
             for want, scale, ref, got in zip(exact, absolute, direct, proxy):
-                peak = np.max(np.abs(want))
-                for k in np.unique(panels):
-                    on = panels == k
-                    floor = min(50.0 * np.finfo(float).eps * np.max(scale[on]), 1e-15 * peak)
-                    direct_err = np.max(np.abs(ref[on] - want[on]))
-                    assert np.max(np.abs(got[on] - want[on])) <= 10.0 * direct_err + floor, (alpha, k)
+                _assert_bins_within_direct(y, radius, want, scale, ref, got, alpha)
 
     @pytest.mark.parametrize("alpha", PIPELINE_ORDERS)
     def test_within_sum_of_absolute_terms(self, witness_plan_factory, witness_factory, alpha):
@@ -511,6 +527,7 @@ class TestSynthesisProxy:
         object's direct sums over one build reads the proxy."""
         plan = witness_plan_factory(0.5)
         fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
+        builds.clear()  # the multiplier's own spectrum is read from an analysis proxy: count only fn's
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size - 10)
         even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
@@ -600,14 +617,13 @@ class TestSynthesisProxy:
 
 
 class TestSynthesisTables:
-    """Objects on a plan's own nodes share one table of kernel values at the
-    proxy's sample points."""
+    """Objects on a plan's own lambda-nodes (synthesis) or x-nodes (the
+    transform of x-samples, ``forward_fn``) share one table of kernel values
+    at the proxy's sample points per plan and side."""
 
     def test_one_kernel_call_per_plan(self, witness_factory, monkeypatch):
         plan = witness_plan(0.5)  # fresh: its tables are not built yet
         w = witness_factory(0.5, 1)
-        spectra = [w.spectrum * (1.0 + 0.5 * k * plan.lambda_nodes) for k in range(5)]
-        fns = [SpectralFunction.from_spectrum(plan, spectrum) for spectrum in spectra]
         calls = []
         original = dunkl.transform.j_norm_pair
 
@@ -617,19 +633,97 @@ class TestSynthesisTables:
 
         monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         x = np.linspace(-6.0, 6.0, 9)
-        for fn in fns:
-            fn(x)
-        assert calls == [(fns[0]._proxy.sample_points().size, plan.lambda_nodes.size // 2)]
-        for fn in fns:
-            own = dunkl.transform._ChebProxy(plan.synthesis_radius, float(np.max(plan.lambda_nodes)))
-            even, odd = original(0.5, np.outer(own.sample_points(), np.unique(np.abs(fn.nodes))))
-            own.fit(even @ fn._w_even, odd @ fn._w_quotient)
-            assert all(np.array_equal(a, b) for a, b in zip(fn._proxy.coeffs, own.coeffs))
+        sides = {
+            "synthesis": [SpectralFunction.from_spectrum(plan, w.spectrum * (1.0 + 0.5 * k * plan.lambda_nodes)) for k in range(5)],
+            "analysis": [forward_fn(plan, w.values.values * (1.0 + 0.5 * k * plan.x_nodes)) for k in range(5)],
+        }
+        for (side, fns), shape in zip(sides.items(), ((630, 168), (324, 192))):
+            radius, nu = plan.table_grids[side]
+            calls.clear()
+            for fn in fns:
+                fn(x)
+            assert calls == [(fns[0]._proxy.sample_points().size, nu.size)] == [shape]
+            for fn in fns:
+                own = dunkl.transform._ChebProxy(radius, float(nu[-1]))
+                even, odd = original(0.5, np.outer(own.sample_points(), np.unique(np.abs(fn.nodes))))
+                own.fit(_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient))
+                assert all(np.array_equal(a, b) for a, b in zip(fn._proxy.coeffs, own.coeffs))
 
     def test_tables_are_read_only(self, witness_plan_factory):
         plan = witness_plan_factory(0.5)
-        for shift in (0, 1):
-            with pytest.raises(ValueError, match="read-only"):
-                plan.jnorm_table(shift)[0, 0] = 0.0
-        with pytest.raises(ValueError, match="shifts 0 and 1"):
-            plan.jnorm_table(2)
+        for table in (plan.jnorm_table, plan.analysis_table):
+            for shift in (0, 1):
+                with pytest.raises(ValueError, match="read-only"):
+                    table(shift)[0, 0] = 0.0
+            with pytest.raises(ValueError, match="shifts 0 and 1"):
+                table(2)
+
+
+class TestAnalysisTables:
+    """The transform of x-samples as a function of lambda (``forward_fn``)
+    reads its proxy on [0, lambda_max] from the plan's analysis tables;
+    points beyond sum directly, and ``forward_at`` stays the exact route."""
+
+    @pytest.mark.parametrize("kind", ("default", "witness"))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bins_within_exact_route(self, plan_factory, witness_plan_factory, witness_factory, alpha, kind):
+        """Against the exact forward_at (the unfolded outer product, bit for
+        bit), the image is within the bound of
+        ``test_panel_errors_within_table_route``, whose direct route here is
+        the image's own folded sum."""
+        plan = plan_factory(alpha) if kind == "default" else witness_plan_factory(alpha)
+        x = plan.x_nodes
+        inputs = [np.exp(-(x**2)) * (1.0 + 0.3 * x), x * np.exp(-(x**2) / 4.0)]
+        if kind == "witness":
+            inputs += [witness_factory(alpha, m).values.values for m in (0, 1)]
+        y = np.linspace(0.0, plan.lambda_max, 2001)
+        kernel = _outer_forward(plan, y)
+        for f in inputs:
+            fn = forward_fn(plan, f)
+            want = forward_at(plan, f, y)
+            even, odd_q = _exact_parts(fn, y)
+            scale = np.abs(kernel) @ np.abs(plan.x_weights * f)
+            _assert_bins_within_direct(y, plan.lambda_max, want, scale, even + y * odd_q, fn(y), alpha)
+            assert fn._proxy.coeffs
+
+    def test_suite_checks_read_the_tables(self, plan_factory, monkeypatch):
+        """With the plans' analysis tables built, one decomposition check and
+        one power-weight-transform check evaluate the kernel only at spectral
+        points beyond lambda_max: a direct sum's rows are |lambda| times the
+        x-nodes, so each row's largest value is |lambda| x_max."""
+        plan_a, plan_b = plan_factory(0.0), plan_factory(0.5)
+        for plan in (plan_a, plan_b):
+            plan.analysis_table(0)
+        rows = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            rows.append(np.max(u, axis=1))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        mask = np.abs(plan_b.lambda_nodes) <= 8.0
+        assert max(_decomposition_errs(SoninePair.of(0.0, 0.5), plan_a, plan_b, gaussian(), mask)) <= 1e-12
+        assert rows == []
+        assert power_weight_identity(0.0, -1.2, gaussian(), plan_a).passed()
+        assert all(np.all(r > plan_a.lambda_max * plan_a.x_nodes[-1]) for r in rows)
+
+    def test_out_of_band_points_evaluate_nothing(self, plan_factory, monkeypatch):
+        """A power-weight image is zero beyond its band limit and evaluates
+        the kernel at its in-band points only."""
+        image = _ForwardImage(plan_factory(0.0), gaussian())
+        beyond = image.band_limit * np.linspace(1.01, 3.0, 7)
+        mixed = np.array([1.0, beyond[0], -2.0])
+        inside = image.even_part(mixed[[0, 2]])
+        calls = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            calls.append(np.shape(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        for method in (image, image.even_part, image.odd_quotient):
+            assert np.array_equal(method(-beyond), np.zeros(beyond.size))
+        assert calls == []
+        assert np.array_equal(image.even_part(mixed), [inside[0], 0.0, inside[1]])
