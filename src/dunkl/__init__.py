@@ -71,13 +71,12 @@ from .transform import (
     forward_fn,
     inverse,
     inverse_at,
-    plancherel_check,
+    plancherel_sides,
 )
 from .fractional import (
     frac_power_kernel,
     pairing_symbol_constant,
     power_weight_identity,
-    symbol_constants_consistency,
 )
 from .lizorkin import (
     INVERSION_ORDERS,

@@ -24,7 +24,7 @@ from .report import IdentityReport, reports_from_json, reports_to_csv, reports_t
 from .sonine import SoninePair, dual_sonine_apply, sonine_apply
 from .functions import gaussian
 from .special import OrderParam
-from .suites import DEFAULT_TOLERANCES, RunConfig, run_suites, suite_names
+from .suites import DEFAULT_TOLERANCES, SUITES, RunConfig, run_suites
 from .transform import PlanSelfTestError, build_plan, forward, inverse
 
 CSV_FLOAT = ".17g"
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--L", dest="half_width", type=float, default=None)
     p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--suites", default=None, help=f"comma list or 'all'; available: {', '.join(suite_names())}")
+    p.add_argument("--suites", default=None, help=f"comma list or 'all'; available: {', '.join(SUITES)}")
     p.add_argument("--tol", action="append", help="override a tolerance, e.g. --tol sonine-product=1e-7")
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--out", help="report path (default: stdout)")

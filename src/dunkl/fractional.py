@@ -30,8 +30,7 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
 from .quadrature import doubling_tail, homogeneous_pairing, integrate_semi_infinite, jacobi_rule, legendre_panels
-from .report import IdentityReport, pair_errs, run_check
-from .special import OrderParam, as_order, c_const
+from .special import OrderParam, as_order
 from .transform import SpectralFunction, TransformPlan, spectral_support
 
 __all__ = [
@@ -39,10 +38,7 @@ __all__ = [
     "angular_kernel",
     "frac_power_kernel",
     "pairing_symbol_constant",
-    "dual_symbol_constant",
     "power_weight_identity",
-    "power_weight_errs",
-    "symbol_constants_consistency",
 ]
 
 # gap half-width around the outer singularity: wide enough that the
@@ -52,8 +48,8 @@ _GAP_RATIO = 2.0**-10
 _HYP_SAFE = 5e13
 # relative size of the doubling panel that ends a Riesz-kernel tail
 _TAIL_TOL = 1e-12
-# even Taylor order that the power-weight pairings subtract at the origin
-_TAYLOR_ORDER = 10
+#: even Taylor order that the power-weight pairings subtract at the origin
+TAYLOR_ORDER = 10
 
 
 def riesz_prefactor(alpha: OrderParam | float, lam: float) -> float:
@@ -190,24 +186,6 @@ def pairing_symbol_constant(alpha: OrderParam | float, lam: float) -> float:
     return 2.0 ** (2.0 * a + lam + 2.0) * math.gamma(a + 1.0) * _gamma_off_poles(arg) * float(rgamma(-lam / 2.0))
 
 
-def dual_symbol_constant(alpha: OrderParam | float, lam: float) -> float:
-    """Constant of the mirrored identity:
-    2^lam Gamma((2a+lam+2)/2) / (Gamma(a+1) Gamma(-lam/2))."""
-    a = as_order(alpha).alpha
-    lam = float(lam)
-    arg = (2.0 * a + lam + 2.0) / 2.0
-    return 2.0**lam * _gamma_off_poles(arg) * float(rgamma(-lam / 2.0)) / math.gamma(a + 1.0)
-
-
-def symbol_constants_consistency(alpha: OrderParam | float, lam: float) -> float:
-    """Relative mismatch of c_alpha * direct constant against the mirrored
-    constant; an exact Gamma identity, so this should sit at rounding level."""
-    direct = pairing_symbol_constant(alpha, lam)
-    mirrored = dual_symbol_constant(alpha, lam)
-    lhs = c_const(alpha) * direct
-    return abs(lhs - mirrored) / max(abs(mirrored), 1e-300)
-
-
 class _ForwardImage(SpectralFunction):
     """Transform of a test function, the ``forward_fn`` of its samples; its
     Taylor data are the weighted moments.  Beyond the band the x-rule
@@ -229,16 +207,16 @@ class _ForwardImage(SpectralFunction):
         return out
 
 
-def power_weight_errs(
-    alpha: OrderParam | float,
-    lam: float,
-    phi,
-    plan: TransformPlan,
-    params: dict,
-) -> tuple[float, float, str]:
-    """Errors of the pairing identity that ``power_weight_identity`` checks,
-    with both sides and the degenerate flag recorded in ``params``, and the
-    grid summary."""
+def power_weight_identity(alpha: OrderParam | float, lam: float, phi, plan: TransformPlan) -> tuple[float, float, bool]:
+    """Both sides of the pairing-level transform of the weighted power
+    |x|^(lam+2a+1), and whether lam is degenerate:
+
+      < |x|^(lam+2a+1), F phi >  =  const(alpha, lam) < |x|^(-(lam+1)), phi >.
+
+    At nonnegative even lam the constant vanishes while the right pairing
+    hits a pole; there the right side is 0 and the left side must vanish for
+    test functions whose matching residue is 0.
+    """
     a = as_order(alpha).alpha
     lam = float(lam)
     for ell in range(0, 40):
@@ -246,32 +224,11 @@ def power_weight_errs(
             raise ValueError(f"lam={lam} within 1e-9 of a pole of the identity")
 
     image = _ForwardImage(plan, phi)
-    lhs_pairing = homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=_TAYLOR_ORDER)
-    lhs = float(np.real(lhs_pairing.value))
-
+    lhs = float(np.real(homogeneous_pairing(lam + 2.0 * a + 1.0, image, taylor_order=TAYLOR_ORDER).value))
     degenerate = lam > -1e-9 and abs(lam / 2.0 - round(lam / 2.0)) < 1e-9
     if degenerate:
-        rhs = 0.0
-        errs = (abs(lhs), abs(lhs))
-    else:
-        const = pairing_symbol_constant(a, lam)
-        rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=_TAYLOR_ORDER)
-        if rhs_pairing.pole_flag:
-            raise ValueError(f"lam={lam}: right-side pairing sits on a pole")
-        rhs = const * float(np.real(rhs_pairing.value))
-        errs = pair_errs(lhs, rhs)
-    params.update(lhs=lhs, rhs=rhs, degenerate=degenerate)
-    return (*errs, f"pairing taylor_order={_TAYLOR_ORDER}, plan x-rule {plan.x_nodes.size}")
-
-
-def power_weight_identity(alpha: OrderParam | float, lam: float, phi, plan: TransformPlan) -> IdentityReport:
-    """Pairing-level check of the transform of the weighted power |x|^(lam+2a+1):
-
-      < |x|^(lam+2a+1), F phi >  =  const(alpha, lam) < |x|^(-(lam+1)), phi >.
-
-    At nonnegative even lam the constant vanishes while the right pairing
-    hits a pole; there the report carries both sides' absolute sizes (the
-    left side must vanish for test functions whose matching residue is 0).
-    """
-    params = {"alpha": as_order(alpha).alpha, "lam": float(lam)}
-    return run_check("power-weight-transform", params, None, power_weight_errs, alpha, lam, phi, plan, params)
+        return lhs, 0.0, True
+    rhs_pairing = homogeneous_pairing(-(lam + 1.0), phi, taylor_order=TAYLOR_ORDER)
+    if rhs_pairing.pole_flag:
+        raise ValueError(f"lam={lam}: right-side pairing sits on a pole")
+    return lhs, pairing_symbol_constant(a, lam) * float(np.real(rhs_pairing.value)), False

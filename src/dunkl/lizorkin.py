@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import GridFunction
-from .report import IdentityReport, pair_errs, run_check
 from .sonine import SoninePair, dual_sonine_grid, sonine_grid
 from .special import OrderParam, as_order, c_const
 from .transform import (
@@ -209,7 +208,7 @@ def inversion_check(
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
     order: str,
-) -> IdentityReport:
+) -> tuple[float, float, str]:
     """Run one reconstruction pipeline and compare against the witness.
 
     Orders (composition applied right to left to the witness):
@@ -218,8 +217,9 @@ def inversion_check(
       * 'k1-ts-s':  alpha-full o dual-sonine o sonine,  witness at alpha;
       * 'k2-s-ts':  beta-full o sonine o dual-sonine,   witness at beta.
 
-    Errors are reported at every third x-node where the witness exceeds
-    1e-3 of its peak.
+    Returns the largest absolute and relative errors at every third x-node
+    where the witness exceeds 1e-3 of its peak, and a summary of those
+    points.
     """
     if order not in INVERSION_ORDERS:
         raise ValueError(f"unknown pipeline order {order!r}; expected one of {INVERSION_ORDERS}")
@@ -236,17 +236,15 @@ def inversion_check(
     def second_step(f, xs: np.ndarray) -> np.ndarray:
         return sonine_grid(pair, f, xs) if ts_first else dual_sonine_grid(pair, f, xs, u_max=u_max)
 
-    def errs() -> tuple[float, float]:
-        first = witness.image(pair, first_plan, u_max if ts_first else None)
-        if k_last:
-            first_fn = SpectralFunction.from_spectrum(first_plan, forward(first_plan, first).values)
-            recon = k_operator(kind, pair, plan_alpha, plan_beta, second_step(first_fn, second_plan.x_nodes))(points)
-        else:
-            recon = second_step(k_operator(kind, pair, plan_alpha, plan_beta, first), points)
-        return float(np.max(np.abs(recon - reference))), float(np.max(np.abs(recon - reference) / np.abs(reference)))
-
-    params = {"alpha": pair.a, "beta": pair.b, "m": witness.m, "flat": witness.flat}
-    return run_check(f"inversion-{order}", params, f"{points.size} masked points (level {_MASK_LEVEL})", errs)
+    first = witness.image(pair, first_plan, u_max if ts_first else None)
+    if k_last:
+        first_fn = SpectralFunction.from_spectrum(first_plan, forward(first_plan, first).values)
+        recon = k_operator(kind, pair, plan_alpha, plan_beta, second_step(first_fn, second_plan.x_nodes))(points)
+    else:
+        recon = second_step(k_operator(kind, pair, plan_alpha, plan_beta, first), points)
+    abs_err = float(np.max(np.abs(recon - reference)))
+    rel_err = float(np.max(np.abs(recon - reference) / np.abs(reference)))
+    return abs_err, rel_err, f"{points.size} masked points (level {_MASK_LEVEL})"
 
 
 def multiplier_commutation_check(
@@ -254,18 +252,16 @@ def multiplier_commutation_check(
     plan_alpha: TransformPlan,
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
-) -> IdentityReport:
-    """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness."""
-
-    def errs() -> tuple[float, float, str]:
-        u_max = _u_max_for(plan_beta)
-        lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, witness.image(pair, plan_alpha, u_max))
-        lhs = lhs_img(plan_alpha.x_nodes)
-        k2_img = k_operator("beta-full", pair, plan_alpha, plan_beta, witness)
-        abs_err, rel, n_mask = _masked_max_rel(lhs, dual_sonine_grid(pair, k2_img, plan_alpha.x_nodes, u_max=u_max))
-        return abs_err, rel, f"{n_mask} masked points of {plan_alpha.x_nodes.size}"
-
-    return run_check("multiplier-commutation", {"alpha": pair.a, "beta": pair.b, "m": witness.m}, None, errs)
+) -> tuple[float, float, str]:
+    """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness:
+    the largest absolute error, the largest relative error where the left
+    side exceeds 1e-3 of its peak, and a summary of those points."""
+    u_max = _u_max_for(plan_beta)
+    lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, witness.image(pair, plan_alpha, u_max))
+    lhs = lhs_img(plan_alpha.x_nodes)
+    k2_img = k_operator("beta-full", pair, plan_alpha, plan_beta, witness)
+    abs_err, rel, n_mask = _masked_max_rel(lhs, dual_sonine_grid(pair, k2_img, plan_alpha.x_nodes, u_max=u_max))
+    return abs_err, rel, f"{n_mask} masked points of {plan_alpha.x_nodes.size}"
 
 
 def plancherel_dual_check(
@@ -273,17 +269,11 @@ def plancherel_dual_check(
     plan_alpha: TransformPlan,
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
-) -> IdentityReport:
-    """Weighted norm of a beta-witness against the alpha-weighted norm of the
-    half-power image of its dual-Sonine transform."""
-    params = {"alpha": pair.a, "beta": pair.b, "m": witness.m}
-
-    def errs() -> tuple[float, float]:
-        lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
-        ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
-        k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, ts_values)
-        rhs = float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))
-        params.update(lhs=lhs, rhs=rhs)
-        return pair_errs(lhs, rhs)
-
-    return run_check("plancherel-dual", params, f"x-rules {plan_alpha.x_nodes.size}/{plan_beta.x_nodes.size}", errs)
+) -> tuple[float, float]:
+    """Both sides of the dual Plancherel identity: the weighted norm of a
+    beta-witness, and the alpha-weighted norm of the half-power image of its
+    dual-Sonine transform."""
+    lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
+    ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
+    k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, ts_values)
+    return lhs, float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))

@@ -25,7 +25,6 @@ from .quadrature import (
     riemann_liouville_integral,
     weyl_integral,
 )
-from .report import IdentityReport, run_check
 from .special import CLASSICAL_ORDER, OrderParam, a_sonine, as_order, as_source_order, log_b_coeff
 
 __all__ = [
@@ -278,8 +277,8 @@ def _smooth_intertwining_errs(pair: SoninePair, f, grid: np.ndarray) -> tuple[fl
     return abs_err, abs_err / scale
 
 
-def intertwining_check(pair: SoninePair, f) -> IdentityReport:
-    """Both intertwining relations:
+def intertwining_check(pair: SoninePair, f) -> tuple[float, float]:
+    """Errors of both intertwining relations:
 
       direct:  Lambda_beta (S f) = S (Lambda_alpha f)
       dual:    tS (Lambda_beta f) = Lambda_alpha (tS f)
@@ -288,12 +287,7 @@ def intertwining_check(pair: SoninePair, f) -> IdentityReport:
     the nonzero points of a 21-point grid on [-2.5, 2.5] for Schwartz-class
     inputs.
     """
-    params = {"alpha": pair.a, "beta": pair.b}
     if isinstance(f, PolyFunction):
-        params.update(input="polynomial", degree=f.degree)
-        return run_check("sonine-intertwining", params, f"coefficients 0..{f.degree}", _poly_intertwining_errs, pair, f)
+        return _poly_intertwining_errs(pair, f)
     grid = np.linspace(-2.5, 2.5, 21)
-    grid = grid[grid != 0.0]
-    params["input"] = "smooth"
-    summary = f"{grid.size} points in [{grid.min():.3g}, {grid.max():.3g}]"
-    return run_check("sonine-intertwining", params, summary, _smooth_intertwining_errs, pair, f, grid)
+    return _smooth_intertwining_errs(pair, f, grid[grid != 0.0])

@@ -24,7 +24,6 @@ import numpy as np
 
 from .functions import GridFunction
 from .quadrature import jacobi_rule
-from .report import IdentityReport, pair_errs, run_check
 from .special import OrderParam, as_order, c_const, j_norm_pair, log_b_coeff
 
 __all__ = [
@@ -38,8 +37,7 @@ __all__ = [
     "forward_at",
     "forward_fn",
     "inverse_at",
-    "plancherel_check",
-    "plancherel_errs",
+    "plancherel_sides",
     "apply_multiplier",
     "apply_multiplier_fn",
 ]
@@ -506,18 +504,9 @@ def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec) -> GridFunction:
     return GridFunction(grid=plan.x_nodes, values=fn(plan.x_nodes), smoothness_hint="schwartz")
 
 
-def plancherel_errs(plan: TransformPlan, f, params: dict) -> tuple[float, float, str]:
-    """Errors of int |f|^2 |x|^(2a+1) dx = c_alpha int |Ff|^2 |l|^(2a+1) dl,
-    both sides recorded in ``params``, and the grid summary."""
+def plancherel_sides(plan: TransformPlan, f) -> tuple[float, float]:
+    """Both sides of int |f|^2 |x|^(2a+1) dx = c_alpha int |Ff|^2 |l|^(2a+1) dl."""
     values = _values_on(f, plan.x_nodes, "x")
     lhs = float(np.real(plan.integrate_x(np.abs(values) ** 2)))
     spectrum = plan.forward_matrix @ values
-    rhs = float(np.real(plan.c_alpha * np.sum(plan.lambda_weights * np.abs(spectrum) ** 2)))
-    params.update(lhs=lhs, rhs=rhs)
-    return (*pair_errs(lhs, rhs), f"x-rule {plan.x_nodes.size} nodes, lambda-rule {plan.lambda_nodes.size} nodes")
-
-
-def plancherel_check(plan: TransformPlan, f) -> IdentityReport:
-    """Compare int |f|^2 |x|^(2a+1) dx with c_alpha int |Ff|^2 |l|^(2a+1) dl."""
-    params = {"alpha": plan.alpha}
-    return run_check("plancherel", params, None, plancherel_errs, plan, f, params)
+    return lhs, float(np.real(plan.c_alpha * np.sum(plan.lambda_weights * np.abs(spectrum) ** 2)))

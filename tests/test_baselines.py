@@ -44,6 +44,10 @@ def test_every_identity_within_its_baseline(verify_all_run):
 
 
 def test_every_identity_keeps_its_grid(verify_all_run):
+    """Each identity keeps its grid string, and the run its report order,
+    which the baseline lists."""
     _, report_path = verify_all_run
     observed = {identity_key(r): r["grid"] for r in json.loads(report_path.read_text())}
-    assert observed == json.loads(GRIDS.read_text())
+    grids = json.loads(GRIDS.read_text())
+    assert observed == grids
+    assert list(observed) == list(grids)

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma
+from scipy.special import rgamma
 
 from dunkl.fractional import (
     _ForwardImage,
@@ -15,11 +17,11 @@ from dunkl.fractional import (
     pairing_symbol_constant,
     power_weight_identity,
     riesz_prefactor,
-    symbol_constants_consistency,
 )
 from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian
 from dunkl.quadrature import TailNonConvergence, homogeneous_pairing
-from dunkl.special import log_b_coeff
+from dunkl.report import pair_errs
+from dunkl.special import c_const, log_b_coeff
 from dunkl.transform import MultiplierSpec, apply_multiplier_fn
 
 
@@ -100,22 +102,22 @@ class TestPairingIdentity:
         plan = plan_factory(alpha)
         strip = -(2.0 * alpha + 2.0)
         for lam in (0.35 * strip, 0.6 * strip, 0.85 * strip):
-            rep = power_weight_identity(alpha, lam, gaussian(), plan)
-            assert rep.max_rel_err <= 1e-6, f"lam={lam}"
+            lhs, rhs, _ = power_weight_identity(alpha, lam, gaussian(), plan)
+            assert pair_errs(lhs, rhs)[1] <= 1e-6, f"lam={lam}"
 
     def test_specific_example(self, plan_factory):
-        rep = power_weight_identity(0.5, -1.3, gaussian(), plan_factory(0.5))
-        assert rep.max_rel_err <= 1e-6
+        lhs, rhs, _ = power_weight_identity(0.5, -1.3, gaussian(), plan_factory(0.5))
+        assert pair_errs(lhs, rhs)[1] <= 1e-6
 
     def test_degenerate_even_case(self, plan_factory):
         # constant vanishes; the left pairing must vanish for a test function
         # with zero matching residue (even, second derivative zero at 0)
         from dunkl.functions import PolyFunction, PolyGaussian
         probe = PolyGaussian(PolyFunction.monomial(4), 0.5)
-        rep = power_weight_identity(0.5, 2.0, probe, plan_factory(0.5))
-        assert rep.params["degenerate"]
-        assert abs(rep.params["lhs"]) <= 1e-8
-        assert abs(rep.params["rhs"]) <= 1e-8
+        lhs, rhs, degenerate = power_weight_identity(0.5, 2.0, probe, plan_factory(0.5))
+        assert degenerate
+        assert abs(lhs) <= 1e-8
+        assert abs(rhs) <= 1e-8
 
     def test_pole_rejected(self, plan_factory):
         with pytest.raises(ValueError):
@@ -152,8 +154,14 @@ class TestPairingIdentity:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
     def test_symbol_constants_consistency(self, alpha):
+        """c_alpha times the pairing constant is the constant of the mirrored
+        identity, 2^lam Gamma((2a+lam+2)/2) / (Gamma(a+1) Gamma(-lam/2)):
+        an exact Gamma identity, so the two agree to rounding."""
         for lam in (-0.7, -1.3, -2.2):
-            assert symbol_constants_consistency(alpha, lam) <= 1e-13
+            gammas = float(scipy_gamma((2.0 * alpha + lam + 2.0) / 2.0)) * float(rgamma(-lam / 2.0))
+            mirrored = 2.0**lam * gammas / math.gamma(alpha + 1.0)
+            direct = c_const(alpha) * pairing_symbol_constant(alpha, lam)
+            assert abs(direct - mirrored) / max(abs(mirrored), 1e-300) <= 1e-13
 
     def test_constant_zero_at_even(self):
         assert pairing_symbol_constant(0.5, 2.0) == 0.0
