@@ -276,14 +276,15 @@ def weyl_integral(
     ahead, so the shared doubling panels only ever see (u - s)^(mu-1) with
     bounded variation.  The integral is truncated exactly at u_max: the
     caller chooses it where the integrand has decayed below the target, and
-    in particular inside the region its evaluator resolves.
+    in particular inside the region its evaluator resolves.  Each distinct s
+    is integrated once, so mirrored points +-x cost one head.
 
     Returns an array of shape (len(h_fns), len(s_values)).
     """
     if not mu > 0:
         raise ValueError("Weyl order mu must be positive")
-    s_values = np.asarray(s_values, dtype=float)
-    if s_values.size and np.any(s_values < 0):
+    s_values, where = np.unique(np.asarray(s_values, dtype=float), return_inverse=True)
+    if s_values.size and s_values[0] < 0:
         raise ValueError("s values must be nonnegative")
 
     edges = [0.0, 1.0]
@@ -292,7 +293,7 @@ def weyl_integral(
     edges = np.asarray(edges)
     n_edges = edges.size
 
-    if s_values.size and np.max(s_values) >= edges[-1]:
+    if s_values.size and s_values[-1] >= edges[-1]:
         raise ValueError("largest s must sit inside the truncated domain; raise u_max")
 
     head = jacobi_rule(0.0, mu - 1.0, WEYL_HEAD_NODES)
@@ -310,14 +311,14 @@ def weyl_integral(
     # panel k belongs to the tail of s once it starts at or beyond s's head end
     live = np.arange(n_edges - 1)[None, :] >= head_end_idx[:, None]
     kernel = _panel_kernel(live, panel_u[None] - s_values[:, None, None], panel_w, mu)
-    return heads + (kernel @ np.stack(h_panel, axis=1)).T
+    return (heads + (kernel @ np.stack(h_panel, axis=1)).T)[:, where]
 
 
 def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: float) -> np.ndarray:
     """Rows of weights w (u - s)^(mu - 1) over every panel node, one row per
     s, zero on the panels ``live`` (shape (len(s), n_panels)) leaves out."""
-    live = live[:, :, None]
-    kernel = np.where(live, panel_w * np.where(live, du, 1.0) ** (mu - 1.0), 0.0)
+    kernel = np.power(du, mu - 1.0, out=np.zeros_like(du), where=live[:, :, None])
+    kernel *= panel_w
     return kernel.reshape(du.shape[0], du.shape[1] * du.shape[2])
 
 
@@ -335,7 +336,8 @@ def riemann_liouville_integral(
     The shared panels are uniform in y = sqrt(u), of width RL_PANEL_WIDTH, so
     an evaluator with spectral content up to frequency ~ pi/(2 RL_PANEL_WIDTH)
     stays resolved at every s simultaneously.  Per-s heads cover the last two
-    panels before s with the endpoint weight (s-u)^(mu-1) absorbed.
+    panels before s with the endpoint weight (s-u)^(mu-1) absorbed.  Each
+    distinct s is integrated once.
 
     Returns an array of shape (len(h_fns), len(s_values)).
     """
@@ -343,13 +345,13 @@ def riemann_liouville_integral(
         raise ValueError("fractional order mu must be positive")
     if len(left_exponents) != len(h_fns):
         raise ValueError("one left exponent per integrand")
-    s_values = np.asarray(s_values, dtype=float)
+    s_values, where = np.unique(np.asarray(s_values, dtype=float), return_inverse=True)
     if s_values.size == 0:
         return np.zeros((len(h_fns), 0))
-    if np.any(s_values <= 0):
+    if s_values[0] <= 0:
         raise ValueError("s values must be strictly positive (handle s=0 in the caller)")
 
-    y_max = math.sqrt(float(np.max(s_values)))
+    y_max = math.sqrt(float(s_values[-1]))
     n_panels = max(int(math.ceil(y_max / RL_PANEL_WIDTH)), 2)
     edges = (np.linspace(0.0, y_max, n_panels + 1)) ** 2
 
@@ -389,4 +391,4 @@ def riemann_liouville_integral(
         row[big] = ((h_heads.reshape(u_heads.shape) * u_heads**b_exp) @ head.weights) * span**mu
         first_w = first.weights * edges[1] ** (b_exp + 1.0) * (s_big[:, None] - first.nodes * edges[1]) ** (mu - 1.0)
         row[big] += first_w @ h_first + kernel @ (panel_u.ravel() ** b_exp * h_panel)
-    return out
+    return out[:, where]

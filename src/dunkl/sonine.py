@@ -138,26 +138,14 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
     f = as_smooth(f)
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.shape, dtype=complex)
-    zero = xs == 0.0
-    if np.any(zero):
-        out[zero] = np.asarray(f(0.0))
-    live = ~zero
+    live = xs != 0.0
     ax = np.abs(xs[live])
-    order = np.argsort(ax)
-    ax_sorted = ax[order]
-    w = riemann_liouville_integral(
-        _squared_parts(f),
-        [pair.a, pair.a + 1.0],
-        pair.mu,
-        ax_sorted**2,
-    )
-    even_vals = np.empty_like(ax, dtype=complex)
-    odd_vals = np.empty_like(ax, dtype=complex)
-    even_vals[order] = w[0] * ax_sorted
-    odd_vals[order] = w[1]
-    scale = pair.prefactor * ax ** (-(2.0 * pair.b + 1.0))
-    out[live] = scale * (even_vals + np.sign(xs[live]) * odd_vals)
-    if np.isrealobj(np.asarray(f(np.zeros(1)))) and np.allclose(out.imag, 0.0):
+    w = riemann_liouville_integral(_squared_parts(f), [pair.a, pair.a + 1.0], pair.mu, ax**2)
+    out[live] = pair.prefactor * ax ** (-(2.0 * pair.b + 1.0)) * (w[0] * ax + np.sign(xs[live]) * w[1])
+    # after the integral, so that a synthesized f reads f(0) from the proxy it built
+    f0 = np.asarray(f(np.zeros(1)))
+    out[~live] = f0
+    if np.isrealobj(f0) and np.allclose(out.imag, 0.0):
         return out.real
     return out
 
@@ -225,7 +213,8 @@ def dual_sonine_grid(
     u_max: float = 512.0,
 ) -> np.ndarray:
     """Dual Sonine transform on many points through the shared-panel
-    fractional tail integral; agrees with dual_sonine_apply pointwise."""
+    fractional tail integral, which integrates each distinct s = x^2 once
+    (so +-x share it); agrees with dual_sonine_apply pointwise."""
     xs = np.asarray(xs, dtype=float)
     w = weyl_integral(_squared_parts(as_smooth(f)), pair.mu, xs**2, u_max=u_max)
     return pair.prefactor * (w[0] + xs * w[1])

@@ -234,8 +234,7 @@ def _sonine_duality(ctx: RunContext, p: dict) -> tuple[float, float]:
     lhs = np.sum(rule_b.weights * (sf(rule_b.nodes) * g(rule_b.nodes) + sf(-rule_b.nodes) * g(-rule_b.nodes)))
     base = jacobi_rule(0.0, 2.0 * a + 1.0, 128)  # radial_rule(a, 14.0, 128), which rejects the classical a = -1/2
     nodes, weights = base.nodes * 14.0, base.weights * 14.0 ** (2.0 * a + 2.0)
-    tsg = sonine.dual_sonine_grid(pair, g, nodes, u_max=400.0)
-    tsg_neg = sonine.dual_sonine_grid(pair, g, -nodes, u_max=400.0)
+    tsg, tsg_neg = np.split(sonine.dual_sonine_grid(pair, g, np.concatenate([nodes, -nodes]), u_max=400.0), 2)
     rhs = np.sum(weights * (f(nodes) * tsg + f(-nodes) * tsg_neg))
     return _sides(p, lhs, rhs, lambda lhs, rhs: max_errs(rhs, lhs))
 

@@ -296,6 +296,21 @@ class TestVerifyCommand:
         assert code == 0
         assert out_path.read_text().splitlines()[0] == "name,params,grid,max_abs_err,max_rel_err,elapsed_s"
 
+    def test_alpha_alone_leaves_three_sweeps_at_their_orders(self, tmp_path):
+        # kernel-consistency keeps its five orders, fractional-cross-route
+        # its two, and the pipelines their three pairs without --beta
+        out_path = tmp_path / "rep.json"
+        assert main(["verify", "--alpha", "0", "--suites", "all", "--out", str(out_path)]) == 0
+        reports = json.loads(out_path.read_text())
+        elsewhere = [r for r in reports if r["params"]["alpha"] != 0.0]
+        assert len(reports) == 70
+        assert sorted((r["name"], r["params"]["alpha"], r["params"].get("beta")) for r in elsewhere) == sorted(
+            [("kernel-consistency", a, None) for a in (-0.4, 0.5, 1.5, 2.7)]
+            + [("fractional-cross-route", a, None) for a in (0.5, 0.5, 1.5, 1.5)]
+            + [(f"inversion-{o}", 0.5, 1.5) for o in ("s-k1-ts", "ts-k2-s", "k1-ts-s", "k2-s-ts") for _ in (0, 1)]
+            + [("multiplier-commutation", 0.5, 1.5), ("plancherel-dual", 0.5, 1.5)]
+        )
+
 
 class TestReportCommand:
     def test_empty(self, capsys):

@@ -2,17 +2,20 @@
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl import sonine
 from dunkl.fractional import frac_power_kernel
 from dunkl.functions import PolyFunction, PolyGaussian, WrappedFunction, gaussian, monomial_gaussian
 from dunkl.quadrature import (
     MAX_DOUBLINGS,
     TailNonConvergence,
+    _panel_kernel,
     doubling_tail,
     homogeneous_pairing,
     integrate_semi_infinite,
@@ -427,35 +430,122 @@ class TestVectorizedAgainstLoops:
         self._close(got, _riemann_liouville_reference(h_fns, [0.5, 1.5], mu, s))
 
 
+def _counted(h_fns):
+    """The integrands wrapped to count their calls and the points they see."""
+    calls, points = collections.Counter(), collections.Counter()
+
+    def counting(i, h):
+        def call(u):
+            calls[i] += 1
+            points[i] += np.size(u)
+            return h(u)
+
+        return call
+
+    return calls, points, [counting(i, h) for i, h in enumerate(h_fns)]
+
+
 class TestOneCallPerIntegrand:
     """Each integrand is evaluated once per call, on all its points at once:
-    panels, first panel and heads.  A synthesized integrand then meets one
-    large call, which pays for its proxy at once, not many small ones."""
-
-    @staticmethod
-    def _counted(h_fns):
-        calls = collections.Counter()
-
-        def counting(i, h):
-            def call(u):
-                calls[i] += 1
-                return h(u)
-
-            return call
-
-        return calls, [counting(i, h) for i, h in enumerate(h_fns)]
+    panels, first panel and one head per distinct s.  A synthesized integrand
+    then meets one large call, which pays for its proxy at once, not many
+    small ones."""
 
     def test_weyl(self):
-        calls, h_fns = self._counted(_poly_gaussian_parts())
-        s = np.array([0.0, 0.2, 1.5, 4.0, 64.0, 300.0])
+        calls, points, h_fns = _counted(_poly_gaussian_parts())
+        s = np.array([0.0, 0.2, 1.5, 4.0, 64.0, 300.0, 4.0, 0.2])
         got = weyl_integral(h_fns, 1.5, s, u_max=512.0)
         assert calls == {0: 1, 1: 1}
+        # 10 doubling panels of 40 points up to 512, and 6 distinct heads of 32
+        assert points == {0: 10 * 40 + 6 * 32, 1: 10 * 40 + 6 * 32}
         assert np.array_equal(got, weyl_integral(_poly_gaussian_parts(), 1.5, s, u_max=512.0))
 
     @pytest.mark.parametrize("s", [np.array([0.05, 0.4, 2.0, 7.1, 20.0]), np.array([7.1, 20.0]), np.array([0.4])])
     def test_riemann_liouville(self, s):
-        # s inside the first two panels, beyond them, and both
-        calls, h_fns = self._counted(_poly_gaussian_parts())
-        got = riemann_liouville_integral(h_fns, [0.5, 1.5], 0.75, s)
+        # s inside the first two panels, beyond them, and both; every s twice
+        n_panels = max(math.ceil(math.sqrt(s.max()) / 0.75), 2)
+        calls, points, h_fns = _counted(_poly_gaussian_parts())
+        got = riemann_liouville_integral(h_fns, [0.5, 1.5], 0.75, np.tile(s, 2))
         assert calls == {0: 1, 1: 1}
-        assert np.array_equal(got, riemann_liouville_integral(_poly_gaussian_parts(), [0.5, 1.5], 0.75, s))
+        # the shared panels, the first panel and one head per distinct s, 24 points each
+        assert points == {0: 24 * (n_panels + 1 + s.size), 1: 24 * (n_panels + 1 + s.size)}
+        assert np.array_equal(got, riemann_liouville_integral(_poly_gaussian_parts(), [0.5, 1.5], 0.75, np.tile(s, 2)))
+
+    def test_witness_plan_dual_sonine_grid(self, monkeypatch, witness_plan_factory):
+        # 384 mirrored x-nodes are 192 distinct s = x^2: 12 doubling panels
+        # of 40 points up to u_max = 1600, and 192 heads of 32
+        plan = witness_plan_factory(0.5)
+        counted = []
+
+        def counted_weyl(h_fns, *args, **kwargs):
+            counted.append(_counted(h_fns))
+            return weyl_integral(counted[-1][2], *args, **kwargs)
+
+        monkeypatch.setattr(sonine, "weyl_integral", counted_weyl)
+        sonine.dual_sonine_grid(SoninePair.of(0.5, 1.5), gaussian(), plan.x_nodes, u_max=plan.half_width**2)
+        [(calls, points, _)] = counted
+        assert calls == {0: 1, 1: 1}
+        assert points == {0: 6624, 1: 6624}
+
+
+class TestDistinctS:
+    """Each distinct s is integrated once: a call on unsorted s with repeats
+    is, entry by entry, the call on the sorted distinct set gathered back."""
+
+    S = np.array([64.0, 0.2, 4.0, 0.4, 0.2, 300.0, 4.0, 1.5, 64.0, 7.1])
+
+    @classmethod
+    def _gathered(cls, integral):
+        distinct = np.array(sorted(set(cls.S.tolist())))
+        got = integral(cls.S)
+        assert got.shape == (2, cls.S.size)
+        return got, integral(distinct)[:, np.searchsorted(distinct, cls.S)]
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
+    def test_weyl(self, mu):
+        got, want = self._gathered(lambda s: weyl_integral(_poly_gaussian_parts(), mu, s, u_max=512.0))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
+    def test_riemann_liouville(self, mu):
+        got, want = self._gathered(lambda s: riemann_liouville_integral(_poly_gaussian_parts(), [0.5, 1.5], mu, s))
+        assert np.array_equal(got, want)
+
+
+def _panel_kernel_where(live, du, panel_w, mu):
+    """The masked two-``np.where`` form of ``_panel_kernel``, which raised
+    every entry to the power mu - 1, live or not."""
+    live = live[:, :, None]
+    kernel = np.where(live, panel_w * np.where(live, du, 1.0) ** (mu - 1.0), 0.0)
+    return kernel.reshape(du.shape[0], du.shape[1] * du.shape[2])
+
+
+class TestPanelKernel:
+    """192 s, 12 panels of 40 nodes: the Weyl tail's live panels start at a
+    head end, the Riemann-Liouville ones stop before it, where u - s < 0."""
+
+    @staticmethod
+    def _case(kind):
+        edges = np.concatenate([[0.0], 2.0 ** np.arange(11), [1600.0]])
+        panel_u, panel_w = legendre_panels(edges, 40)
+        s = np.linspace(0.0, 1500.0, 192)
+        head_end = np.minimum(np.searchsorted(edges, s, side="right") + 1, edges.size - 1)
+        k = np.arange(12)[None, :]
+        if kind == "weyl":
+            return k >= head_end[:, None], panel_u[None] - s[:, None, None], panel_w
+        return (k >= 1) & (k < head_end[:, None] - 3), s[:, None, None] - panel_u[None], panel_w
+
+    @pytest.mark.parametrize("kind", ["weyl", "riemann-liouville"])
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5])
+    def test_equals_the_masked_where_form(self, kind, mu):
+        live, du, panel_w = self._case(kind)
+        assert np.array_equal(_panel_kernel(live, du, panel_w, mu), _panel_kernel_where(live, du, panel_w, mu))
+
+    @pytest.mark.parametrize("mu", [0.25, 0.75, 1.5])
+    def test_no_warning_off_the_live_panels(self, mu):
+        live, du, panel_w = self._case("riemann-liouville")
+        assert np.any(du[~live] < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = _panel_kernel(live, du, panel_w, mu)
+        assert np.all(np.isfinite(kernel))

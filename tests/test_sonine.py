@@ -8,10 +8,11 @@ import pytest
 from dunkl import core
 from dunkl.cli import main
 from dunkl.functions import KernelFunction, PolyFunction, PolyGaussian, WrappedFunction, gaussian, monomial_gaussian
-from dunkl.quadrature import radial_rule
+from dunkl.quadrature import radial_rule, weyl_integral
 from dunkl.sonine import (
     SonineImage,
     SoninePair,
+    _squared_parts,
     dual_sonine_apply,
     dual_sonine_grid,
     intertwining_check,
@@ -126,6 +127,16 @@ class TestDualSonine:
         grid_vals = dual_sonine_grid(pair, f, xs, u_max=128.0)
         point_vals = np.asarray([dual_sonine_apply(pair, f, float(x)) for x in xs])
         np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("a,b", ((0.0, 0.5), (0.5, 1.5), (0.0, 2.0)))
+    def test_mirrored_points_share_one_integral(self, a, b):
+        # +-x share s = x^2, so tS f(+-x) = prefactor (W_0 +- x W_1) exactly
+        pair = SoninePair.of(a, b)
+        f = PolyGaussian(PolyFunction(np.array([1.0, 0.4, -0.3])), 0.8)
+        x = np.array([0.0, 0.3, 1.1, 2.5, 7.0])
+        w = weyl_integral(_squared_parts(f), pair.mu, x**2, u_max=256.0)
+        got = dual_sonine_grid(pair, f, np.concatenate([x, -x]), u_max=256.0)
+        assert np.array_equal(got, pair.prefactor * np.concatenate([w[0] + x * w[1], w[0] - x * w[1]]))
 
     @pytest.mark.parametrize("a,b", ((0.0, 0.5), (0.5, 1.5)))
     def test_duality_pairing(self, a, b):
