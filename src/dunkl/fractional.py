@@ -144,18 +144,12 @@ def frac_power_kernel(
         for yy, ww in zip(*legendre_panels(edges, 24)):
             total += np.sum(summand(yy, ww))
 
-        # gap panel [ax - delta, ax] with (ax - y)^(-(2 lam + 1)) absorbed
+        # gap panels [ax - delta, ax] and [ax, ax + delta] with |y - ax|^(-(2 lam + 1)) absorbed
         g_exp = -(2.0 * lam + 1.0)
-        grule = jacobi_rule(g_exp, 0.0, 24)
-        yy = (ax - delta) + delta * grule.nodes
-        ww = grule.weights * delta ** (g_exp + 1.0)
-        total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy) * (ax - yy) ** (2.0 * lam + 1.0)))
-
-        # gap panel [ax, ax + delta] with (y - ax)^(-(2 lam + 1)) absorbed
-        grule = jacobi_rule(0.0, g_exp, 24)
-        yy = ax + delta * grule.nodes
-        ww = grule.weights * delta ** (g_exp + 1.0)
-        total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy) * (yy - ax) ** (2.0 * lam + 1.0)))
+        for start, grule in ((ax - delta, jacobi_rule(g_exp, 0.0, 24)), (ax, jacobi_rule(0.0, g_exp, 24))):
+            yy = start + delta * grule.nodes
+            ww = grule.weights * delta ** (g_exp + 1.0)
+            total += np.real(np.sum(ww * yy ** (2.0 * a + 1.0) * fy(yy) * kern(yy) * np.abs(yy - ax) ** (2.0 * lam + 1.0)))
 
         # geometric coarsening [ax + delta, 2 ax]
         edges = [ax + delta]

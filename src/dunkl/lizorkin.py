@@ -188,8 +188,6 @@ def k_operator(
 
 
 def _masked_max_rel(reference: np.ndarray, candidate: np.ndarray) -> tuple[float, float, int]:
-    reference = np.asarray(reference)
-    candidate = np.asarray(candidate)
     mask = np.abs(reference) > _MASK_LEVEL * np.max(np.abs(reference))
     abs_err = float(np.max(np.abs(candidate - reference)))
     rel = float(np.max(np.abs(candidate[mask] - reference[mask]) / np.abs(reference[mask])))

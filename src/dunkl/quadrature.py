@@ -311,7 +311,15 @@ def weyl_integral(
     # panel k belongs to the tail of s once it starts at or beyond s's head end
     live = np.arange(n_edges - 1)[None, :] >= head_end_idx[:, None]
     kernel = _panel_kernel(live, panel_u[None] - s_values[:, None, None], panel_w, mu)
-    return (heads + (kernel @ np.stack(h_panel, axis=1)).T)[:, where]
+    return (heads + _real_matvec(kernel, np.stack(h_panel, axis=1)).T)[:, where]
+
+
+def _real_matvec(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """table @ w for a real table: one real product even for complex w, as pairs of real columns."""
+    if not np.iscomplexobj(w):
+        return table @ w
+    pairs = np.ascontiguousarray(w, dtype=complex).reshape(w.shape[0], -1).view(float)
+    return (table @ pairs).view(complex).reshape(table.shape[0], *w.shape[1:])
 
 
 def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: float) -> np.ndarray:
@@ -390,5 +398,5 @@ def riemann_liouville_integral(
         row[small] = (h_small.reshape(-1, RL_NODES) @ small_rule.weights) * s_small ** (mu + b_exp)
         row[big] = ((h_heads.reshape(u_heads.shape) * u_heads**b_exp) @ head.weights) * span**mu
         first_w = first.weights * edges[1] ** (b_exp + 1.0) * (s_big[:, None] - first.nodes * edges[1]) ** (mu - 1.0)
-        row[big] += first_w @ h_first + kernel @ (panel_u.ravel() ** b_exp * h_panel)
+        row[big] += first_w @ h_first + _real_matvec(kernel, panel_u.ravel() ** b_exp * h_panel)
     return out[:, where]

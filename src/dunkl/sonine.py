@@ -145,9 +145,7 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
     # after the integral, so that a synthesized f reads f(0) from the proxy it built
     f0 = np.asarray(f(np.zeros(1)))
     out[~live] = f0
-    if np.isrealobj(f0) and np.allclose(out.imag, 0.0):
-        return out.real
-    return out
+    return out.real if np.isrealobj(f0) and np.allclose(out.imag, 0.0) else out
 
 
 class SonineImage:

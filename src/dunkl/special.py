@@ -208,15 +208,16 @@ _BANDS = (_series_pair, _miller_pair, _hankel_pair, _hankel_pair, _hankel_pair, 
 def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
     """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u: the power series where
     |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in
-    the sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan."""
-    a, u = as_order(alpha).alpha, np.abs(np.asarray(u, dtype=float))
-    out = np.empty((2, *u.shape))
+    the sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan; in u's shape."""
+    a, shape = as_order(alpha).alpha, np.shape(u)
+    u = np.abs(np.asarray(u, dtype=float).ravel())
+    out = np.empty((2, u.size))
     index = np.searchsorted(_BAND_EDGES, u, side="right")
     for k, pair in enumerate(_BANDS):
         band = index == k
         if np.any(band):
             out[0][band], out[1][band] = pair(a, u[band])
-    return out[0], out[1]
+    return out[0].reshape(shape), out[1].reshape(shape)
 
 
 def j_norm(alpha: OrderParam | float, u) -> np.ndarray:

@@ -4,9 +4,9 @@ A plan pairs a physical rule on [-L, L] with a spectral rule on
 [-lambda_max, lambda_max].  Both rules absorb the weight |.|^(2 alpha + 1)
 into Gauss-Jacobi weights on a mirrored half-line grid, so the quadrature
 never sees the interior kink of the weight and Schwartz-class integrands
-converge at spectral rates.  The kernel matrices use the oscillatory-Bessel
-form of the kernel, which the tests cross-check against the independent
-series and compact-integral evaluations.
+converge at spectral rates.  A plan keeps the kernel's even and odd real
+parts on the quadrant of positive nodes (``_mirror_sum``); the tests
+cross-check it against the independent series and compact-integral forms.
 
 Multiplier operators |lambda|^sigma are applied on rules adapted to the
 exponent (weight |lambda|^(sigma + 2 alpha + 1) absorbed), so negative
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .functions import GridFunction
-from .quadrature import jacobi_rule
+from .quadrature import _real_matvec, jacobi_rule
 from .special import OrderParam, as_order, c_const, j_norm_pair, log_b_coeff
 
 __all__ = [
@@ -53,11 +53,17 @@ def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
     return even + (1j * sign) * u * (odd / (2.0 * (alpha + 1.0)))
 
 
-def _real_matvec(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """table @ w for a real table, one real product even for complex w (numpy would copy the table to complex)."""
-    if np.iscomplexobj(w):
-        return (table @ np.stack([w.real, w.imag], axis=1)).view(complex)[:, 0]
-    return table @ w
+def _mirror_sum(plan: TransformPlan, values: np.ndarray, sign: int) -> np.ndarray:
+    """The plan's forward (sign -1) or inverse (sign +1) sum on mirrored nodes, sum_j
+    E_alpha(sign i r_k c_j) v_j, from the kernel parts e, o at outer(r+, c+): the halves
+    of the weighted v enter as their sum and difference; rows -r+ and r+ read e -/+ i sign o."""
+    even, odd = (plan.kernel_even, plan.kernel_odd) if sign < 0 else (plan.kernel_even.T, plan.kernel_odd.T)
+    v = plan.x_weights * values if sign < 0 else plan.c_alpha * plan.lambda_weights * values
+    n = v.size // 2
+    low, high = v[:n][::-1], v[n:]
+    e = _real_matvec(even, high + low)
+    o = (1j * sign) * _real_matvec(odd, high - low)
+    return np.concatenate([(e - o)[::-1], e + o])
 
 
 def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int) -> np.ndarray:
@@ -110,10 +116,11 @@ class MultiplierSpec:
 
 
 class TransformPlan:
-    """Precomputed forward/inverse kernel matrices between the x-rule and the
-    lambda-rule at fixed order.  Immutable after construction; applications
-    are pure matrix products with a fixed summation order.  Both rules must
-    be exactly mirrored, since the kernel is folded from one quadrant."""
+    """The x-rule and lambda-rule at fixed order and, read-only, the kernel's even
+    part ``kernel_even`` = j_alpha(u) and odd part ``kernel_odd`` = u j_(alpha+1)(u)
+    / (2 alpha + 2) at u = outer(positive lambda-nodes, positive x-nodes).
+    ``forward`` and ``inverse`` (transposed) apply them by ``_mirror_sum``, so
+    both rules must be exactly mirrored.  Immutable after construction."""
 
     def __init__(
         self,
@@ -138,16 +145,15 @@ class TransformPlan:
         self.lambda_weights = lambda_weights
         self.tolerance = float(tolerance)
         self.c_alpha = c_const(alpha)
-        kernel = _folded_kernel(self.alpha, lambda_nodes, x_nodes, -1)
-        self.forward_matrix = kernel * x_weights
-        self.inverse_matrix = np.conjugate(kernel, out=kernel).T  # in place: no second kernel
-        self.inverse_matrix *= lambda_weights
-        self.inverse_matrix *= self.c_alpha
+        lam_pos, x_pos = lambda_nodes[lambda_nodes.size // 2 :], x_nodes[x_nodes.size // 2 :]
+        u = np.outer(lam_pos, x_pos)
+        self.kernel_even, self.kernel_odd = j_norm_pair(self.alpha, u)
+        self.kernel_odd *= u / (2.0 * (self.alpha + 1.0))
+        self.kernel_even.flags.writeable = self.kernel_odd.flags.writeable = False
         self.synthesis_radius = 1.4 * self.half_width
         self.self_test: dict[str, float] = {}
         # proxy radius and positive nodes of the synthesis (lambda to x) and analysis (x to lambda) tables
-        self.table_grids = {"synthesis": (self.synthesis_radius, lambda_nodes[lambda_nodes.size // 2 :]),
-                            "analysis": (self.lambda_max, x_nodes[x_nodes.size // 2 :])}
+        self.table_grids = {"synthesis": (self.synthesis_radius, lam_pos), "analysis": (self.lambda_max, x_pos)}
         self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def jnorm_table(self, shift: int) -> np.ndarray:
@@ -177,9 +183,6 @@ class TransformPlan:
     # -- sampling helpers -------------------------------------------------
     def sample(self, f: Callable) -> GridFunction:
         return GridFunction(grid=self.x_nodes, values=np.asarray(f(self.x_nodes)), smoothness_hint="schwartz")
-
-    def lambda_grid_function(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(grid=self.lambda_nodes, values=np.asarray(values), smoothness_hint="schwartz")
 
     def integrate_x(self, values: np.ndarray) -> complex:
         return np.sum(self.x_weights * np.asarray(values))
@@ -222,11 +225,9 @@ def build_plan(
 
     if self_test:
         gauss = np.exp(-(xn**2))
-        spectrum = plan.forward_matrix @ gauss
-        target = math.gamma(order.alpha + 1.0) * np.exp(-(ln**2) / 4.0)
-        forward_err = float(np.max(np.abs(spectrum - target)))
-        back = plan.inverse_matrix @ spectrum
-        roundtrip_err = float(np.max(np.abs(back - gauss)))
+        spectrum = _mirror_sum(plan, gauss, -1)
+        forward_err = float(np.max(np.abs(spectrum - math.gamma(order.alpha + 1.0) * np.exp(-(ln**2) / 4.0))))
+        roundtrip_err = float(np.max(np.abs(_mirror_sum(plan, spectrum, +1) - gauss)))
         plan.self_test = {"forward_gaussian": forward_err, "roundtrip_gaussian": roundtrip_err}
         if max(forward_err, roundtrip_err) > tol:
             raise PlanSelfTestError(
@@ -239,13 +240,13 @@ def build_plan(
 def forward(plan: TransformPlan, f) -> GridFunction:
     """Weighted transform of samples on the plan's x-grid; linear in f."""
     values = _values_on(f, plan.x_nodes, "x")
-    return plan.lambda_grid_function(plan.forward_matrix @ values)
+    return GridFunction(grid=plan.lambda_nodes, values=_mirror_sum(plan, values, -1), smoothness_hint="schwartz")
 
 
 def inverse(plan: TransformPlan, g) -> GridFunction:
     """Inverse transform of a spectrum on the plan's lambda-grid."""
     values = _values_on(g, plan.lambda_nodes, "lambda")
-    return GridFunction(grid=plan.x_nodes, values=plan.inverse_matrix @ values, smoothness_hint="schwartz")
+    return GridFunction(grid=plan.x_nodes, values=_mirror_sum(plan, values, +1), smoothness_hint="schwartz")
 
 
 def forward_at(plan: TransformPlan, f, lam_points: np.ndarray) -> np.ndarray:
@@ -453,7 +454,7 @@ def forward_fn(plan: TransformPlan, f) -> SpectralFunction:
 def spectral_support(plan: TransformPlan, values: np.ndarray, floor: float) -> float:
     """1.3 times the largest |lambda| node where the grid spectrum of
     ``values`` exceeds ``floor`` times its peak (lambda_max if none does)."""
-    spectrum = plan.forward_matrix @ values
+    spectrum = _mirror_sum(plan, values, -1)
     live = np.abs(spectrum) > floor * max(np.max(np.abs(spectrum)), 1e-300)
     return 1.3 * float(np.max(np.abs(plan.lambda_nodes[live]))) if np.any(live) else plan.lambda_max
 
@@ -508,5 +509,5 @@ def plancherel_sides(plan: TransformPlan, f) -> tuple[float, float]:
     """Both sides of int |f|^2 |x|^(2a+1) dx = c_alpha int |Ff|^2 |l|^(2a+1) dl."""
     values = _values_on(f, plan.x_nodes, "x")
     lhs = float(np.real(plan.integrate_x(np.abs(values) ** 2)))
-    spectrum = plan.forward_matrix @ values
+    spectrum = _mirror_sum(plan, values, -1)
     return lhs, float(np.real(plan.c_alpha * np.sum(plan.lambda_weights * np.abs(spectrum) ** 2)))

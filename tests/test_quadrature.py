@@ -16,6 +16,7 @@ from dunkl.quadrature import (
     MAX_DOUBLINGS,
     TailNonConvergence,
     _panel_kernel,
+    _real_matvec,
     doubling_tail,
     homogeneous_pairing,
     integrate_semi_infinite,
@@ -549,3 +550,19 @@ class TestPanelKernel:
             warnings.simplefilter("error")
             kernel = _panel_kernel(live, du, panel_w, mu)
         assert np.all(np.isfinite(kernel))
+
+
+class TestRealMatvec:
+    """A real table times a complex vector or matrix is one real product of
+    its real and imaginary columns, with the shape of table @ w."""
+
+    @pytest.mark.parametrize("shape", ((7,), (7, 1), (7, 3)))
+    def test_matches_complex_product(self, shape):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((4, 7))
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _real_matvec(table, w)
+        assert got.shape == (table @ w).shape and got.dtype == complex
+        bound = 1e-14 * (np.abs(table) @ np.abs(w))
+        assert np.all(np.abs(got.real - table @ w.real) <= bound) and np.all(np.abs(got.imag - table @ w.imag) <= bound)
+        assert np.array_equal(_real_matvec(table, w.real), table @ w.real)

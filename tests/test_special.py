@@ -24,6 +24,7 @@ from dunkl.special import (
 )
 from dunkl.special import _hankel_pair, _miller_pair, _series
 from dunkl.quadrature import jacobi_rule
+from dunkl.transform import kernel_unitary
 
 ALPHAS = (-0.4, 0.0, 0.5, 1.0, 2.7)
 
@@ -235,3 +236,18 @@ class TestJNormPair:
         assert calls == []
         for g, w in zip(got, want):
             assert np.isnan(g[-1]) and np.array_equal(g[:-1], w)
+
+
+class TestScalarInput:
+    """A real scalar gives 0-d results, bit for bit those of a one-element call."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("u", (0.0, 0.2, -3.0, 25.0, 100.0))
+    def test_scalar_equals_one_element_call(self, alpha, u):
+        one = np.array([u])
+        results = [*zip(j_norm_pair(alpha, u), j_norm_pair(alpha, one)), (j_norm(alpha, u), j_norm(alpha, one))]
+        for got, want in results:
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == want.tobytes()
+        for sign in (-1, 1):
+            assert np.asarray(kernel_unitary(alpha, u, sign)).tobytes() == kernel_unitary(alpha, one, sign).tobytes()

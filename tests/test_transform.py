@@ -16,13 +16,13 @@ from dunkl.lizorkin import inversion_check, make_witness, witness_plan
 from dunkl.report import pair_errs
 from dunkl.sonine import SoninePair
 from dunkl.suites import DEFAULT_TOLERANCES, _decomposition_errs
+from dunkl.quadrature import _real_matvec
 from dunkl.special import as_order, j_norm, j_norm_pair, log_b_coeff
 from dunkl.transform import (
     MultiplierSpec,
     PlanSelfTestError,
     SpectralFunction,
     TransformPlan,
-    _real_matvec,
     apply_multiplier,
     apply_multiplier_fn,
     build_plan,
@@ -112,26 +112,57 @@ def _outer_inverse(plan, x_points):
 
 
 class TestFoldedKernel:
-    """Plan matrices, forward_at and inverse_at fold the kernel by K(-u) =
-    conj K(u); the result must be bit-identical to the full outer product."""
+    """A plan keeps the kernel as two real quadrant tables over the positive
+    nodes, and ``forward``/``inverse`` mirror them; they agree with the full
+    outer-product sum to rounding.  ``forward_at`` and ``inverse_at`` fold the
+    kernel by K(-u) = conj K(u), bit-identical to the full outer product."""
 
     @pytest.mark.parametrize("kind", ("default", "witness"))
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bit_identical_to_outer_product(self, plan_factory, witness_plan_factory, alpha, kind):
         plan = plan_factory(alpha) if kind == "default" else witness_plan_factory(alpha)
-        assert np.array_equal(plan.forward_matrix, _outer_forward(plan, plan.lambda_nodes) * plan.x_weights)
-        want = (_outer_forward(plan, plan.lambda_nodes).conj().T * plan.lambda_weights) * plan.c_alpha
-        assert np.array_equal(plan.inverse_matrix, want)
-        assert np.array_equal(plan.inverse_matrix, (_outer_inverse(plan, plan.x_nodes) * plan.lambda_weights) * plan.c_alpha)
+        u = np.outer(plan.lambda_nodes[plan.lambda_nodes.size // 2 :], plan.x_nodes[plan.x_nodes.size // 2 :])
+        even, odd = j_norm_pair(alpha, u)
+        assert np.array_equal(plan.kernel_even, even)
+        assert np.array_equal(plan.kernel_odd, odd * (u / (2.0 * (alpha + 1.0))))
+        assert not (plan.kernel_even.flags.writeable or plan.kernel_odd.flags.writeable)
 
         rng = np.random.default_rng(17)
         f = np.exp(-(plan.x_nodes**2)) * (1.0 + 0.3 * plan.x_nodes)
         g = np.exp(-(plan.lambda_nodes**2) / 4.0) * (1.0 - 0.2j * plan.lambda_nodes)
+        # the mirrored sums agree with the outer-product sum within 1e-14 of each row's sum of |terms|
+        for v in (f, f * (1.0 - 0.5j)):
+            terms = _outer_forward(plan, plan.lambda_nodes) * (plan.x_weights * v)
+            err = np.abs(forward(plan, v).values - terms.sum(axis=1))
+            assert np.all(err <= 1e-14 * np.abs(terms).sum(axis=1))
+        for v in (g, g.real):
+            terms = plan.c_alpha * _outer_inverse(plan, plan.x_nodes) * (plan.lambda_weights * v)
+            err = np.abs(inverse(plan, v).values - terms.sum(axis=1))
+            assert np.all(err <= 1e-14 * np.abs(terms).sum(axis=1))
+
         lam = np.concatenate([rng.uniform(-9.0, 9.0, 37), [0.0]])
         xs = np.concatenate([rng.uniform(-6.0, 6.0, 23), [0.0]])
         assert np.array_equal(forward_at(plan, f, lam), _outer_forward(plan, lam) @ (plan.x_weights * f))
         want_inv = plan.c_alpha * (_outer_inverse(plan, xs) @ (plan.lambda_weights * g))
         assert np.array_equal(inverse_at(plan, g, xs), want_inv)
+
+    def test_plan_holds_no_dense_kernel(self):
+        """A fresh default plan holds its two 256 x 256 quadrant tables and its
+        rules: 1 064 960 bytes of arrays, where one dense 512 x 512 complex
+        kernel alone is 4 194 304."""
+        plan = build_plan(0.5)
+        held, stack = {}, list(vars(plan).values())
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                while isinstance(item.base, np.ndarray):  # count the memory a view keeps alive
+                    item = item.base
+                held[id(item)] = item.nbytes
+        assert sum(held.values()) <= 1_100_000
 
     def test_kernel_evaluation_count(self, plan_factory, monkeypatch):
         """One j_norm_pair point, both kernel parts, per distinct |u|."""
