@@ -222,8 +222,10 @@ def _build_run_config(args) -> RunConfig:
     if cfg.alpha is not None:
         _order_or_die(cfg.alpha)
     if cfg.beta is not None:
+        if cfg.alpha is None:
+            raise CliError(f"beta = {cfg.beta} needs an alpha: an order pair takes both, from flags or the config")
         _order_or_die(cfg.beta)
-        if cfg.alpha is not None and not (cfg.beta > cfg.alpha):
+        if not (cfg.beta > cfg.alpha):
             raise CliError(f"order pair requires beta > alpha, got ({cfg.alpha}, {cfg.beta})")
     for name in cfg.tolerances:
         if name not in DEFAULT_TOLERANCES:

@@ -269,14 +269,16 @@ class _ChebProxy:
     ceil(nu_max h / 2) + 20 resolves them.  Panel k is centred on y = k h;
     the first one is symmetric about 0, so no panel edge sits at the origin,
     where Chebyshev interpolation would be least accurate.  Each panel
-    carries its own coefficients, so the interpolation error follows the
-    local size of the function and the small tails keep their relative
-    accuracy.  Coefficients come from a DCT of samples at first-kind
-    Chebyshev points, where the caller sums both parts from exact kernel
-    values (its plan's synthesis tables, or one ``j_norm_pair`` call), so
-    the proxy interpolates the exact-kernel sum; evaluation is Clenshaw's
-    recurrence.  The sample points depend only on the radius and nu_max, so
-    every function on one plan's nodes shares them.
+    interpolates its own samples, so the error follows the local size of the
+    function and the small tails keep their relative accuracy.  The samples
+    are exact-kernel sums at first-kind Chebyshev points, stored as real
+    columns on the first read that touches their panel.  A read evaluates
+    the second barycentric formula, forward-stable on these points: one real
+    matrix of w_j / (t - t_j) over the points sorted by panel, then one real
+    product per panel with its samples and a column of ones, the
+    denominator.  A point on a node returns that node's sample.  The sample
+    points depend only on the radius and nu_max, so every function on one
+    plan's nodes shares them.
     """
 
     PANEL_WIDTH = 4.0
@@ -286,33 +288,37 @@ class _ChebProxy:
         self.n_panels = math.ceil(self.radius / self.PANEL_WIDTH + 0.5)
         self.width = self.radius / (self.n_panels - 0.5)
         self.n = math.ceil(nu_max * self.width / 2.0) + 21  # degree + 1 points per panel
-        self.size = self.n_panels * self.n  # sample points: a build costs as much as a call on this many
-        self.coeffs: tuple[np.ndarray, ...] = ()
+        self.size = self.n_panels * self.n  # sample points: a full build costs as much as a call on this many
+        angles = math.pi * (np.arange(self.n) + 0.5) / self.n
+        self.nodes, self.bary = np.cos(angles), np.sin(angles) * (-1.0) ** np.arange(self.n)
+        self.samples: dict[int, np.ndarray] = {}  # panel -> (n, columns + 1): its samples, then ones
 
     def sample_points(self) -> np.ndarray:
-        t = np.cos(math.pi * (np.arange(self.n) + 0.5) / self.n)
-        return ((np.arange(self.n_panels)[:, None] + 0.5 * t) * self.width).ravel()
+        return ((np.arange(self.n_panels)[:, None] + 0.5 * self.nodes) * self.width).ravel()
 
-    def fit(self, *samples: np.ndarray) -> None:
-        from scipy.fft import dct
-
-        coeffs = []
-        for values in samples:
-            c = dct(values.reshape(self.n_panels, self.n), type=2, axis=1) / self.n
-            c[:, 0] *= 0.5
-            coeffs.append(np.ascontiguousarray(c.T))  # (degree + 1, n_panels)
-        self.coeffs = tuple(coeffs)
-
-    def __call__(self, part: int, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, fill: Callable) -> np.ndarray:
+        """The columns at the points x, one row a point; ``fill(rows)`` gives
+        them at the sample points ``rows`` of the panels x touches first."""
         scaled = np.abs(x) / self.width
         panel = np.minimum((scaled + 0.5).astype(int), self.n_panels - 1)
-        t2 = 4.0 * (scaled - panel)  # 2t, t in [-1, 1] on the panel
-        c = self.coeffs[part][:, panel]
-        b1 = np.zeros_like(c[0])
-        b2 = np.zeros_like(c[0])
-        for k in range(self.n - 1, 0, -1):
-            b1, b2 = c[k] + t2 * b1 - b2, b1
-        return c[0] + 0.5 * t2 * b1 - b2
+        order = np.argsort(panel, kind="stable")
+        starts = np.searchsorted(panel[order], np.arange(self.n_panels + 1))
+        touched = np.flatnonzero(np.diff(starts))
+        missing = np.array([k for k in touched if k not in self.samples], dtype=int)
+        if missing.size:
+            block = fill((missing[:, None] * self.n + np.arange(self.n)).ravel()).reshape(missing.size, self.n, -1)
+            self.samples.update(zip(missing, np.concatenate([block, np.ones((*block.shape[:2], 1))], axis=2)))
+        t = 2.0 * (scaled - panel)[order]
+        c = t - self.nodes[:, None]  # (n, x.size), then the weights w_j / (t - t_j)
+        on_node = ~np.all(c, axis=0)
+        hit = c[:, on_node] == 0.0
+        c[:, on_node] = 1.0
+        np.divide(self.bary[:, None], c, out=c)
+        c[:, on_node] = hit
+        out = np.empty((x.size, self.samples[touched[0]].shape[1]))
+        for k in touched:
+            out[order[starts[k] : starts[k + 1]]] = c[:, starts[k] : starts[k + 1]].T @ self.samples[k]
+        return out[:, :-1] / out[:, -1:]
 
 
 class SpectralFunction:
@@ -331,22 +337,24 @@ class SpectralFunction:
     the spectrum as given.
 
     A SpectralFunction with a plan keeps a ``_ChebProxy`` of its even part
-    and odd quotient, built at most once from exact kernel values.  A call
-    with every point within the proxy's radius reads it by the ski-rental
-    rule: once it is built, or once the points the object has summed
-    directly within the radius, plus this call's, exceed one build.  On the
-    plan's positive lambda-nodes (``from_spectrum``) or x-nodes
-    (``forward_fn``) the build is two mat-vecs on the plan's shared synthesis
+    and odd quotient, whose panels are filled from exact kernel values the
+    first time a read touches them.  A call with every point within the
+    proxy's radius reads it by the ski-rental rule, decided against the full
+    proxy size: once the points the object has summed directly within the
+    radius, plus this call's, exceed one full build, and on every call after.
+    On the plan's positive lambda-nodes (``from_spectrum``) or x-nodes
+    (``forward_fn``) a panel's fill is rows of the plan's shared synthesis
     (``jnorm_table``, synthesis radius) or analysis (lambda_max) table and
-    costs nothing, so every such call reads the proxy.  Any other object
-    with a plan (a multiplier image, on the synthesis radius) builds from its
-    own ``j_norm_pair`` call on the proxy's sample points, so it never evaluates
-    more than twice the kernel points of the better choice in hindsight:
-    summing every call directly, or building at once.  Every other call,
-    and every call of an object without a plan, sums directly, both kernel
-    components from one ``j_norm_pair`` call; the object keeps its last two
-    such sums, so a call for the other part at the same points reuses one
-    and costs nothing.  The derivative needs no third order:
+    costs no kernel points, so every such call reads the proxy.  Any other
+    object with a plan (a multiplier image, on the synthesis radius) fills
+    from its own ``j_norm_pair`` call on the touched panels' sample points,
+    so it never evaluates more than twice the kernel points of the better
+    choice in hindsight: summing every call directly, or building at once.
+    Every other call, and every call of an object without a plan, sums
+    directly, both kernel components from one ``j_norm_pair`` call.  A read
+    gives both parts too, and the object keeps its last two sums, read or
+    direct, so a call for the other part at the same points costs nothing.
+    The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
 
@@ -367,11 +375,11 @@ class SpectralFunction:
         self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
         self._proxy = self._table = None
         self._direct_left = 0  # points within the radius still to sum directly before a build pays
-        self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two direct sums
+        self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two sums
         if plan is not None and self.nodes.size:
             side = next((s for s, (_, nu) in plan.table_grids.items() if np.array_equal(self._abs_nodes, nu)), None)
             self._proxy = _ChebProxy(plan.table_grids[side or "synthesis"][0], float(self._abs_nodes[-1]))
-            self._table = {"synthesis": plan.jnorm_table, "analysis": plan.analysis_table}.get(side)  # builds the proxy
+            self._table = {"synthesis": plan.jnorm_table, "analysis": plan.analysis_table}.get(side)  # fills the proxy
             self._direct_left = 0 if side else self._proxy.size
 
     @classmethod
@@ -379,29 +387,33 @@ class SpectralFunction:
         values = _values_on(spectrum, plan.lambda_nodes, "lambda")
         return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
 
-    def _build_proxy(self) -> None:
+    def _samples(self, rows: np.ndarray) -> np.ndarray:
+        """The real columns of the even part and odd quotient at the proxy's
+        sample points ``rows``, from those rows of the plan's tables or one
+        ``j_norm_pair`` call."""
         if self._table is not None:
-            even, odd = self._table(0), self._table(1)
+            even, odd = self._table(0)[rows], self._table(1)[rows]
         else:
-            even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points(), self._abs_nodes))
-        self._proxy.fit(_real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
+            even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points()[rows], self._abs_nodes))
+        sums = (_real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
+        return np.hstack([s.view(float).reshape(rows.size, -1) for s in sums])
 
     def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
         """Even part (0) and odd quotient (1), as listed in ``parts``, at the
         points of a 1-d array."""
-        proxy = self._proxy
-        within = proxy is not None and x.size > 0 and np.max(np.abs(x)) <= proxy.radius
         # callers ask for each part in turn on the same points, with other
         # points in between: keep the last two sums
         sums = next((sums for sums in self._recent_sums if np.array_equal(sums[0], x)), None)
-        if within and (proxy.coeffs or (sums is None and x.size > self._direct_left)):
-            if not proxy.coeffs:
-                self._build_proxy()
-            return [proxy(part, x) for part in parts]
         if sums is None:
-            self._direct_left -= x.size if within else 0
-            even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
-            sums = (x.copy(), _real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
+            within = self._proxy is not None and x.size > 0 and np.max(np.abs(x)) <= self._proxy.radius
+            if within and x.size > self._direct_left:
+                self._direct_left = 0  # from now on every call within the radius reads
+                values, split = self._proxy(x, self._samples), self._w_even.itemsize // 8
+                sums = (x.copy(), values[:, :split].view(self._w_even.dtype)[:, 0], values[:, split:].view(complex)[:, 0])
+            else:
+                self._direct_left -= x.size if within else 0
+                even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
+                sums = (x.copy(), _real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
             self._recent_sums = [sums, *self._recent_sums[:1]]
         return [sums[1 + part].copy() for part in parts]
 

@@ -225,6 +225,21 @@ class TestVerifyCommand:
         code = main(["verify", "--alpha", "1.5", "--beta", "0.5", "--suites", "sonine-product"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_beta_without_alpha_exits_2(self, tmp_path, capsys, source):
+        """A beta alone names no order pair: the run stops instead of
+        sweeping the default pairs, whether it comes from a flag or a config."""
+        out_path = tmp_path / "rep.json"
+        args = ["verify", "--suites", "inversion-s-k1-ts", "--out", str(out_path)]
+        if source == "flag":
+            args += ["--beta", "1"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"beta": 1.0}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert main(args) == 2
+        assert "beta = 1.0 needs an alpha" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["verify", "--alpha", "0.5", "--beta", "1.5", "--suites", "kernel-consistency"]
         p1 = tmp_path / "a.json"

@@ -1,6 +1,8 @@
 """Discrete transform plans, Plancherel, and spectral multipliers."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -195,13 +197,14 @@ class TestFoldedKernel:
     def test_inversion_pipeline_budget(self, witness_plan_factory, monkeypatch):
         """One s-k1-ts inversion check at (0, 0.5), m = 0, evaluates each
         kernel value once per distinct |node| and point, both parts from one
-        j_norm_pair call: the 95 760 points of the multiplier image's proxy
-        build (570 sample points times 168 nodes).  The fractional integral
-        asks the image for each part once, on all its points, and that first
-        call already costs more than a build, so the image builds at once and
-        sums nothing directly.  The multiplier reads its spectrum from the
+        j_norm_pair call: the 19 152 points of the multiplier image's proxy
+        fill (the 114 sample points of the 3 panels its points touch, of 15,
+        times 168 nodes).  The fractional integral asks the image for each
+        part once, on all its points, and that first call already costs more
+        than a full build, so the image reads its proxy at once and sums
+        nothing directly.  The multiplier reads its spectrum from the
         transform of its input, and the objects on the plans' own nodes read
-        theirs; all of these build their proxies from the plans' synthesis
+        theirs; all of these fill their proxies from the plans' synthesis
         and analysis tables, built before the count."""
         plan_a, plan_b = witness_plan_factory(0.0), witness_plan_factory(0.5)
         for plan in (plan_a, plan_b):
@@ -218,7 +221,7 @@ class TestFoldedKernel:
         monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
         _, rel_err, _ = inversion_check(SoninePair.of(0.0, 0.5), plan_a, plan_b, witness, "s-k1-ts")
         assert rel_err <= DEFAULT_TOLERANCES["inversion"]
-        assert 0 < sum(pairs) <= 95_760
+        assert 0 < sum(pairs) <= 19_152
 
     @_PROPERTY
     @given(alpha=st.floats(-0.45, 3.0), lam=_point_sets(12.0), xs=_point_sets(12.0))
@@ -494,6 +497,19 @@ def _assert_bins_within_direct(y, radius, want, scale, direct, got, label):
         assert np.max(np.abs(got[on] - want[on])) <= 10.0 * direct_err + floor, (label, k)
 
 
+def _read(fn, x):
+    """Even part and odd quotient at x as the proxy of ``fn`` reads them,
+    from its real columns."""
+    values, split = fn._proxy(x, fn._samples), fn._w_even.itemsize // 8
+    return values[:, :split].view(fn._w_even.dtype)[:, 0], values[:, split:].view(complex)[:, 0]
+
+
+def _panels(fn, x):
+    """The proxy panels the points x fall in."""
+    proxy = fn._proxy
+    return tuple(np.unique(np.minimum((np.abs(x) / proxy.width + 0.5).astype(int), proxy.n_panels - 1)).tolist())
+
+
 def _pipeline_fns(plan, witness_factory, alpha):
     """The witnesses (m = 0, 1) and a multiplier image, as the pipelines synthesize them."""
     fns = [SpectralFunction.from_spectrum(plan, witness_factory(alpha, m).spectrum) for m in (0, 1)]
@@ -503,18 +519,20 @@ def _pipeline_fns(plan, witness_factory, alpha):
 class TestSynthesisProxy:
     """Calls within the synthesis radius read a piecewise-Chebyshev proxy:
     every call of an object on its plan's nodes, and a multiplier image's
-    calls larger than its proxy's build.  The rest sum directly."""
+    calls once they outgrow a full build.  The rest sum directly.  A read
+    fills the panels it touches first."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
+    def fills(self, monkeypatch):
+        """(object, panels) of every proxy fill, in order."""
         count = []
-        original = SpectralFunction._build_proxy
+        original = SpectralFunction._samples
 
-        def counted(fn):
-            count.append(fn)
-            original(fn)
+        def counted(fn, rows):
+            count.append((fn, tuple(np.unique(rows // fn._proxy.n).tolist())))
+            return original(fn, rows)
 
-        monkeypatch.setattr(SpectralFunction, "_build_proxy", counted)
+        monkeypatch.setattr(SpectralFunction, "_samples", counted)
         return count
 
     @pytest.mark.parametrize("alpha", PIPELINE_ORDERS)
@@ -550,7 +568,7 @@ class TestSynthesisProxy:
             odd_q = 1j * j_norm(alpha + 1.0, u) / (2.0 * (alpha + 1.0)) * fn.nodes * fn.wspec
             for got, terms in ((fn.even_part(y), even), (fn.odd_quotient(y), odd_q)):
                 assert np.all(np.abs(got - terms.sum(axis=1)) <= 5e-14 * np.abs(terms).sum(axis=1)), alpha
-            assert fn._proxy.coeffs
+            assert len(fn._proxy.samples) == fn._proxy.n_panels
 
     @pytest.mark.parametrize("witness", [False, True], ids=["default-plan", "witness-plan"])
     @pytest.mark.parametrize("alpha", [0.0, 1.5])
@@ -570,16 +588,17 @@ class TestSynthesisProxy:
         direct = (j_even @ w, (1j * j_odd / (2.0 * (alpha + 1.0)) * nu) @ w)
         for got, want in zip((fn.even_part(y), fn.odd_quotient(y)), direct):
             assert np.max(np.abs(got - want)) <= 5e-9 * np.max(np.abs(want))
-        assert fn._proxy.coeffs
+        assert len(fn._proxy.samples) == fn._proxy.n_panels
 
-    def test_small_call_is_the_direct_sum(self, witness_plan_factory, witness_factory, builds):
-        """A multiplier image builds its proxy from its own j_norm_pair call
-        on the proxy's sample points, by the ski-rental rule: a first call
-        below that build's cost is a direct sum, and the call that brings the
-        object's direct sums over one build reads the proxy."""
+    def test_small_call_is_the_direct_sum(self, witness_plan_factory, witness_factory, fills):
+        """A multiplier image fills its proxy from its own j_norm_pair calls
+        on the proxy's sample points, by the ski-rental rule against a full
+        build: a first call below that build's cost is a direct sum, and the
+        call that brings the object's direct sums over one build reads the
+        proxy, filling only the panels it touches."""
         plan = witness_plan_factory(0.5)
         fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
-        builds.clear()  # the multiplier's own spectrum is read from an analysis proxy: count only fn's
+        fills.clear()  # the multiplier's own spectrum is read from an analysis proxy: count only fn's
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size - 10)
         even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
@@ -587,16 +606,17 @@ class TestSynthesisProxy:
         assert np.array_equal(fn(x), even + x * odd_q)
         fn.even_part(x)[:] = 0.0  # the object keeps its sums, not the caller's arrays
         assert np.array_equal(fn.even_part(x), even)
-        assert builds == []
+        assert fills == []
         beyond = np.linspace(1.01, 2.0, 20) * plan.synthesis_radius  # no proxy reaches here: not counted
         last = np.linspace(-3.0, 3.0, 10)  # together with x, exactly one build
         for y in (beyond, last):
             assert np.array_equal(fn.even_part(y), _exact_parts(fn, y)[0])
-        assert builds == []
+        assert fills == []
         one = np.array([0.5])
-        assert np.array_equal(fn.even_part(one), fn._proxy(0, one))
-        assert builds == [fn]
-        assert np.array_equal(fn.even_part(x), fn._proxy(0, x))
+        assert np.array_equal(fn.even_part(one), _read(fn, one)[0])
+        assert fills == [(fn, (0,))]
+        assert np.array_equal(fn.even_part(x), _read(fn, x)[0])
+        assert fills == [(fn, (0,)), (fn, tuple(range(1, fn._proxy.n_panels)))]
 
     @pytest.mark.parametrize(
         "sizes",
@@ -627,26 +647,111 @@ class TestSynthesisProxy:
         if sum(sizes) <= build:
             assert sum(points) == sum(sizes) * nodes
 
-    def test_small_call_on_plan_nodes_reads_the_proxy(self, witness_plan_factory, witness_factory, builds):
+    def test_small_call_on_plan_nodes_reads_the_proxy(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
         x = np.array([-3.0, 0.25, 7.5])
         even = fn.even_part(x)
-        assert builds == [fn]
-        assert np.array_equal(even, fn._proxy(0, x))
-        assert np.array_equal(fn.odd_quotient(x), fn._proxy(1, x))
+        assert fills == [(fn, (0, 1, 2))]
+        assert np.array_equal(even, _read(fn, x)[0])
+        assert np.array_equal(fn.odd_quotient(x), _read(fn, x)[1])
         assert np.max(np.abs(even - _exact_parts(fn, x)[0])) <= 1e-13 * np.max(np.abs(even))
 
-    def test_points_beyond_radius_sum_directly(self, witness_plan_factory, witness_factory, builds):
+    @pytest.mark.parametrize("spectrum", ["complex", "real"])
+    def test_both_parts_in_one_read(self, witness_plan_factory, witness_factory, spectrum):
+        """The value reads both parts at once; that read equals the even part
+        and the odd quotient read one at a time, bit for bit, by an object
+        that read other points in between.  A real spectrum has a real even
+        part, one column of samples instead of two."""
+        plan = witness_plan_factory(0.5)
+        values = witness_factory(0.5, 1).spectrum * (1.0 + (0.3j if spectrum == "complex" else 0.0) * plan.lambda_nodes)
+        both, single = (SpectralFunction.from_spectrum(plan, values) for _ in range(2))
+        x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, 301)
+        value = both(x)
+        even = single.even_part(x)
+        for scale in (0.9, 0.8):  # the object keeps two sums: x is read again below
+            single.even_part(scale * x)
+        odd_q = single.odd_quotient(x)
+        assert np.array_equal(value, even + x * odd_q)
+        assert even.dtype == (complex if spectrum == "complex" else float) and odd_q.dtype == complex
+
+    def test_point_on_a_node_returns_its_sample(self, witness_plan_factory, witness_factory):
+        """A point whose panel coordinate is a Chebyshev node exactly returns
+        that node's stored sum, with no division by zero and no inf times 0:
+        warnings are errors here."""
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 0).spectrum * (1.0 + 0.3j * plan.lambda_nodes))
+        proxy = fn._proxy
+        y = 0.5 * proxy.nodes * proxy.width  # on panel 0, whose coordinate is t = 2 |x| / width
+        on = (y > 0.0) & (2.0 * (np.abs(y) / proxy.width) == proxy.nodes)
+        assert np.count_nonzero(on) >= 5
+        x = np.concatenate([y[on], -y[on], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            even, odd_q = fn._parts(x)
+            columns = proxy(x, fn._samples)
+        stored = proxy.samples[0][on, :-1]
+        for half in (columns[: on.sum()], columns[on.sum() : -1]):
+            assert np.array_equal(half, stored)
+        assert np.array_equal(even[: on.sum()], stored[:, :2].copy().view(complex)[:, 0])
+        assert np.array_equal(odd_q[: on.sum()], stored[:, 2:].copy().view(complex)[:, 0])
+        assert np.all(np.isfinite(columns))
+
+    def test_fills_only_the_touched_panels(self, witness_plan_factory, witness_factory, monkeypatch):
+        """A multiplier image read on |x| <= 10 evaluates the kernel only at
+        the sample points of the panels it touches (4 of 15 on the witness
+        plan: 4 x 38 points times 168 nodes), and a wider read later fills
+        only the rest."""
+        plan = witness_plan_factory(0.5)
+        fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
+        proxy = fn._proxy
+        shapes = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            shapes.append(np.shape(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        near = np.linspace(-10.0, 10.0, proxy.size + 1)  # more than one full build: reads at once
+        fn.even_part(near)
+        assert _panels(fn, near) == (0, 1, 2, 3)
+        assert shapes == [(4 * proxy.n, fn._abs_nodes.size)] == [(152, 168)]
+        wide = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, 50)
+        fn.odd_quotient(wide)
+        assert _panels(fn, wide) == tuple(range(proxy.n_panels))
+        assert shapes[1:] == [((proxy.n_panels - 4) * proxy.n, 168)]
+        assert sorted(proxy.samples) == list(range(proxy.n_panels))
+
+    def test_reads_leave_scipy_fft_unloaded(self):
+        """Proxies store samples and fit no coefficients: a plan build and
+        reads of a ``from_spectrum`` object, a ``forward_fn`` object and a
+        multiplier image load no FFT module."""
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from dunkl.transform import MultiplierSpec, SpectralFunction, apply_multiplier_fn, build_plan, forward_fn",
+            "plan = build_plan(0.5)",
+            "f = np.exp(-plan.x_nodes**2)",
+            "fns = (SpectralFunction.from_spectrum(plan, np.exp(-plan.lambda_nodes**2 / 4)), forward_fn(plan, f),",
+            "       apply_multiplier_fn(plan, f, MultiplierSpec(1.0)))",
+            "for fn in fns:",
+            "    fn(np.linspace(-fn._proxy.radius, fn._proxy.radius, 2 * fn._proxy.size))",
+            "    assert len(fn._proxy.samples) == fn._proxy.n_panels",
+            "sys.exit('scipy.fft' in sys.modules)",
+        ])
+        assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0
+
+    def test_points_beyond_radius_sum_directly(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 0).spectrum)
         x = np.linspace(0.0, 1.01 * plan.synthesis_radius, 7)
         even, odd_q = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
         assert np.array_equal(fn.odd_quotient(x), odd_q)
-        assert builds == []
+        assert fills == []
 
-    def test_built_once_per_object(self, witness_plan_factory, witness_factory, builds):
+    def test_built_once_per_object(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, 25)
@@ -656,16 +761,16 @@ class TestSynthesisProxy:
             assert np.max(np.abs(fn.even_part(x) - even)) <= 1e-13 * peak
             assert np.max(np.abs(fn.odd_quotient(x) - odd_q)) <= 1e-13 * peak
             assert np.max(np.abs(fn(x) - (even + x * odd_q))) <= 1e-13 * peak
-        assert builds == [fn]
+        assert fills == [(fn, _panels(fn, x))]
 
-    def test_planless_object_never_builds(self, witness_plan_factory, witness_factory, builds):
+    def test_planless_object_never_builds(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
         w = witness_factory(0.5, 0)
         fn = SpectralFunction(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * w.spectrum)
         x = np.linspace(0.0, 20.0, 1300)
         even, _ = _exact_parts(fn, x)
         assert np.array_equal(fn.even_part(x), even)
-        assert builds == []
+        assert fills == []
 
 
 class TestSynthesisTables:
@@ -696,10 +801,16 @@ class TestSynthesisTables:
                 fn(x)
             assert calls == [(fns[0]._proxy.sample_points().size, nu.size)] == [shape]
             for fn in fns:
-                own = dunkl.transform._ChebProxy(radius, float(nu[-1]))
-                even, odd = original(0.5, np.outer(own.sample_points(), np.unique(np.abs(fn.nodes))))
-                own.fit(_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient))
-                assert all(np.array_equal(a, b) for a, b in zip(fn._proxy.coeffs, own.coeffs))
+                # the touched panels hold the object's own exact-kernel sums there, bit for bit
+                proxy = fn._proxy
+                panels = np.array(_panels(fn, x))
+                points = proxy.sample_points().reshape(proxy.n_panels, proxy.n)[panels].ravel()
+                even, odd = original(0.5, np.outer(points, np.unique(np.abs(fn.nodes))))
+                own = [_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient)]
+                own = np.hstack([v.view(float).reshape(v.size, -1) for v in own]).reshape(panels.size, proxy.n, -1)
+                assert list(proxy.samples) == panels.tolist()
+                for k, samples in zip(panels, own):
+                    assert np.array_equal(proxy.samples[k], np.concatenate([samples, np.ones((proxy.n, 1))], axis=1))
 
     def test_tables_are_read_only(self, witness_plan_factory):
         plan = witness_plan_factory(0.5)
@@ -736,7 +847,7 @@ class TestAnalysisTables:
             even, odd_q = _exact_parts(fn, y)
             scale = np.abs(kernel) @ np.abs(plan.x_weights * f)
             _assert_bins_within_direct(y, plan.lambda_max, want, scale, even + y * odd_q, fn(y), alpha)
-            assert fn._proxy.coeffs
+            assert len(fn._proxy.samples) == fn._proxy.n_panels
 
     def test_suite_checks_read_the_tables(self, plan_factory, monkeypatch):
         """With the plans' analysis tables built, one decomposition check and
