@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import mpmath
 import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
@@ -70,6 +69,7 @@ def _hyp2f1_safe(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     out = hyp2f1(a, b, c, z)
     risky = ~np.isfinite(out) | (np.abs(z) > _HYP_SAFE)
     if np.any(risky):
+        import mpmath  # only these rare nodes need it, so importing dunkl does not load it
         vals = [float(mpmath.hyp2f1(a, b, c, mpmath.mpf(float(zz)))) for zz in np.atleast_1d(z)[risky.ravel()]]
         out = np.array(out, copy=True)
         out[risky] = vals

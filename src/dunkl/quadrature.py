@@ -315,11 +315,11 @@ def weyl_integral(
 
 
 def _real_matvec(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """table @ w for a real table: one real product even for complex w, as pairs of real columns."""
+    """table @ w for a real table (a stack takes one product per table): real even for complex w, as column pairs."""
     if not np.iscomplexobj(w):
         return table @ w
     pairs = np.ascontiguousarray(w, dtype=complex).reshape(w.shape[0], -1).view(float)
-    return (table @ pairs).view(complex).reshape(table.shape[0], *w.shape[1:])
+    return (table @ pairs).view(complex).reshape(*table.shape[:-1], *w.shape[1:])
 
 
 def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: float) -> np.ndarray:

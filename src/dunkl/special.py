@@ -10,6 +10,7 @@ coefficient growth never overflows an intermediate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +36,8 @@ __all__ = [
 _SERIES_LOSS = 0.35  # j_norm's series bound on |u| - |Im u|
 _SERIES_CAP = 500
 _REL_STOP = 1e-16
-_HANKEL_MIN = 20.0  # j_norm_pair's Hankel band starts here
-_HANKEL_CAP = 64
-_TAIL = 1e-17  # truncation bound of Miller's start order and Hankel's term count
+_TAIL = 1e-17  # bound on the first omitted term of each real band at its edge
+_MILLER_START = 54  # the first even order n with (20/2)^n / n! < _TAIL
 #: log of the largest double: beyond |Re z| = 709.78, e^z and the kernel overflow.
 _RE_MAX = math.log(np.finfo(float).max)
 
@@ -145,17 +145,42 @@ def _series(a: float, u: np.ndarray) -> np.ndarray:
     raise SeriesNonConvergence(f"normalized Bessel series did not converge for alpha={a}")
 
 
+def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each column of ``rows`` (terms, columns, 1; highest power first) at the points x: np.polyval in place."""
+    acc = np.repeat(rows[0], x.size, axis=1)
+    for row in rows[1:]:
+        acc *= x
+        acc += row
+    return acc
+
+
+@functools.lru_cache(maxsize=256)
+def _series_rows(a: float) -> np.ndarray:
+    """Rows of both orders' series in u^2, c_n = (-1/4)^n / (n! (v+1)_n) at v = a, a + 1, n <= 7: at u = 0.35
+    the last term is at most 4.8e-18 (as alpha nears -1/2), where the adaptive ``_series`` would have stopped."""
+    steps = [(1.0, 1.0), *((-0.25 / (n * (n + a)), -0.25 / (n * (n + a + 1.0))) for n in range(1, 8))]
+    return np.cumprod(steps, axis=0)[::-1, :, None]
+
+
+def _series_pair(a: float, u: np.ndarray) -> np.ndarray:
+    return _horner(_series_rows(a), u * u)
+
+
+@functools.lru_cache(maxsize=256)
+def _neumann_weights(a: float) -> tuple[float, ...]:
+    """The Neumann weights over Gamma(a+1): 1, then (a+2k) Gamma(a+k) / (k! Gamma(a+1)), k <= _MILLER_START / 2."""
+    g = np.cumprod([1.0, *((a + k) / (k + 1) for k in range(1, _MILLER_START // 2))])
+    return (1.0, *((a + 2 * k) * g[k - 1] for k in range(1, _MILLER_START // 2 + 1)))
+
+
 def _miller_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j_a, j_{a+1}) by Miller's backward recurrence J_{v-1} = (2v/u) J_v - J_{v+1},
-    normalised by the Neumann sum (u/2)^a = sum_k (a+2k) Gamma(a+k)/k! J_{a+2k}(u),
+    """(j_a, j_{a+1}) by Miller's backward recurrence J_{v-1} = (2v/u) J_v - J_{v+1} from
+    v = _MILLER_START, normalised by the Neumann sum (u/2)^a = sum_k (a+2k) Gamma(a+k)/k! J_{a+2k}(u),
     whose k = 0 term is Gamma(a+1) J_a; 0 < u < 20."""
-    half = float(np.max(u)) / 2.0  # n: the first even order with (max u / 2)^n / n! < _TAIL
-    n = next(n for n in range(2, 200, 2) if half**n / math.factorial(n) < _TAIL)
-    g = np.cumprod([1.0, *((a + k) / (k + 1) for k in range(1, n // 2))])  # Gamma(a+k) / (k! Gamma(a+1)), k >= 1
-    d = [1.0, *((a + 2 * k) * g[k - 1] for k in range(1, n // 2 + 1))]  # the Neumann weights over Gamma(a+1)
+    d = _neumann_weights(a)
     two_u, total = 2.0 / u, d[-1] * 1e-200
     upper, cur, spare = np.zeros_like(u), np.full_like(u, 1e-200), np.empty_like(u)
-    for v in range(n, 0, -1):  # (upper, cur) = (J_{a+v}, J_{a+v-1}), unnormalised, in place
+    for v in range(_MILLER_START, 0, -1):  # (upper, cur) = (J_{a+v}, J_{a+v-1}), unnormalised, in place
         np.multiply(two_u, a + v, out=spare)
         spare *= cur
         spare -= upper
@@ -165,59 +190,52 @@ def _miller_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur / total, (a + 1.0) * two_u * upper / total
 
 
-def _hankel_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j_a, j_{a+1}) on u >= 20 by Hankel's expansion (DLMF 10.17.3) up to the first term under
-    _TAIL at both orders and the smallest u, or by ``jv`` if none within _HANKEL_CAP is.  With
-    phi = a pi/2 + pi/4, J_a and J_{a+1} are Re and Im of sqrt(2/(pi u)) (P + iQ) e^{i(u - phi)}."""
-    u_min, coef = float(np.min(u)), [(1.0, 1.0)]  # a_k(v) = prod_{j<=k} (4v^2 - (2j-1)^2) / (k! 8^k)
-    for k in range(1, _HANKEL_CAP):
+@functools.lru_cache(maxsize=256)
+def _hankel_rows(a: float, edge: float) -> np.ndarray | None:
+    """Rows (P_a, P_{a+1}, uQ_a, uQ_{a+1}) in -1/u^2 of Hankel's expansion on u >= edge, up to the first
+    term under _TAIL at both orders and u = edge; None if none of the first 64 is."""
+    coef = [(1.0, 1.0)]  # a_k(v) = prod_{j<=k} (4v^2 - (2j-1)^2) / (k! 8^k)
+    for k in range(1, 64):
         coef.append(tuple(c * (4.0 * v * v - (2 * k - 1) ** 2) / (8.0 * k) for c, v in zip(coef[-1], (a, a + 1.0))))
-        if max(map(abs, coef[-1])) < _TAIL * u_min**k:
-            break
-    else:
+        if max(map(abs, coef[-1])) < _TAIL * edge**k:
+            coef[-1] = (0.0, 0.0)  # the first omitted term; with an even count, the rows pair up
+            return np.reshape(coef[: len(coef) // 2 * 2], (-1, 4, 1))[::-1]
+
+
+def _hankel_pair(a: float, u: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """(j_a, j_{a+1}) on u >= edge >= 20 by Hankel's expansion (DLMF 10.17.3) with the rows of
+    ``_hankel_rows``, or by ``jv`` where it has none.  With phi = a pi/2 + pi/4, J_a and J_{a+1}
+    are Re and Im of sqrt(2/(pi u)) (P + iQ) e^{i(u - phi)}."""
+    if (rows := _hankel_rows(a, edge)) is None:
         gamma = math.exp(math.lgamma(a + 1.0)) * (2.0 / u) ** a
         return gamma * jv(a, u), (a + 1.0) * (2.0 / u) * gamma * jv(a + 1.0, u)
-    coef[-1] = (0.0, 0.0)  # the first omitted term; with an even count, the rows pair up
-    rows = np.reshape(coef[: len(coef) // 2 * 2], (-1, 4, 1))[::-1]  # (P_a, P_{a+1}, uQ_a, uQ_{a+1}) in -1/u^2
-    x, acc = -1.0 / (u * u), np.empty((4, u.size))
-    acc[:] = rows[0]
-    for row in rows[1:]:  # Horner's rule in place: np.polyval's steps without its temporaries
-        acc *= x
-        acc += row
-    p_a, p_b, uq_a, uq_b = acc
-    w = np.exp(1j * u) * cmath.exp(-1j * math.pi * ((a / 2.0 + 0.25) % 2.0))
-    scale = math.exp(math.lgamma(a + 1.0)) / math.sqrt(math.pi) * (2.0 / u) ** (a + 0.5)
-    return scale * ((p_a + 1j * uq_a / u) * w).real, (a + 1.0) * (2.0 / u) * scale * ((p_b + 1j * uq_b / u) * w).imag
-
-
-def _series_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _series(a, u), _series(a + 1.0, u)
-
-
-def _nan_pair(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.full_like(u, np.nan), np.full_like(u, np.nan)
+    p_a, p_b, uq_a, uq_b = _horner(rows, -1.0 / (u * u))
+    w, two_u = np.exp(1j * u) * cmath.exp(-1j * math.pi * ((a / 2.0 + 0.25) % 2.0)), 2.0 / u
+    scale = math.exp(math.lgamma(a + 1.0)) / math.sqrt(math.pi) * two_u ** (a + 0.5)
+    return scale * ((p_a + 1j * uq_a / u) * w).real, (a + 1.0) * two_u * scale * ((p_b + 1j * uq_b / u) * w).imag
 
 
 #: edges between j_norm_pair's bands of |u|: the series, Miller's recurrence and three
-#: Hankel sub-bands, each of which takes its term count from its own smallest u, and
-#: last inf and nan (which sorts last), whose values are nan
-_BAND_EDGES = (_SERIES_LOSS, _HANKEL_MIN, 40.0, 80.0, math.inf)
-_BANDS = (_series_pair, _miller_pair, _hankel_pair, _hankel_pair, _hankel_pair, _nan_pair)
+#: Hankel sub-bands, each with its term count fixed by its edges and memoized per alpha
+_BAND_EDGES = np.array([[_SERIES_LOSS], [20.0], [40.0], [80.0]])
+_BANDS = (_series_pair, _miller_pair, *(functools.partial(_hankel_pair, edge=edge) for edge in _BAND_EDGES[1:, 0]))
 
 
 def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
-    """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u: the power series where
-    |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in
-    the sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan; in u's shape."""
+    """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u, each value from alpha and its own u alone: the
+    power series where |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in the
+    sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan; in u's shape."""
     a, shape = as_order(alpha).alpha, np.shape(u)
     u = np.abs(np.asarray(u, dtype=float).ravel())
-    out = np.empty((2, u.size))
-    index = np.searchsorted(_BAND_EDGES, u, side="right")
+    u[np.isinf(u)] = np.nan  # nan compares false with every edge: it takes the series band, whose value is nan
+    first, second = np.empty((2, u.size))
+    index = (u >= _BAND_EDGES).sum(axis=0, dtype=np.int8)
+    present = int(np.bitwise_or.reduce(1 << index))  # bit k is set where band k has points
     for k, pair in enumerate(_BANDS):
-        band = index == k
-        if np.any(band):
-            out[0][band], out[1][band] = pair(a, u[band])
-    return out[0].reshape(shape), out[1].reshape(shape)
+        if present >> k & 1:
+            band = index == k
+            first[band], second[band] = pair(a, u[band])
+    return first.reshape(shape), second.reshape(shape)
 
 
 def j_norm(alpha: OrderParam | float, u) -> np.ndarray:

@@ -350,8 +350,8 @@ class SpectralFunction:
     from its own ``j_norm_pair`` call on the touched panels' sample points,
     so it never evaluates more than twice the kernel points of the better
     choice in hindsight: summing every call directly, or building at once.
-    Every other call, and every call of an object without a plan, sums
-    directly, both kernel components from one ``j_norm_pair`` call.  A read
+    Every other call, and every call of an object without a plan, sums directly at
+    each distinct |x|, both kernel components from one ``j_norm_pair`` call.  A read
     gives both parts too, and the object keeps its last two sums, read or
     direct, so a call for the other part at the same points costs nothing.
     The derivative needs no third order:
@@ -395,7 +395,8 @@ class SpectralFunction:
             even, odd = self._table(0)[rows], self._table(1)[rows]
         else:
             even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points()[rows], self._abs_nodes))
-        sums = (_real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
+        panels = (-1, self._proxy.n, self._abs_nodes.size)  # a product per panel, as in a fill of it alone
+        sums = (_real_matvec(even.reshape(panels), self._w_even), _real_matvec(odd.reshape(panels), self._w_quotient))
         return np.hstack([s.view(float).reshape(rows.size, -1) for s in sums])
 
     def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
@@ -412,8 +413,9 @@ class SpectralFunction:
                 sums = (x.copy(), values[:, :split].view(self._w_even.dtype)[:, 0], values[:, split:].view(complex)[:, 0])
             else:
                 self._direct_left -= x.size if within else 0
-                even, odd = j_norm_pair(self.order.alpha, np.outer(x, self._abs_nodes))
-                sums = (x.copy(), _real_matvec(even, self._w_even), _real_matvec(odd, self._w_quotient))
+                distinct, where = np.unique(np.abs(x), return_inverse=True)
+                even, odd = j_norm_pair(self.order.alpha, np.outer(distinct, self._abs_nodes))
+                sums = (x.copy(), _real_matvec(even, self._w_even)[where], _real_matvec(odd, self._w_quotient)[where])
             self._recent_sums = [sums, *self._recent_sums[:1]]
         return [sums[1 + part].copy() for part in parts]
 

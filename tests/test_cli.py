@@ -390,3 +390,9 @@ class TestEntryPoint:
         # samples, so importing the package and its CLI stays light
         code = "import sys, dunkl, dunkl.cli; sys.exit('scipy.interpolate' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # mpmath serves only the fractional kernel's rare fallback nodes, so
+        # it is imported there, not with the package
+        code = "import sys, dunkl, dunkl.cli; sys.exit('mpmath' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0

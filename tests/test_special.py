@@ -22,7 +22,7 @@ from dunkl.special import (
     j_norm_pair,
     log_b_coeff,
 )
-from dunkl.special import _hankel_pair, _miller_pair, _series
+from dunkl.special import _hankel_pair, _miller_pair, _series_pair
 from dunkl.quadrature import jacobi_rule
 from dunkl.transform import kernel_unitary
 
@@ -210,14 +210,14 @@ class TestJNormPair:
 
     @pytest.mark.parametrize("alpha", (-0.45, 0.0, 1.5, 12.0))
     def test_each_band_is_its_evaluator_alone(self, alpha):
-        # every band is evaluated on its own points only, so a point's value
-        # depends on the other points only through its band's term counts
+        # every band is evaluated on its own points only, by its evaluator
+        # with the term counts that its edges fix
         bands = (
-            (0.0, 0.35, lambda v: (_series(alpha, v), _series(alpha + 1.0, v))),
+            (0.0, 0.35, lambda v: _series_pair(alpha, v)),
             (0.35, 20.0, lambda v: _miller_pair(alpha, v)),
-            (20.0, 40.0, lambda v: _hankel_pair(alpha, v)),
-            (40.0, 80.0, lambda v: _hankel_pair(alpha, v)),
-            (80.0, math.inf, lambda v: _hankel_pair(alpha, v)),
+            (20.0, 40.0, lambda v: _hankel_pair(alpha, v, 20.0)),
+            (40.0, 80.0, lambda v: _hankel_pair(alpha, v, 40.0)),
+            (80.0, math.inf, lambda v: _hankel_pair(alpha, v, 80.0)),
         )
         first, second = j_norm_pair(alpha, _GRID)
         for lo, hi, pair in bands:
@@ -225,9 +225,27 @@ class TestJNormPair:
             want_first, want_second = pair(_GRID[on])
             assert np.array_equal(first[on], want_first) and np.array_equal(second[on], want_second), (lo, hi)
 
+    @pytest.mark.parametrize("alpha", (-0.45, 0.0, 0.5, 1.5, 12.0))
+    def test_each_value_is_its_one_point_call(self, alpha):
+        # term counts are fixed per band, so a value depends on alpha and its
+        # own u alone, bit for bit, whatever else its call holds
+        rng = np.random.default_rng(26)
+        u = np.concatenate([
+            rng.uniform(0.0, 600.0, 200),
+            *(edge + rng.uniform(-0.5, 0.5, 20) for edge in (0.35, 20.0, 40.0, 80.0)),
+            -rng.uniform(0.0, 100.0, 20),
+            _EDGES,
+            [0.0, np.inf, np.nan],
+        ])
+        rng.shuffle(u)
+        first, second = j_norm_pair(alpha, u)
+        for k, v in enumerate(u):
+            one = j_norm_pair(alpha, np.array([v]))
+            assert first[k].tobytes() == one[0].tobytes() and second[k].tobytes() == one[1].tobytes(), v
+
     def test_nan_leaves_the_top_band_on_hankel(self, monkeypatch):
-        # the term count comes from the smallest u that is not nan: one nan
-        # neither sends the band to jv nor moves the other points
+        # term counts are fixed by the band edges: one nan neither sends the
+        # band to jv nor moves the other points
         u = np.linspace(80.0, 470.0, 4000, endpoint=False)
         want = j_norm_pair(0.0, u)
         calls = []

@@ -1,8 +1,11 @@
 """The suite table: every report name a row can produce has a tolerance,
-every tolerance has a row, and the rows call the library where its
-wrappers see them."""
+every tolerance has a row, the rows call the library where its wrappers
+see them, and each suite run alone writes its slice of the full report."""
+
+import json
 
 from dunkl import fractional
+from dunkl.cli import main
 from dunkl.suites import DEFAULT_TOLERANCES, SUITES, RunConfig, RunContext
 
 ROW_NAMES = {row.name for suite in SUITES.values() for row in suite.rows}
@@ -35,3 +38,20 @@ def test_power_weight_rows_call_the_identity(monkeypatch):
     assert [r.name for r in reports] == ["power-weight-transform"] * 3 + ["power-weight-degenerate"]
     assert calls == [r.params["lam"] for r in reports]
     assert calls[-1] == 2.0
+
+
+def test_each_suite_alone_writes_its_slice(verify_all_run, tmp_path):
+    """Every suite run alone writes the same bytes as its records in the
+    default ``--suites all`` report: no check depends on the suites that ran
+    before it."""
+    _, full = verify_all_run
+    records = json.loads(full.read_text())
+    start = 0
+    for name in SUITES:
+        out = tmp_path / f"{name}.json"
+        assert main(["verify", "--suites", name, "--out", str(out)]) == 0
+        alone = out.read_text()
+        end = start + len(json.loads(alone))
+        assert alone == json.dumps(records[start:end], indent=2, sort_keys=True) + "\n", name
+        start = end
+    assert start == len(records)

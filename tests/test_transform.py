@@ -400,10 +400,10 @@ class TestFoldedSynthesis:
 
     def test_one_evaluation_per_distinct_node(self, witness_plan_factory, witness_factory, monkeypatch):
         """A direct sum takes both kernel components of each distinct |nu|
-        from one j_norm_pair call, and a call for the other part on the same
-        points reuses it.  An object on its plan's lambda-nodes or x-nodes
-        (the transform image) reads its proxy, built from the plan's tables,
-        for all but the derivative."""
+        at each distinct |x| from one j_norm_pair call, and a call for the
+        other part on the same points reuses it.  An object on its plan's
+        lambda-nodes or x-nodes (the transform image) reads its proxy, built
+        from the plan's tables, for all but the derivative."""
         plan = witness_plan_factory(0.5)
         plan.jnorm_table(0)
         plan.analysis_table(0)
@@ -423,9 +423,12 @@ class TestFoldedSynthesis:
             distinct = np.unique(np.abs(fn.nodes)).size
             assert 2 * distinct == fn.nodes.size
             summed = [x.size * distinct]
-            direct = summed if fn is image else []
-            for call, points, expected in ((fn.even_part, x, direct), (fn.odd_quotient, x, []), (fn, x, []),
-                                           (fn.derivative, x, summed), (fn.odd_quotient, x + 1.0, direct)):
+
+            def direct(points):
+                return [np.unique(np.abs(points)).size * distinct] if fn is image else []
+
+            for call, points, expected in ((fn.even_part, x, direct(x)), (fn.odd_quotient, x, []), (fn, x, []),
+                                           (fn.derivative, x, summed), (fn.odd_quotient, x + 1.0, direct(x + 1.0))):
                 calls.clear()
                 call(points)
                 assert calls == expected
@@ -468,17 +471,18 @@ PIPELINE_ORDERS = (0.0, 0.5, 1.5, 2.0)
 
 def _exact_parts(fn, y):
     """Even part and odd quotient by direct synthesis with the exact kernel
-    over the distinct |nu|, the spectrum folded into even and odd weights,
-    both components from one j_norm_pair call and each real table times
-    complex weights as one real product, as SpectralFunction sums."""
+    over the distinct |nu| at the distinct |y|, the spectrum folded into even
+    and odd weights, both components from one j_norm_pair call and each real
+    table times complex weights as one real product, as SpectralFunction sums."""
     a = fn.order.alpha
     abs_nodes, where = np.unique(np.abs(fn.nodes), return_inverse=True)
     w_even = np.zeros(abs_nodes.size, dtype=np.result_type(fn.wspec, float))
     w_odd = np.zeros_like(w_even)
     np.add.at(w_even, where, fn.wspec)
     np.add.at(w_odd, where, np.sign(fn.nodes) * fn.wspec)
-    j_even, j_odd = j_norm_pair(a, np.outer(y, abs_nodes))
-    return _real_matvec(j_even, w_even), _real_matvec(j_odd, 1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))
+    distinct, rows = np.unique(np.abs(y), return_inverse=True)
+    j_even, j_odd = j_norm_pair(a, np.outer(distinct, abs_nodes))
+    return _real_matvec(j_even, w_even)[rows], _real_matvec(j_odd, 1j * abs_nodes * w_odd / (2.0 * (a + 1.0)))[rows]
 
 
 def _assert_bins_within_direct(y, radius, want, scale, direct, got, label):
@@ -723,6 +727,29 @@ class TestSynthesisProxy:
         assert shapes[1:] == [((proxy.n_panels - 4) * proxy.n, 168)]
         assert sorted(proxy.samples) == list(range(proxy.n_panels))
 
+    @pytest.mark.parametrize("route", ["table", "kernel"])
+    def test_panel_samples_equal_a_one_panel_fill(self, witness_plan_factory, witness_factory, route):
+        """Each panel takes a product of its own, so its samples equal those
+        of a fill of that panel alone bit for bit: for a complex spectrum on
+        the plan's lambda-nodes (rows of the synthesis table) and for a
+        multiplier image (its own j_norm_pair call)."""
+        plan = witness_plan_factory(0.5)
+        w = witness_factory(0.5, 1)
+
+        def make():
+            if route == "table":
+                return SpectralFunction.from_spectrum(plan, w.spectrum * (1.0 + 0.3j * plan.lambda_nodes))
+            return apply_multiplier_fn(plan, w.values, MultiplierSpec(1.0, 1.0))
+
+        whole, alone = make(), make()
+        whole(np.linspace(0.0, whole._proxy.radius, whole._proxy.size + 1))  # every panel in one fill
+        proxy = alone._proxy
+        for k in range(proxy.n_panels):
+            alone(np.full(proxy.size + 1, k * proxy.width))  # panel k alone
+            assert sorted(proxy.samples) == list(range(k + 1))
+        for k in range(proxy.n_panels):
+            assert np.array_equal(whole._proxy.samples[k], proxy.samples[k]), k
+
     def test_reads_leave_scipy_fft_unloaded(self):
         """Proxies store samples and fit no coefficients: a plan build and
         reads of a ``from_spectrum`` object, a ``forward_fn`` object and a
@@ -801,16 +828,15 @@ class TestSynthesisTables:
                 fn(x)
             assert calls == [(fns[0]._proxy.sample_points().size, nu.size)] == [shape]
             for fn in fns:
-                # the touched panels hold the object's own exact-kernel sums there, bit for bit
+                # each touched panel holds the object's own exact-kernel sums at its points, bit for bit
                 proxy = fn._proxy
                 panels = np.array(_panels(fn, x))
-                points = proxy.sample_points().reshape(proxy.n_panels, proxy.n)[panels].ravel()
-                even, odd = original(0.5, np.outer(points, np.unique(np.abs(fn.nodes))))
-                own = [_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient)]
-                own = np.hstack([v.view(float).reshape(v.size, -1) for v in own]).reshape(panels.size, proxy.n, -1)
                 assert list(proxy.samples) == panels.tolist()
-                for k, samples in zip(panels, own):
-                    assert np.array_equal(proxy.samples[k], np.concatenate([samples, np.ones((proxy.n, 1))], axis=1))
+                for k, points in zip(panels, proxy.sample_points().reshape(proxy.n_panels, proxy.n)[panels]):
+                    even, odd = original(0.5, np.outer(points, np.unique(np.abs(fn.nodes))))
+                    own = [_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient)]
+                    own = np.hstack([v.view(float).reshape(v.size, -1) for v in own])
+                    assert np.array_equal(proxy.samples[k], np.concatenate([own, np.ones((proxy.n, 1))], axis=1))
 
     def test_tables_are_read_only(self, witness_plan_factory):
         plan = witness_plan_factory(0.5)
