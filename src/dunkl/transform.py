@@ -7,6 +7,8 @@ never sees the interior kink of the weight and Schwartz-class integrands
 converge at spectral rates.  A plan keeps the kernel's even and odd real
 parts on the quadrant of positive nodes (``_mirror_sum``); the tests
 cross-check it against the independent series and compact-integral forms.
+Off the grids, ``forward_at`` and ``inverse_at`` take the one exact direct
+sum, a ``SpectralFunction``'s (``_direct_parts``).
 
 Multiplier operators |lambda|^sigma are applied on rules adapted to the
 exponent (weight |lambda|^(sigma + 2 alpha + 1) absorbed), so negative
@@ -48,7 +50,8 @@ class PlanSelfTestError(RuntimeError):
 
 
 def kernel_unitary(alpha: float, u: np.ndarray, sign: int = 1) -> np.ndarray:
-    """E_alpha(sign i u) for real u, vectorized; both parts from one ``j_norm_pair`` call."""
+    """E_alpha(sign i u) for real u, vectorized; both parts from one ``j_norm_pair`` call.  No
+    library route calls it: it is the tests' outer-product reference and a benchmark-traced name."""
     even, odd = j_norm_pair(alpha, u)
     return even + (1j * sign) * u * (odd / (2.0 * (alpha + 1.0)))
 
@@ -64,22 +67,6 @@ def _mirror_sum(plan: TransformPlan, values: np.ndarray, sign: int) -> np.ndarra
     e = _real_matvec(even, high + low)
     o = (1j * sign) * _real_matvec(odd, high - low)
     return np.concatenate([(e - o)[::-1], e + o])
-
-
-def _folded_kernel(alpha: float, rows: np.ndarray, cols: np.ndarray, sign: int) -> np.ndarray:
-    """kernel_unitary(alpha, np.outer(rows, cols), sign) bit for bit, from the
-    distinct |rows| times the positive half of the mirrored ``cols``: j_norm_pair
-    reads only |u| and negating a float is exact, so K(-u) = conj K(u).  The
-    rows gather their |row| and conjugate where row < 0; the negative columns
-    are the conjugates of the positive ones, reversed."""
-    rows = np.asarray(rows, dtype=float).ravel()
-    n = cols.size // 2
-    distinct, where = np.unique(np.abs(rows), return_inverse=True)
-    out = np.empty((rows.size, 2 * n), dtype=complex)
-    out[:, n:] = kernel_unitary(alpha, np.outer(distinct, cols[n:]), sign)[where]
-    out.imag[rows < 0, n:] *= -1.0
-    np.conjugate(out[:, n:][:, ::-1], out=out[:, :n])
-    return out
 
 
 def mirrored_weighted_rule(
@@ -249,15 +236,43 @@ def inverse(plan: TransformPlan, g) -> GridFunction:
     return GridFunction(grid=plan.x_nodes, values=_mirror_sum(plan, values, +1), smoothness_hint="schwartz")
 
 
-def forward_at(plan: TransformPlan, f, lam_points: np.ndarray) -> np.ndarray:
-    """Transform evaluated off-grid: same x-rule, arbitrary spectral points."""
-    values = _values_on(f, plan.x_nodes, "x")
-    return _folded_kernel(plan.alpha, lam_points, plan.x_nodes, -1) @ (plan.x_weights * values)
+def _direct_parts(alpha: float, abs_nodes, w_even, w_quotient, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact even part and odd quotient of a spectrum folded over the distinct |nu| at the points of
+    a 1-d array: both kernel parts at each distinct |x| from one ``j_norm_pair`` call, two real products."""
+    distinct, where = np.unique(np.abs(x), return_inverse=True)
+    even, odd = j_norm_pair(alpha, np.outer(distinct, abs_nodes))
+    return _real_matvec(even, w_even)[where], _real_matvec(odd, w_quotient)[where]
 
 
-def inverse_at(plan: TransformPlan, g, x_points: np.ndarray) -> np.ndarray:
-    values = _values_on(g, plan.lambda_nodes, "lambda")
-    return plan.c_alpha * (_folded_kernel(plan.alpha, x_points, plan.lambda_nodes, +1) @ (plan.lambda_weights * values))
+def _pointwise(x, fn):
+    """fn of the raveled points, in the shape of x (a scalar for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    vals = fn(np.atleast_1d(x).ravel())
+    return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+
+
+def _direct_sum_at(plan: TransformPlan, values: np.ndarray, points, sign: int):
+    """``_mirror_sum`` at arbitrary points, in their shape: bit for bit the direct sum of a SpectralFunction
+    over the nodes sign * c (c the x- or lambda-nodes), whose weights fold the mirrored halves alike."""
+    v = plan.x_weights * values if sign < 0 else plan.c_alpha * plan.lambda_weights * values
+    nodes = (plan.x_nodes if sign < 0 else plan.lambda_nodes)[v.size // 2 :]
+    low, high = v[: nodes.size][::-1], v[nodes.size :]
+    w_quotient = 1j * nodes * (high - low if sign > 0 else low - high) / (2.0 * (plan.alpha + 1.0))
+
+    def value(p):
+        even, quotient = _direct_parts(plan.alpha, nodes, low + high, w_quotient, p)
+        return even + p * quotient
+
+    return _pointwise(points, value)
+
+
+def forward_at(plan: TransformPlan, f, lam_points):
+    """Transform evaluated off-grid: same x-rule, arbitrary spectral points; values in their shape."""
+    return _direct_sum_at(plan, _values_on(f, plan.x_nodes, "x"), lam_points, -1)
+
+
+def inverse_at(plan: TransformPlan, g, x_points):
+    return _direct_sum_at(plan, _values_on(g, plan.lambda_nodes, "lambda"), x_points, +1)
 
 
 class _ChebProxy:
@@ -350,10 +365,10 @@ class SpectralFunction:
     from its own ``j_norm_pair`` call on the touched panels' sample points,
     so it never evaluates more than twice the kernel points of the better
     choice in hindsight: summing every call directly, or building at once.
-    Every other call, and every call of an object without a plan, sums directly at
-    each distinct |x|, both kernel components from one ``j_norm_pair`` call.  A read
-    gives both parts too, and the object keeps its last two sums, read or
-    direct, so a call for the other part at the same points costs nothing.
+    Every other call, and every call of an object without a plan, sums
+    directly (``_direct_parts``).  A read gives both parts too, and the
+    object keeps its last two sums, read or direct, so a call for the other
+    part at the same points costs nothing.
     The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
@@ -413,33 +428,26 @@ class SpectralFunction:
                 sums = (x.copy(), values[:, :split].view(self._w_even.dtype)[:, 0], values[:, split:].view(complex)[:, 0])
             else:
                 self._direct_left -= x.size if within else 0
-                distinct, where = np.unique(np.abs(x), return_inverse=True)
-                even, odd = j_norm_pair(self.order.alpha, np.outer(distinct, self._abs_nodes))
-                sums = (x.copy(), _real_matvec(even, self._w_even)[where], _real_matvec(odd, self._w_quotient)[where])
+                sums = (x.copy(), *_direct_parts(self.order.alpha, self._abs_nodes, self._w_even, self._w_quotient, x))
             self._recent_sums = [sums, *self._recent_sums[:1]]
         return [sums[1 + part].copy() for part in parts]
-
-    def _pointwise(self, x, fn):
-        x = np.asarray(x, dtype=float)
-        vals = fn(np.atleast_1d(x).ravel())
-        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
     def __call__(self, x):
         def value(v):
             even, quotient = self._parts(v)
             return even + v * quotient
 
-        return self._pointwise(x, value)
+        return _pointwise(x, value)
 
     def even_part(self, x):
         """(f(x) + f(-x))/2 from the even kernel component alone."""
-        return self._pointwise(x, lambda v: self._parts(v, (0,))[0])
+        return _pointwise(x, lambda v: self._parts(v, (0,))[0])
 
     def odd_quotient(self, x):
-        return self._pointwise(x, lambda v: self._parts(v, (1,))[0])
+        return _pointwise(x, lambda v: self._parts(v, (1,))[0])
 
     def derivative(self, x):
-        return self._pointwise(x, self._slope)
+        return _pointwise(x, self._slope)
 
     def _slope(self, x: np.ndarray) -> np.ndarray:
         # d/dx E(i nu x) = nu (-u q + i d/du[u q]) at u = nu x, q = j_(alpha+1)(u) / (2(alpha+1)),
@@ -460,7 +468,7 @@ def forward_fn(plan: TransformPlan, f) -> SpectralFunction:
     """Transform of x-grid samples as a function of lambda, the mirror of
     ``from_spectrum``: a SpectralFunction over the nodes -x_j with weights
     x_weights_j f(x_j).  Within lambda_max it reads a proxy built from the
-    plan's analysis tables; ``forward_at`` is the exact route."""
+    plan's analysis tables; ``forward_at`` is its direct sum everywhere."""
     values = _values_on(f, plan.x_nodes, "x")
     return SpectralFunction(plan.order, -plan.x_nodes, plan.x_weights * values, plan=plan)
 
@@ -490,9 +498,7 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     a = plan.alpha
     sigma = float(m.exponent)
     if sigma + 2.0 * a + 1.0 <= -1.0:
-        raise ValueError(
-            f"multiplier exponent {sigma} leaves |lambda|^{sigma + 2 * a + 1} non-integrable at 0"
-        )
+        raise ValueError(f"multiplier exponent {sigma} leaves |lambda|^{sigma + 2 * a + 1} non-integrable at 0")
     if n_half is None:
         n_half = plan.lambda_nodes.size // 2
 
@@ -502,16 +508,8 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
     if sigma < 0:
         inner = np.argsort(np.abs(nodes))[:4]
         if np.max(np.abs(spectrum[inner])) > 1e-6 * max(np.max(np.abs(spectrum)), 1e-300):
-            warnings.warn(
-                "negative multiplier exponent applied to a spectrum that does not vanish at 0",
-                stacklevel=2,
-            )
-    return SpectralFunction(
-        plan.order,
-        nodes,
-        plan.c_alpha * m.scale * weights * spectrum,
-        plan=plan,
-    )
+            warnings.warn("negative multiplier exponent applied to a spectrum that does not vanish at 0", stacklevel=2)
+    return SpectralFunction(plan.order, nodes, plan.c_alpha * m.scale * weights * spectrum, plan=plan)
 
 
 def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec) -> GridFunction:

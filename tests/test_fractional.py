@@ -119,6 +119,22 @@ class TestPairingIdentity:
         assert abs(lhs) <= 1e-8
         assert abs(rhs) <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+    def test_degenerate_row_relative_to_its_scale(self, plan_factory, alpha):
+        """The power-weight-degenerate row (lam = 2, phi = x^4 exp(-x^2/2))
+        at each default order: besides the absolute 1e-8, the left pairing
+        stays within 5e-12 of int |x|^(lam+2a+1) |F phi|, the size of its
+        terms (a trapezoid over the image's band; F phi is even)."""
+        probe = PolyGaussian(PolyFunction.monomial(4), 0.5)
+        plan = plan_factory(alpha)
+        lhs, _, degenerate = power_weight_identity(alpha, 2.0, probe, plan)
+        image = _ForwardImage(plan, probe)
+        y = np.linspace(0.0, image.band_limit, 10_001)
+        scale = 2.0 * np.trapezoid(y ** (2.0 + 2.0 * alpha + 1.0) * np.abs(image(y)), y)
+        assert degenerate
+        assert abs(lhs) <= 1e-8
+        assert abs(lhs) <= 5e-12 * scale
+
     def test_pole_rejected(self, plan_factory):
         with pytest.raises(ValueError):
             power_weight_identity(0.5, -3.0, gaussian(), plan_factory(0.5))

@@ -55,3 +55,12 @@ def test_each_suite_alone_writes_its_slice(verify_all_run, tmp_path):
         assert alone == json.dumps(records[start:end], indent=2, sort_keys=True) + "\n", name
         start = end
     assert start == len(records)
+
+
+def test_reversed_suite_list_writes_the_same_report(verify_all_run, tmp_path):
+    """Naming every suite in reverse order writes the same bytes as
+    ``--suites all``: the report follows the suite table, not the list."""
+    _, full = verify_all_run
+    out = tmp_path / "reversed.json"
+    assert main(["verify", "--suites", ",".join(reversed(SUITES)), "--out", str(out)]) == 0
+    assert out.read_bytes() == full.read_bytes()

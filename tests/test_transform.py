@@ -113,11 +113,29 @@ def _outer_inverse(plan, x_points):
     return kernel_unitary(plan.alpha, np.outer(x_points, plan.lambda_nodes), sign=+1)
 
 
+def _assert_rows_within(got, terms):
+    """got is the row sums of terms within 1e-14 of each row's sum of |terms|."""
+    assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-14 * np.abs(terms).sum(axis=1))
+
+
+def _assert_off_grid_routes(plan, f, g, lam, xs):
+    """forward_at and inverse_at are the direct sums of the plan-free
+    SpectralFunctions over the nodes -x and lambda, bit for bit, and the
+    unfolded outer-product sums to rounding."""
+    fwd, inv = forward_at(plan, f, lam), inverse_at(plan, g, xs)
+    assert np.array_equal(fwd, SpectralFunction(plan.order, -plan.x_nodes, plan.x_weights * f)(lam))
+    assert np.array_equal(inv, SpectralFunction(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * g)(xs))
+    _assert_rows_within(fwd, _outer_forward(plan, lam) * (plan.x_weights * f))
+    _assert_rows_within(inv, plan.c_alpha * _outer_inverse(plan, xs) * (plan.lambda_weights * g))
+
+
 class TestFoldedKernel:
     """A plan keeps the kernel as two real quadrant tables over the positive
     nodes, and ``forward``/``inverse`` mirror them; they agree with the full
     outer-product sum to rounding.  ``forward_at`` and ``inverse_at`` fold the
-    kernel by K(-u) = conj K(u), bit-identical to the full outer product."""
+    mirrored weights by halves and take a SpectralFunction's direct sum over
+    the positive nodes: bit-identical to the plan-free SpectralFunction, and
+    within the same rounding bound of the full outer product."""
 
     @pytest.mark.parametrize("kind", ("default", "witness"))
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -134,19 +152,28 @@ class TestFoldedKernel:
         g = np.exp(-(plan.lambda_nodes**2) / 4.0) * (1.0 - 0.2j * plan.lambda_nodes)
         # the mirrored sums agree with the outer-product sum within 1e-14 of each row's sum of |terms|
         for v in (f, f * (1.0 - 0.5j)):
-            terms = _outer_forward(plan, plan.lambda_nodes) * (plan.x_weights * v)
-            err = np.abs(forward(plan, v).values - terms.sum(axis=1))
-            assert np.all(err <= 1e-14 * np.abs(terms).sum(axis=1))
+            _assert_rows_within(forward(plan, v).values, _outer_forward(plan, plan.lambda_nodes) * (plan.x_weights * v))
         for v in (g, g.real):
             terms = plan.c_alpha * _outer_inverse(plan, plan.x_nodes) * (plan.lambda_weights * v)
-            err = np.abs(inverse(plan, v).values - terms.sum(axis=1))
-            assert np.all(err <= 1e-14 * np.abs(terms).sum(axis=1))
+            _assert_rows_within(inverse(plan, v).values, terms)
 
         lam = np.concatenate([rng.uniform(-9.0, 9.0, 37), [0.0]])
         xs = np.concatenate([rng.uniform(-6.0, 6.0, 23), [0.0]])
-        assert np.array_equal(forward_at(plan, f, lam), _outer_forward(plan, lam) @ (plan.x_weights * f))
-        want_inv = plan.c_alpha * (_outer_inverse(plan, xs) @ (plan.lambda_weights * g))
-        assert np.array_equal(inverse_at(plan, g, xs), want_inv)
+        _assert_off_grid_routes(plan, f, g, lam, xs)
+
+    def test_off_grid_values_take_the_shape_of_their_points(self, plan_factory):
+        """As the SpectralFunction methods do: a scalar point gives a 0-d
+        value, a 2-d array of points a 2-d array of values."""
+        plan = plan_factory(0.5)
+        f = np.exp(-(plan.x_nodes**2)) * (1.0 + 0.3 * plan.x_nodes)
+        g = np.exp(-(plan.lambda_nodes**2) / 4.0) * (1.0 - 0.2j * plan.lambda_nodes)
+        grid = np.array([[-2.0, 0.0, 0.7], [3.1, -0.7, 2.0]])
+        for route, v in ((forward_at, f), (inverse_at, g)):
+            flat = route(plan, v, grid.ravel())
+            assert np.shape(route(plan, v, 0.7)) == ()
+            assert route(plan, v, 0.7) == route(plan, v, np.array([0.7]))[0]
+            assert route(plan, v, grid).shape == grid.shape
+            assert np.array_equal(route(plan, v, grid).ravel(), flat)
 
     def test_plan_holds_no_dense_kernel(self):
         """A fresh default plan holds its two 256 x 256 quadrant tables and its
@@ -231,8 +258,7 @@ class TestFoldedKernel:
         plan = TransformPlan(as_order(alpha), 6.0, 8.0, xn, xw, ln, lw, 1e-10)
         f = np.exp(-(xn**2)) * (1.0 + 0.3 * xn)
         g = np.exp(-(ln**2) / 4.0) * (1.0 - 0.2j * ln)
-        assert np.array_equal(forward_at(plan, f, lam), _outer_forward(plan, lam) @ (xw * f))
-        assert np.array_equal(inverse_at(plan, g, xs), plan.c_alpha * (_outer_inverse(plan, xs) @ (lw * g)))
+        _assert_off_grid_routes(plan, f, g, lam, xs)
 
 
 class TestForwardInverse:
@@ -851,15 +877,15 @@ class TestSynthesisTables:
 class TestAnalysisTables:
     """The transform of x-samples as a function of lambda (``forward_fn``)
     reads its proxy on [0, lambda_max] from the plan's analysis tables;
-    points beyond sum directly, and ``forward_at`` stays the exact route."""
+    points beyond sum directly, and the unfolded outer product is the
+    reference."""
 
     @pytest.mark.parametrize("kind", ("default", "witness"))
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bins_within_exact_route(self, plan_factory, witness_plan_factory, witness_factory, alpha, kind):
-        """Against the exact forward_at (the unfolded outer product, bit for
-        bit), the image is within the bound of
-        ``test_panel_errors_within_table_route``, whose direct route here is
-        the image's own folded sum."""
+        """Against the unfolded outer-product sum, the image is within the
+        bound of ``test_panel_errors_within_table_route``, whose direct route
+        here is the image's own folded sum (which ``forward_at`` takes too)."""
         plan = plan_factory(alpha) if kind == "default" else witness_plan_factory(alpha)
         x = plan.x_nodes
         inputs = [np.exp(-(x**2)) * (1.0 + 0.3 * x), x * np.exp(-(x**2) / 4.0)]
@@ -869,7 +895,7 @@ class TestAnalysisTables:
         kernel = _outer_forward(plan, y)
         for f in inputs:
             fn = forward_fn(plan, f)
-            want = forward_at(plan, f, y)
+            want = kernel @ (plan.x_weights * f)
             even, odd_q = _exact_parts(fn, y)
             scale = np.abs(kernel) @ np.abs(plan.x_weights * f)
             _assert_bins_within_direct(y, plan.lambda_max, want, scale, even + y * odd_q, fn(y), alpha)
