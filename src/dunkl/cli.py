@@ -154,7 +154,7 @@ def cmd_sonine(args) -> int:
         raise CliError(str(exc)) from exc
     f = gaussian(args.rate)
     apply = dual_sonine_apply if args.dual else sonine_apply
-    records = [{"x": x, "value": float(np.real(apply(pair, f, x)))} for x in args.x]
+    records = [{"x": x, "value": float(v)} for x, v in zip(args.x, np.real(apply(pair, f, np.asarray(args.x))))]
     _emit(records, args.format, args.out)
     return 0
 

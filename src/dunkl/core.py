@@ -118,9 +118,9 @@ def v_inverse_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndar
     return 1.0 / v_diagonal_factors(alpha, n_max)
 
 
-def intertwiner_v(alpha: OrderParam | float, f, x: Optional[float] = None):
-    """Intertwining operator V_alpha = S_{-1/2,alpha}: the exact diagonal
-    n!/b_n on PolyFunction (x omitted), else the value at x (see sonine_apply)."""
+def intertwiner_v(alpha: OrderParam | float, f, x=None):
+    """Intertwining operator V_alpha = S_{-1/2,alpha}: the exact diagonal n!/b_n
+    on PolyFunction (x omitted), else the values at a point or an array x (see sonine_apply)."""
     return sonine_apply(classical_pair(alpha), f, x)
 
 
@@ -144,7 +144,7 @@ def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = Non
     prod_{j<n} (theta + 1 + 2j)/(1 + 2j) on the even part and
     prod_{j<n} (theta + 2 + 2j)/(1 + 2j) on the odd part, theta = x d/dx.
     The derivatives of S_{alpha,beta} f come from a local polynomial fit to
-    its sonine_apply values on the stencil +-(x + k h), |k| <= max(n + 3, 6).
+    its values on the stencil +-(x + k h), |k| <= max(n + 3, 6), from one sonine_apply call.
     A plain callable without a derivative raises where a stencil point is
     nonzero but within about 1e-6 of 0 (see WrappedFunction).
     """
@@ -163,7 +163,7 @@ def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = Non
     n = math.ceil(a + 1.0)
     pair, m = SoninePair(a, n - 0.5), max(n + 3, 6)
     ks = np.arange(-m, m + 1, dtype=float)
-    vals = np.asarray([[sonine_apply(pair, f, s * (x + k * _DERIV_STEP)) for k in ks] for s in (1.0, -1.0)])
+    vals = sonine_apply(pair, f, np.outer((1.0, -1.0), x + ks * _DERIV_STEP))
     parts = np.stack([vals[0] + vals[1], vals[0] - vals[1]], axis=1) / 2.0  # even, odd part on the stencil
     taylor = np.polynomial.polynomial.polyfit(ks, parts, 2 * m)[: n + 1]  # rows i: h^i D^i g(x) / i!
     scale = np.array([math.factorial(i) * (x / _DERIV_STEP) ** i for i in range(n + 1)])
@@ -174,8 +174,8 @@ def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = Non
     return result
 
 
-def dual_intertwiner_v(alpha: OrderParam | float, f, x: float):
-    """Dual intertwiner tV_alpha = tS_{-1/2,alpha} at a point (see dual_sonine_apply)."""
+def dual_intertwiner_v(alpha: OrderParam | float, f, x):
+    """Dual intertwiner tV_alpha = tS_{-1/2,alpha} at a point or an array x (see dual_sonine_apply)."""
     return dual_sonine_apply(classical_pair(alpha), f, x)
 
 

@@ -51,6 +51,13 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
+def _pointwise(x, fn):
+    """fn of the raveled points, in the shape of x (a scalar for a scalar): the evaluators' one shape rule."""
+    x = np.asarray(x, dtype=float)
+    vals = fn(x.reshape(-1))
+    return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+
+
 @runtime_checkable
 class SmoothFunction(Protocol):
     """What the calculus reads from a smooth function f.  ``odd_quotient`` is

@@ -172,32 +172,44 @@ def legendre_panels(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndar
     return a + (b - a) * 0.5 * (base.nodes + 1.0), base.weights * 0.5 * (b - a)
 
 
-def doubling_tail(summand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, total, tol: float):
+def doubling_tail(summand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, total, tol: float):
     """Add to ``total`` sum(summand(v, w)) over the Gauss-Legendre nodes v and
     weights w of the panels [lo, 2 lo], [2 lo, 4 lo], ... until a panel after
     the first adds at most ``tol`` of the total; raise TailNonConvergence if
-    none has after MAX_DOUBLINGS panels."""
+    none has after MAX_DOUBLINGS panels.  Arrays ``lo`` and ``total`` of one
+    shape hold one tail per entry: v and w get shape lo.shape + (n,), and
+    each entry stops at its own doubling, as it would alone."""
+    base = legendre_rule(DEFAULT_PANEL_NODES)
+    # legendre_panels([lo, 2 lo]) is lo + lo * nodes, weights * lo: the halving is exact, so the bits agree
+    nodes, weights = 0.5 * (base.nodes + 1.0), 0.5 * base.weights
+    lo = np.asarray(lo, dtype=float)
+    edge, live = lo[..., None], np.ones(lo.shape, dtype=bool)
     for k in range(MAX_DOUBLINGS):
-        v, w = legendre_panels([lo, 2.0 * lo], DEFAULT_PANEL_NODES)
-        contribution = np.sum(summand(v[0], w[0]))
-        total = total + contribution
-        lo *= 2.0
-        if k >= 1 and abs(contribution) <= tol * max(abs(total), 1e-300):
-            return total
-    raise TailNonConvergence(f"tail still contributing beyond {lo:.3g} after {MAX_DOUBLINGS} doublings")
+        contribution = np.add.reduce(summand(edge + edge * nodes, weights * edge), axis=-1)
+        total = np.where(live, total + contribution, total)
+        edge = 2.0 * edge
+        if k >= 1:
+            live &= ~(np.abs(contribution) <= tol * np.maximum(np.abs(total), 1e-300))
+            if not live.any():
+                return total[()]
+    raise TailNonConvergence(f"tail still contributing beyond {np.max(edge):.3g} after {MAX_DOUBLINGS} doublings")
 
 
-def integrate_semi_infinite(g: Callable[[np.ndarray], np.ndarray], sing_exp: float, split: float = 1.0) -> complex:
+def integrate_semi_infinite(g: Callable[[np.ndarray], np.ndarray], sing_exp: float, split=1.0):
     """int_0^inf v^sing_exp g(v) dv: the head [0, split] absorbs v^sing_exp
     into a Jacobi rule, and the doubling tail covers the rest, to
-    SEMI_INFINITE_TOL."""
+    SEMI_INFINITE_TOL.  An array ``split`` gives one integral per entry, in
+    its shape, each tail stopping on its own; g then takes nodes of shape
+    split.shape + (n,)."""
     if not sing_exp > -1.0:
         raise ValueError(f"singular exponent {sing_exp} must exceed -1")
-    if not split > 0.0:
+    split = np.asarray(split, dtype=float)
+    if not (split > 0.0).all():
         raise ValueError("split must be positive")
     p = float(sing_exp)
-    head = jacobi_rule(0.0, p, DEFAULT_JACOBI_NODES)
-    total = np.sum(head.weights * split ** (p + 1.0) * np.asarray(g(head.nodes * split)))
+    head, edge = jacobi_rule(0.0, p, DEFAULT_JACOBI_NODES), split[..., None]
+    # float_power is libm's pow, the bits of a float's **; np.power's vector loop rounds differently
+    total = np.add.reduce(head.weights * np.float_power(edge, p + 1.0) * np.asarray(g(head.nodes * edge)), axis=-1)
     return doubling_tail(lambda v, w: w * v**p * np.asarray(g(v)), split, total, SEMI_INFINITE_TOL)
 
 

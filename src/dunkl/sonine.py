@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .functions import PolyFunction, SmoothFunction, as_smooth, dunkl_operator
+from .functions import PolyFunction, SmoothFunction, _pointwise, as_smooth, dunkl_operator
 from .quadrature import (
     integrate_semi_infinite,
     jacobi_rule,
@@ -96,10 +95,11 @@ def sonine_diagonal_factors(pair: SoninePair, n_max: int) -> np.ndarray:
     )
 
 
-def sonine_apply(pair: SoninePair, f, x: Optional[float] = None):
+def sonine_apply(pair: SoninePair, f, x=None):
     """Sonine transform.
 
-    PolyFunction (x omitted): exact diagonal.  At x = 0: f(0).  Otherwise the
+    PolyFunction (x omitted): exact diagonal.  Otherwise SonineImage(pair,
+    f)(x), at a scalar or an array of points: f(0) at x = 0, else the
     parity-split quadrature form
 
       a_{alpha,beta} int_0^1 [f_e(x sqrt(s)) + sqrt(s) f_o(x sqrt(s))]
@@ -112,16 +112,7 @@ def sonine_apply(pair: SoninePair, f, x: Optional[float] = None):
         return f.scaled(sonine_diagonal_factors(pair, f.degree))
     if x is None:
         raise ValueError("evaluation point required for non-polynomial input")
-    return _sonine_at(pair, as_smooth(f), float(x), jacobi_rule(pair.mu - 1.0, pair.a))
-
-
-def _sonine_at(pair: SoninePair, f: SmoothFunction, x: float, rule):
-    """sonine_apply's quadrature form at one point, f already a SmoothFunction."""
-    if x == 0.0:
-        return f(0.0)
-    args = x * np.sqrt(rule.nodes)
-    integrand = np.asarray(f.even_part(args)) + x * rule.nodes * np.asarray(f.odd_quotient(args))
-    return pair.prefactor * np.sum(rule.weights * integrand)
+    return SonineImage(pair, f)(x)
 
 
 def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
@@ -150,7 +141,8 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
 
 class SonineImage:
     """S f as a SmoothFunction, with everything differentiated under the
-    integral sign; its values are sonine_apply's."""
+    integral sign.  Each method answers in the shape of its points from one
+    call of each evaluator of f on the (points x 64) arguments."""
 
     def __init__(self, pair: SoninePair, f):
         self.pair = pair
@@ -158,50 +150,65 @@ class SonineImage:
         self.rule = jacobi_rule(pair.mu - 1.0, pair.a)
         self._t = np.sqrt(self.rule.nodes)
 
-    def _map(self, x, fn):
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray([fn(float(v)) for v in np.atleast_1d(x).ravel()])
-        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
-
-    def _quad(self, integrand) -> complex:
-        return self.pair.prefactor * np.sum(self.rule.weights * integrand)
+    def _quad(self, integrand: np.ndarray) -> np.ndarray:
+        return self.pair.prefactor * np.add.reduce(self.rule.weights * integrand, axis=-1)
 
     def __call__(self, x):
-        return self._map(x, lambda v: _sonine_at(self.pair, self.f, v, self.rule))
+        def value(v):
+            live = v != 0.0
+            col = v[live][:, None]
+            args = col * self._t
+            image = self._quad(self.f.even_part(args) + col * self.rule.nodes * self.f.odd_quotient(args))
+            if image.size == v.size:
+                return image
+            out = np.where(live, np.zeros((), image.dtype), self.f(0.0))
+            out[live] = image
+            return out
+
+        return _pointwise(x, value)
 
     def even_part(self, x):
-        return self._map(x, lambda v: self._quad(np.asarray(self.f.even_part(v * self._t))))
+        return _pointwise(x, lambda v: self._quad(self.f.even_part(v[:, None] * self._t)))
 
     def odd_quotient(self, x):
-        return self._map(x, lambda v: self._quad(self.rule.nodes * np.asarray(self.f.odd_quotient(v * self._t))))
+        return _pointwise(x, lambda v: self._quad(self.rule.nodes * self.f.odd_quotient(v[:, None] * self._t)))
 
     def derivative(self, x):
-        def at(v: float) -> complex:
-            dp = np.asarray(self.f.derivative(v * self._t))
-            dm = np.asarray(self.f.derivative(-v * self._t))
+        def value(v):
+            args = v[:, None] * self._t
+            dp, dm = np.asarray(self.f.derivative(args)), np.asarray(self.f.derivative(-args))
             # (f_e)' = odd part of f', (f_o)' = even part of f'
             return self._quad(self._t * (0.5 * (dp - dm)) + self.rule.nodes * (0.5 * (dp + dm)))
 
-        return self._map(x, at)
+        return _pointwise(x, value)
 
     def taylor_coeff(self, k: int):
         return self.f.taylor_coeff(k) * math.exp(log_b_coeff(k, self.pair.alpha) - log_b_coeff(k, self.pair.beta))
 
 
-def dual_sonine_apply(pair: SoninePair, f, x: float):
-    """Dual Sonine transform at a point, by the substitution v = y^2 - x^2:
+def dual_sonine_apply(pair: SoninePair, f, x):
+    """Dual Sonine transform at a scalar or an array of points x, in its
+    shape, by the substitution v = y^2 - x^2:
 
       a_{alpha,beta} int_0^inf v^(beta-alpha-1) [f_e(y) + x (f_o(y)/y)] dv,
       y = sqrt(v + x^2), the Jacobi head covering [0, 1 + x^2].
+
+    The points share each call of f's parts, one for the heads and one per
+    tail doubling, and each tail stops on its own, as it would alone.
     """
     f = as_smooth(f)
-    x = float(x)
 
-    def g(v: np.ndarray) -> np.ndarray:
-        y = np.sqrt(v + x * x)
-        return np.asarray(f.even_part(y)) + x * np.asarray(f.odd_quotient(y))
+    def value(v):
+        col = v[:, None]
+        sq = col * col
 
-    return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=1.0 + x * x)
+        def g(u: np.ndarray) -> np.ndarray:
+            y = np.sqrt(u + sq)
+            return np.asarray(f.even_part(y)) + col * np.asarray(f.odd_quotient(y))
+
+        return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=1.0 + sq[:, 0])
+
+    return _pointwise(x, value)
 
 
 def dual_sonine_grid(
@@ -230,7 +237,7 @@ def sonine_via_intertwiners(pair: SoninePair, f: PolyFunction) -> PolyFunction:
     return step.scaled(sonine_diagonal_factors(classical_pair(pair.beta), step.degree))
 
 
-def _fd_derivative(fn, x: float, h: float = 1e-2):
+def _fd_derivative(fn, x, h: float = 1e-2):
     return (8.0 * (fn(x + h) - fn(x - h)) - (fn(x + 2 * h) - fn(x - 2 * h))) / (12.0 * h)
 
 
@@ -239,29 +246,6 @@ def _poly_intertwining_errs(pair: SoninePair, f: PolyFunction) -> tuple[float, f
     rhs = sonine_apply(pair, dunkl_operator(pair.alpha, f))
     abs_err = float(np.max(np.abs((lhs - rhs).coeffs)))
     return abs_err, abs_err / max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
-
-
-def _smooth_intertwining_errs(pair: SoninePair, f, grid: np.ndarray) -> tuple[float, float]:
-    s_img = SonineImage(pair, f)
-    lam_beta_sf = dunkl_operator(pair.beta, s_img)
-    lam_alpha_f = dunkl_operator(pair.alpha, f)
-    direct_lhs = np.asarray([lam_beta_sf(float(v)) for v in grid])
-    direct_rhs = np.asarray([sonine_apply(pair, lam_alpha_f, float(v)) for v in grid])
-
-    lam_beta_f = dunkl_operator(pair.beta, f)
-    dual_lhs = np.asarray([dual_sonine_apply(pair, lam_beta_f, float(v)) for v in grid])
-    ts_f = lambda u: dual_sonine_apply(pair, f, float(u))
-    a = pair.a
-    dual_rhs = np.asarray(
-        [
-            _fd_derivative(ts_f, float(v)) + (2.0 * a + 1.0) * (ts_f(float(v)) - ts_f(-float(v))) / (2.0 * float(v))
-            for v in grid
-        ]
-    )
-
-    abs_err = float(max(np.max(np.abs(direct_lhs - direct_rhs)), np.max(np.abs(dual_lhs - dual_rhs))))
-    scale = float(max(np.max(np.abs(direct_rhs)), np.max(np.abs(dual_lhs)), 1e-300))
-    return abs_err, abs_err / scale
 
 
 def intertwining_check(pair: SoninePair, f) -> tuple[float, float]:
@@ -277,4 +261,12 @@ def intertwining_check(pair: SoninePair, f) -> tuple[float, float]:
     if isinstance(f, PolyFunction):
         return _poly_intertwining_errs(pair, f)
     grid = np.linspace(-2.5, 2.5, 21)
-    return _smooth_intertwining_errs(pair, f, grid[grid != 0.0])
+    grid = grid[grid != 0.0]
+    direct_lhs = dunkl_operator(pair.beta, SonineImage(pair, f))(grid)
+    direct_rhs = sonine_apply(pair, dunkl_operator(pair.alpha, f), grid)
+    dual_lhs = dual_sonine_apply(pair, dunkl_operator(pair.beta, f), grid)
+    ts_f = lambda u: dual_sonine_apply(pair, f, u)
+    dual_rhs = _fd_derivative(ts_f, grid) + (2.0 * pair.a + 1.0) * (ts_f(grid) - ts_f(-grid)) / (2.0 * grid)
+    abs_err = float(max(np.max(np.abs(direct_lhs - direct_rhs)), np.max(np.abs(dual_lhs - dual_rhs))))
+    scale = float(max(np.max(np.abs(direct_rhs)), np.max(np.abs(dual_lhs)), 1e-300))
+    return abs_err, abs_err / scale

@@ -250,15 +250,15 @@ def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
     """
     if not np.iscomplexobj(u):
         return j_norm_pair(alpha, u)[0]
-    a = as_order(alpha).alpha
-    u = np.asarray(u, dtype=complex)
+    a, shape = as_order(alpha).alpha, np.shape(u)
+    u = np.asarray(u, dtype=complex).ravel()  # flat masks index faster
     out = np.empty(u.shape, dtype=complex)
     series = np.abs(u) - np.abs(u.imag) < _SERIES_LOSS
     if np.any(series):
         out[series] = _series(a, u[series])
     ub = np.where(u.real < 0, -u, u)[~series]
     out[~series] = math.exp(math.lgamma(a + 1.0)) * (2.0 / ub) ** a * jve(a, ub) * np.exp(np.abs(ub.imag))
-    return out
+    return out.reshape(shape)
 
 
 def bessel_mod_array(alpha: OrderParam | float, z) -> np.ndarray:

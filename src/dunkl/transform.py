@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import GridFunction
+from .functions import GridFunction, _pointwise
 from .quadrature import _real_matvec, jacobi_rule
 from .special import OrderParam, as_order, c_const, j_norm_pair, log_b_coeff
 
@@ -242,13 +242,6 @@ def _direct_parts(alpha: float, abs_nodes, w_even, w_quotient, x: np.ndarray) ->
     distinct, where = np.unique(np.abs(x), return_inverse=True)
     even, odd = j_norm_pair(alpha, np.outer(distinct, abs_nodes))
     return _real_matvec(even, w_even)[where], _real_matvec(odd, w_quotient)[where]
-
-
-def _pointwise(x, fn):
-    """fn of the raveled points, in the shape of x (a scalar for a scalar)."""
-    x = np.asarray(x, dtype=float)
-    vals = fn(np.atleast_1d(x).ravel())
-    return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
 
 def _direct_sum_at(plan: TransformPlan, values: np.ndarray, points, sign: int):

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from dunkl.lizorkin import make_witness, witness_plan
@@ -50,3 +52,34 @@ def verify_all_run(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("verify-all") / "report.json"
     return main(["verify", "--suites", "all", "--out", str(out)]), out
+
+
+class _Counting:
+    """A SmoothFunction that counts its value, even-part and odd-quotient calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, collections.Counter()
+
+    def __call__(self, x):
+        self.calls["value"] += 1
+        return self.f(x)
+
+    def even_part(self, x):
+        self.calls["even_part"] += 1
+        return self.f.even_part(x)
+
+    def odd_quotient(self, x):
+        self.calls["odd_quotient"] += 1
+        return self.f.odd_quotient(x)
+
+    def derivative(self, x):
+        return self.f.derivative(x)
+
+    def taylor_coeff(self, k):
+        return self.f.taylor_coeff(k)
+
+
+@pytest.fixture
+def counting():
+    """``counting(f)`` wraps f so that its ``calls`` count the value, even-part and odd-quotient calls."""
+    return _Counting

@@ -167,10 +167,18 @@ _PINNED_OUTPUT = {
     ),
     ("sonine", "csv"): "x,value\n0.5,0.88479686771438049\n1,0.63212055882855767\n",
     ("sonine", "json"): '[\n  {\n    "value": 0.8847968677143805,\n    "x": 0.5\n  },\n  {\n    "value": 0.6321205588285577,\n    "x": 1.0\n  }\n]\n',
+    # written by the per-point dual route that one array call replaced
+    ("sonine-dual", "csv"): "x,value\n0.5,0.7788007830714051\n1,0.36787944117144267\n0,1.0000000000000002\n-2,0.018315638888734252\n",
+    ("sonine-dual", "json"): (
+        '[\n  {\n    "value": 0.7788007830714051,\n    "x": 0.5\n  },\n  {\n    "value": 0.36787944117144267,\n'
+        '    "x": 1.0\n  },\n  {\n    "value": 1.0000000000000002,\n    "x": 0.0\n  },\n'
+        '  {\n    "value": 0.01831563888873425,\n    "x": -2.0\n  }\n]\n'
+    ),
 }
 _PINNED_ARGS = {
     "kernel": ["kernel", "--alpha", "0.5", "--z", "1", "--z", "40j"],
     "sonine": ["sonine", "--alpha", "0", "--beta", "1", "--x", "0.5", "--x", "1"],
+    "sonine-dual": ["sonine", "--alpha", "0", "--beta", "1", "--x", "0.5", "--x", "1", "--x", "0", "--x", "-2", "--dual"],
 }
 
 

@@ -3,7 +3,6 @@ convolution.  Monomial actions are exact oracles; quadrature routes are
 checked against them and against Gaussian closed forms."""
 
 import cmath
-import collections
 import math
 
 import numpy as np
@@ -296,6 +295,14 @@ class TestInverseIntertwiner:
         for x in (-1.3, 0.0, 0.9):
             assert abs(intertwiner_v_inverse(alpha, image, x) - f(x)) <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.2])
+    def test_one_evaluation_for_the_whole_stencil(self, alpha, counting):
+        # the 2 (2m + 1) stencil points of S_{alpha,beta} f share one call of each part of f
+        f = counting(PolyGaussian(PolyFunction(np.array([1.0, 0.4])), 1.0))
+        got = intertwiner_v_inverse(alpha, f, 0.9)
+        assert f.calls == {"even_part": 1, "odd_quotient": 1}
+        assert got == intertwiner_v_inverse(alpha, f.f, 0.9)
+
     def test_alpha_zero_square_example(self):
         # V_0^{-1} x^2 = b_2(0)/2! x^2 = 2 x^2, through beta = 1/2: (theta + 1) x^2 = 3 x^2 after S_{0,1/2}
         f = WrappedFunction(lambda x: np.asarray(x, dtype=float) ** 2)
@@ -410,30 +417,6 @@ class TestTranslation:
         assert got == pytest.approx(float(np.real(want)), rel=1e-8)
 
 
-class _Counting:
-    """A SmoothFunction that counts its value and odd-quotient calls."""
-
-    def __init__(self, f):
-        self.f, self.calls = f, collections.Counter()
-
-    def __call__(self, x):
-        self.calls["value"] += 1
-        return self.f(x)
-
-    def odd_quotient(self, x):
-        self.calls["odd_quotient"] += 1
-        return self.f.odd_quotient(x)
-
-    def even_part(self, x):
-        return self.f.even_part(x)
-
-    def derivative(self, x):
-        return self.f.derivative(x)
-
-    def taylor_coeff(self, k):
-        return self.f.taylor_coeff(k)
-
-
 class TestConvolution:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
     def test_gaussian_closed_form(self, alpha):
@@ -461,10 +444,10 @@ class TestConvolution:
         direct = np.sum(rule.weights * (f(rule.nodes) * g(rule.nodes) + f(-rule.nodes) * g(-rule.nodes)))
         assert convolution(a, f, g, 0.0) == pytest.approx(float(direct), rel=1e-9)
 
-    def test_one_batched_translation(self):
+    def test_one_batched_translation(self, counting):
         # f and its odd quotient are evaluated once per sign of w, g once per
         # sign of y, not once per radial node
-        f, g = _Counting(gaussian()), _Counting(PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0))
+        f, g = counting(gaussian()), counting(PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0))
         got = convolution(0.7, f, g, 0.9)
         assert f.calls == {"value": 2, "odd_quotient": 1}
         assert g.calls == {"value": 2}

@@ -198,6 +198,13 @@ class TestSemiInfinite:
         got = integrate_semi_infinite(lambda v: np.exp(-(v**2)), 0.3)
         assert got == pytest.approx(math.gamma(0.65) / 2.0, rel=1e-11)
 
+    def test_array_split_is_the_scalar_calls(self):
+        splits = np.array([0.5, 1.0, 3.25, 10.0])
+        for g in (lambda v: np.exp(-v), lambda v: np.exp(-(v**2)) * (1.0 + 0.5j * v)):
+            want = [integrate_semi_infinite(g, -0.3, split=s) for s in splits]
+            got = integrate_semi_infinite(g, -0.3, split=splits)
+            assert got.shape == splits.shape and np.array_equal(got, want)
+
     def test_tail_nonconvergence(self):
         # a constant never decays: every doubling panel adds half the total
         with pytest.raises(TailNonConvergence, match=f"after {MAX_DOUBLINGS} doublings"):
@@ -278,6 +285,31 @@ class TestDoublingTail:
     def test_raises_without_decay(self):
         with pytest.raises(TailNonConvergence):
             doubling_tail(lambda v, w: w * v**-0.5, 1.0, 0.0, 1e-12)
+
+    @pytest.mark.parametrize(
+        "summand",
+        [lambda v, w: w * np.exp(-v) * np.cos(v), lambda v, w: w * v**-3.0],  # v^-3: each panel adds 1/4 of the last
+        ids=["damped", "power"],
+    )
+    def test_array_entries_are_their_scalar_calls(self, summand):
+        # each entry stops at its own doubling and keeps its own total, bit for bit
+        lo = np.array([[0.25, 1.0, 6.0], [2.0, 11.0, 30.0]])
+        total = np.array([[0.5, 0.0, 1e-3], [2.0, -1e-5, 0.0]])
+
+        def alone(b, t):
+            panels = []
+            return doubling_tail(lambda v, w: panels.append(v) or summand(v, w), b, t, 1e-12), len(panels)
+
+        calls = [alone(b, t) for b, t in zip(lo.ravel(), total.ravel())]
+        assert len({n for _, n in calls}) > 1  # the entries stop at different doublings
+        got = doubling_tail(summand, lo, total, 1e-12)
+        assert got.shape == lo.shape and np.array_equal(got.ravel(), [value for value, _ in calls])
+
+    def test_array_raises_when_one_entry_never_stops(self):
+        # the second entry's panels each add half its total
+        summand = lambda v, w: w * np.stack([np.exp(-v[0]), v[1] ** -0.5])
+        with pytest.raises(TailNonConvergence, match=f"after {MAX_DOUBLINGS} doublings"):
+            doubling_tail(summand, np.array([1.0, 1.0]), np.zeros(2), 1e-12)
 
 
 class TestRadialRule:

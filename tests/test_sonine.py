@@ -25,6 +25,27 @@ from dunkl.transform import build_plan, forward, forward_at
 
 PAIRS = ((0.0, 0.5), (0.5, 1.5), (0.0, 2.0), (-0.25, 0.75), (1.5, 3.5))
 
+# inputs of the array-call guards: the decaying ones also take the dual routes
+_DECAYING = {
+    "poly-gaussian": PolyGaussian(PolyFunction(np.array([1.0, 0.7, 0.0, -0.3])), 1.0),
+    "wrapped-with-derivative": WrappedFunction(
+        lambda u: np.exp(0.3 * u - u * u), df=lambda u: (0.3 - 2.0 * u) * np.exp(0.3 * u - u * u)
+    ),
+}
+_ARRAY_INPUTS = {**_DECAYING, "kernel-real": KernelFunction(0.25, 1.3), "kernel-imaginary": KernelFunction(0.25, 2.2j)}
+# 0, +-x and small points, in a 2-d array
+_ARRAY_POINTS = np.array([[0.0, 0.7, -0.7, 2.5], [-2.5, 0.05, 1.3, -0.004]])
+
+
+def _assert_array_call_is_scalar_calls(route):
+    """route on a 2-d, a 1-d and a 0-d array of points equals its calls at the points one by one, bit for bit,
+    in the shape of the points."""
+    want = np.array([[route(float(v)) for v in row] for row in _ARRAY_POINTS])
+    for points, expected in ((_ARRAY_POINTS, want), (_ARRAY_POINTS[1], want[1]), (np.array(0.7), want[0, 1])):
+        got = route(points)
+        assert np.shape(got) == points.shape
+        assert np.array_equal(got, expected)
+
 
 class TestSoninePair:
     def test_orders_validated(self):
@@ -74,6 +95,18 @@ class TestSonineApply:
                 got = sonine_apply(pair, ka, float(x))
                 assert abs(got - kb(x)) <= 1e-9 * abs(kb(x))
 
+    @pytest.mark.parametrize("name", sorted(_ARRAY_INPUTS))
+    def test_array_call_is_the_scalar_calls(self, name):
+        pair, f = SoninePair.of(0.25, 1.5), _ARRAY_INPUTS[name]
+        _assert_array_call_is_scalar_calls(lambda x: sonine_apply(pair, f, x))
+        _assert_array_call_is_scalar_calls(lambda x: core.intertwiner_v(0.25, f, x))
+
+    def test_one_evaluation_for_all_points(self, counting):
+        # the point 0 takes f(0)
+        f = counting(gaussian())
+        sonine_apply(SoninePair.of(0.5, 1.5), f, _ARRAY_POINTS)
+        assert f.calls == {"even_part": 1, "odd_quotient": 1, "value": 1}
+
     def test_grid_route_matches(self):
         pair = SoninePair.of(0.5, 1.5)
         f = PolyGaussian(PolyFunction(np.array([0.3, 1.0, 0.2])), 1.0)
@@ -119,6 +152,26 @@ class TestDualSonine:
         for x in (0.0, 1.1, -2.0):
             got = dual_sonine_apply(pair, gaussian(), x)
             assert got == pytest.approx(ratio * math.exp(-x * x), rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(_DECAYING))
+    def test_array_call_is_the_scalar_calls(self, name):
+        pair, f = SoninePair.of(0.25, 1.5), _DECAYING[name]
+        _assert_array_call_is_scalar_calls(lambda x: dual_sonine_apply(pair, f, x))
+        _assert_array_call_is_scalar_calls(lambda x: core.dual_intertwiner_v(0.25, f, x))
+
+    def test_one_evaluation_per_doubling_for_all_points(self, counting):
+        # each point's tail stops at its own doubling, and the points share every evaluation: on n points
+        # the parts are called once for the heads and once per doubling of the longest tail
+        pair, points = SoninePair.of(0.5, 1.5), np.array([0.0, 0.4, -1.7, 3.0, 6.0])
+        alone = []
+        for x in points:
+            f = counting(gaussian(0.3))
+            dual_sonine_apply(pair, f, x)
+            alone.append(f.calls["even_part"])
+        assert len(set(alone)) > 1
+        f = counting(gaussian(0.3))
+        dual_sonine_apply(pair, f, points)
+        assert f.calls == {"even_part": max(alone), "odd_quotient": max(alone)}
 
     def test_grid_route_matches(self):
         pair = SoninePair.of(0.3, 1.8)
@@ -251,6 +304,12 @@ class TestSonineImage:
         want = sonine_apply(pair, f).coeffs
         got = [SonineImage(pair, f).taylor_coeff(k) for k in range(9)]
         np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(_ARRAY_INPUTS))
+    def test_array_calls_are_the_scalar_calls(self, name):
+        img = SonineImage(SoninePair.of(0.25, 1.5), _ARRAY_INPUTS[name])
+        for method in (img, img.even_part, img.odd_quotient, img.derivative):
+            _assert_array_call_is_scalar_calls(method)
 
 
 class TestClassicalOrder:
