@@ -6,9 +6,9 @@ V_alpha = S_{-1/2,alpha} and tV_alpha = tS_{-1/2,alpha} (see dunkl.sonine),
 so its routes here are thin wrappers; its inverse is V_beta^{-1} S_{alpha,beta}
 at a half-integer beta, where V_beta^{-1} is a polynomial in x d/dx.
 Monomial actions are exact; every quadrature path is validated against them
-in the tests.  Inputs are read through the SmoothFunction protocol, and bare
-callables are wrapped by ``as_smooth``: odd-part quotients come from the
-objects' ``odd_quotient``, which the function classes evaluate exactly at the
+in the tests.  Inputs are read as SmoothFunction objects, and bare callables
+are wrapped by ``as_smooth``: even parts and odd-part quotients come from one
+``parts`` read, and the function classes evaluate the quotient exactly at the
 removable singularity.
 """
 
@@ -190,9 +190,9 @@ def translation(alpha: OrderParam | float, f, x: float, y):
     a_alpha int_0^pi [f_e(w) + f_o(w)(x+y)/w] [1 - sgn(xy) cos t] sin^(2 alpha) t dt,
     w = sqrt(x^2 + y^2 - 2|xy| cos t).
 
-    Every y shares one evaluation of f, of f(-.) and of the odd quotient on
-    the (len(y), n_theta) array of w.  At (0, 0), where the integral form
-    does not apply, f(0) is returned by the continuity convention.
+    Every y shares one ``parts`` read of f, the even part and the odd
+    quotient on the (len(y), n_theta) array of w.  At (0, 0), where the
+    integral form does not apply, f(0) is returned by the continuity convention.
     """
     a = as_order(alpha).alpha
     f, x, y = as_smooth(f), float(x), np.asarray(y, dtype=float)
@@ -201,8 +201,8 @@ def translation(alpha: OrderParam | float, f, x: float, y):
     rule = theta_rule(a)
     cos_t = np.cos(rule.nodes)
     w = np.sqrt(np.maximum(x * x + ys * ys - 2.0 * np.abs(x * ys) * cos_t, 0.0))
-    fe = 0.5 * (np.asarray(f(w)) + np.asarray(f(-w)))
-    integrand = (fe + (x + ys) * np.asarray(f.odd_quotient(w))) * (1.0 - np.sign(x) * np.sign(ys) * cos_t)
+    even, quotient = f.parts(w)
+    integrand = (even + (x + ys) * quotient) * (1.0 - np.sign(x) * np.sign(ys) * cos_t)
     tau = (a_const(a) * np.sum(rule.weights * integrand, axis=-1)).reshape(y.shape)
     return (np.where(origin, f(0.0), tau) if np.any(origin) else tau)[()]
 

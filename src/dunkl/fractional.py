@@ -193,10 +193,10 @@ class _ForwardImage(SpectralFunction):
         resolvable = 1.5 * (plan.x_nodes.size // 2) / plan.half_width  # highest frequency the x-rule resolves
         self.band_limit = min(resolvable, spectral_support(plan, values, 1e-15))
 
-    def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
+    def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = np.abs(x) <= self.band_limit
-        out = [np.zeros(x.shape, (self._w_even, self._w_quotient)[part].dtype) for part in parts]
-        for o, v in zip(out, super()._parts(x[inside], parts) if np.any(inside) else ()):
+        out = tuple(np.zeros(x.shape, w.dtype) for w in (self._w_even, self._w_quotient))
+        for o, v in zip(out, super()._parts(x[inside]) if np.any(inside) else ()):
             o[inside] = v
         return out
 

@@ -8,19 +8,19 @@ quotients and Taylor data, so no smooth-function code path ever needs finite
 differences for its own inputs.  GridFunction carries sampled data on an
 exactly symmetric grid.
 
-Every routine that acts on smooth functions reads them through one
-protocol, SmoothFunction: value, even part, odd quotient, derivative and
-Taylor coefficients.  The function classes implement it, and ``as_smooth``
-wraps any other callable in a WrappedFunction, which divides for the odd
-quotient and raises where it has no data.  The difference-differential
-operator lives here, next to the classes it is exact on.
+Every routine that acts on smooth functions reads them through the base
+class SmoothFunction: value, even part, odd quotient (both at once by
+``parts``), derivative and Taylor coefficients.  ``as_smooth`` wraps any
+other callable in a WrappedFunction, which divides for the odd quotient and
+raises where it has no data.  The difference-differential operator lives
+here, next to the classes it is exact on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,32 +52,29 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _pointwise(x, fn):
-    """fn of the raveled points, in the shape of x (a scalar for a scalar): the evaluators' one shape rule."""
+    """fn of the raveled points, each array in the shape of x (a scalar for a scalar): the evaluators' one shape rule."""
     x = np.asarray(x, dtype=float)
     vals = fn(x.reshape(-1))
-    return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+    shaped = lambda v: v[0] if x.ndim == 0 else v.reshape(x.shape)
+    return tuple(map(shaped, vals)) if isinstance(vals, tuple) else shaped(vals)
 
 
-@runtime_checkable
-class SmoothFunction(Protocol):
-    """What the calculus reads from a smooth function f.  ``odd_quotient`` is
+class SmoothFunction:
+    """What the calculus reads from a smooth function f: the value
+    ``f(x)``, ``even_part``, ``odd_quotient``, ``derivative`` and
+    ``taylor_coeff``, which every subclass defines.  ``odd_quotient`` is
     (f(x) - f(-x))/(2x) with its removable singularity at 0 evaluated, and
     ``taylor_coeff(k)`` is f^(k)(0)/k!.  A method raises ValueError where
     the object has no such data."""
 
-    def __call__(self, x): ...
-
-    def even_part(self, x): ...
-
-    def odd_quotient(self, x): ...
-
-    def derivative(self, x): ...
-
-    def taylor_coeff(self, k: int): ...
+    def parts(self, x):
+        """(even part, odd quotient) at the same points x: the one read of a
+        route that needs both, which a subclass may take at once."""
+        return self.even_part(x), self.odd_quotient(x)
 
 
 @dataclass(frozen=True)
-class PolyFunction:
+class PolyFunction(SmoothFunction):
     """Polynomial sum_n c_n x^n with exact coefficient arithmetic."""
 
     coeffs: np.ndarray
@@ -149,7 +146,7 @@ class PolyFunction:
 
 
 @dataclass(frozen=True)
-class PolyGaussian:
+class PolyGaussian(SmoothFunction):
     """p(x) exp(-rate x^2): the Schwartz-class workhorse.
 
     Closed under d/dx, parity splitting and odd-quotient division, which is
@@ -233,7 +230,7 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-class KernelFunction:
+class KernelFunction(SmoothFunction):
     """x -> E_alpha(lam x) as a smooth function object with exact derivative,
     odd quotient and Taylor data.
 
@@ -272,7 +269,7 @@ class KernelFunction:
         return self.lam**k * math.exp(-log_b_coeff(k, self.order))
 
 
-class WrappedFunction:
+class WrappedFunction(SmoothFunction):
     """A bare callable as a SmoothFunction, with optional derivative and
     Taylor evaluators.
 
@@ -322,7 +319,7 @@ class WrappedFunction:
 
 
 def as_smooth(f) -> SmoothFunction:
-    """``f`` itself if it implements SmoothFunction, else ``f`` wrapped in a
+    """``f`` itself if it is a SmoothFunction, else ``f`` wrapped in a
     WrappedFunction without derivative or Taylor data."""
     return f if isinstance(f, SmoothFunction) else WrappedFunction(f)
 

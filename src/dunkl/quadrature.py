@@ -275,12 +275,13 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
 
 
 def weyl_integral(
-    h_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+    h: Callable[[np.ndarray], Sequence[np.ndarray]],
     mu: float,
     s_values: np.ndarray,
     u_max: float,
 ) -> np.ndarray:
-    """W(s) = int_s^u_max (u-s)^(mu-1) h(u) du for every s in ``s_values``.
+    """W(s) = int_s^u_max (u-s)^(mu-1) h(u) du for every s in ``s_values``
+    and every row of ``h(u)``, each an array of u's shape.
 
     Shared machinery of the dual intertwiner and dual Sonine transforms in
     squared coordinates u = y^2 (mu = alpha + 1/2 resp. beta - alpha).  For
@@ -291,7 +292,7 @@ def weyl_integral(
     in particular inside the region its evaluator resolves.  Each distinct s
     is integrated once, so mirrored points +-x cost one head.
 
-    Returns an array of shape (len(h_fns), len(s_values)).
+    Returns an array of shape (number of rows, len(s_values)).
     """
     if not mu > 0:
         raise ValueError("Weyl order mu must be positive")
@@ -315,11 +316,10 @@ def weyl_integral(
     head_span = edges[head_end_idx] - s_values
     u_heads = s_values[:, None] + head_span[:, None] * head.nodes[None, :]
 
-    # one evaluation per integrand, on the shared panels and every per-s head
-    u_all = np.concatenate([panel_u.ravel(), u_heads.ravel()])
-    h_all = [np.asarray(h(u_all)) for h in h_fns]
-    h_panel = [h[: panel_u.size] for h in h_all]
-    heads = np.stack([h[panel_u.size :].reshape(u_heads.shape) @ head.weights for h in h_all]) * head_span**mu
+    # one call of h, on the shared panels and every per-s head
+    rows = [np.asarray(row) for row in h(np.concatenate([panel_u.ravel(), u_heads.ravel()]))]
+    h_panel = [row[: panel_u.size] for row in rows]
+    heads = np.stack([row[panel_u.size :].reshape(u_heads.shape) @ head.weights for row in rows]) * head_span**mu
     # panel k belongs to the tail of s once it starts at or beyond s's head end
     live = np.arange(n_edges - 1)[None, :] >= head_end_idx[:, None]
     kernel = _panel_kernel(live, panel_u[None] - s_values[:, None, None], panel_w, mu)
@@ -343,13 +343,13 @@ def _panel_kernel(live: np.ndarray, du: np.ndarray, panel_w: np.ndarray, mu: flo
 
 
 def riemann_liouville_integral(
-    h_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+    h: Callable[[np.ndarray], Sequence[np.ndarray]],
     left_exponents: Sequence[float],
     mu: float,
     s_values: np.ndarray,
 ) -> np.ndarray:
-    """W(s) = int_0^s (s-u)^(mu-1) u^b h(u) du for each s in ``s_values`` and
-    each (h, b) pair, with b = left_exponents[i].
+    """W(s) = int_0^s (s-u)^(mu-1) u^b h_i(u) du for each s in ``s_values``
+    and each row h_i of ``h(u)``, with b = left_exponents[i] (one per row).
 
     Companion of :func:`weyl_integral` for the finite, left-sided fractional
     integrals of the grid Sonine transform in squared coordinates u = y^2.
@@ -357,17 +357,15 @@ def riemann_liouville_integral(
     an evaluator with spectral content up to frequency ~ pi/(2 RL_PANEL_WIDTH)
     stays resolved at every s simultaneously.  Per-s heads cover the last two
     panels before s with the endpoint weight (s-u)^(mu-1) absorbed.  Each
-    distinct s is integrated once.
+    distinct s is integrated once, in one call of h.
 
-    Returns an array of shape (len(h_fns), len(s_values)).
+    Returns an array of shape (len(left_exponents), len(s_values)).
     """
     if not mu > 0:
         raise ValueError("fractional order mu must be positive")
-    if len(left_exponents) != len(h_fns):
-        raise ValueError("one left exponent per integrand")
     s_values, where = np.unique(np.asarray(s_values, dtype=float), return_inverse=True)
     if s_values.size == 0:
-        return np.zeros((len(h_fns), 0))
+        return np.zeros((len(left_exponents), 0))
     if s_values[0] <= 0:
         raise ValueError("s values must be strictly positive (handle s=0 in the caller)")
 
@@ -380,7 +378,7 @@ def riemann_liouville_integral(
 
     # heads: [E_(j-1), s] where E_j <= s < E_(j+1); for s inside the first
     # two panels the head covers [0, s] with both endpoint weights absorbed
-    # per integrand (the u^b factor is only smooth once the head sits clear
+    # per exponent (the u^b factor is only smooth once the head sits clear
     # of the origin).
     j_idx = np.searchsorted(edges, s_values, side="right") - 1
     j_idx = np.minimum(j_idx, n_panels - 1)
@@ -390,23 +388,26 @@ def riemann_liouville_integral(
     span = s_big - edges[j_idx[big] - 1]
     u_heads = s_big[:, None] - span[:, None] * head.nodes[None, :]
 
-    # one evaluation per integrand, on all its points: the shared panels, the
-    # first panel and every head.  The first panel touches u = 0, where u^b is
-    # only Jacobi-smooth, so it takes a per-integrand rule with the power absorbed.
-    rules, values = [], []
-    for h, b_exp in zip(h_fns, left_exponents):
-        first, small_rule = jacobi_rule(0.0, b_exp, RL_NODES), jacobi_rule(mu - 1.0, b_exp, RL_NODES)
-        pieces = (panel_u, first.nodes * edges[1], s_small[:, None] * small_rule.nodes, u_heads)
-        vals = np.asarray(h(np.concatenate([p.ravel() for p in pieces])))
-        rules.append((first, small_rule))
-        values.append(np.split(vals, np.cumsum([p.size for p in pieces[:-1]])))
+    # one call of h, on the points of every row: the shared panels, every
+    # head, and each exponent's first panel and small-s rule.  The first panel
+    # touches u = 0, where u^b is only Jacobi-smooth, so it takes a rule per
+    # exponent with the power absorbed.
+    rules = [(jacobi_rule(0.0, b_exp, RL_NODES), jacobi_rule(mu - 1.0, b_exp, RL_NODES)) for b_exp in left_exponents]
+    own = [p for first, small_rule in rules for p in (first.nodes * edges[1], s_small[:, None] * small_rule.nodes)]
+    pieces = (panel_u, *own, u_heads)
+    rows = [np.asarray(row) for row in h(np.concatenate([p.ravel() for p in pieces]))]
+    if len(rows) != len(left_exponents):
+        raise ValueError("one left exponent per row of h")
+    offsets = np.cumsum([p.size for p in pieces[:-1]])
 
     # panels 1 .. j-2 lie between the first panel and the head of s
     k = np.arange(n_panels)[None, :]
     live = (k >= 1) & (k < j_idx[big][:, None] - 1)
     kernel = _panel_kernel(live, s_big[:, None, None] - panel_u[None], panel_w, mu)
-    out = np.empty((len(h_fns), s_values.size), dtype=np.result_type(*(v[0] for v in values), float))
-    for row, b_exp, (first, small_rule), (h_panel, h_first, h_small, h_heads) in zip(out, left_exponents, rules, values):
+    out = np.empty((len(rows), s_values.size), dtype=np.result_type(*rows, float))
+    for i, (row, b_exp, (first, small_rule)) in enumerate(zip(out, left_exponents, rules)):
+        h_panel, *h_own, h_heads = np.split(rows[i], offsets)
+        h_first, h_small = h_own[2 * i : 2 * i + 2]
         row[small] = (h_small.reshape(-1, RL_NODES) @ small_rule.weights) * s_small ** (mu + b_exp)
         row[big] = ((h_heads.reshape(u_heads.shape) * u_heads**b_exp) @ head.weights) * span**mu
         first_w = first.weights * edges[1] ** (b_exp + 1.0) * (s_big[:, None] - first.nodes * edges[1]) ** (mu - 1.0)

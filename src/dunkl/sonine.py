@@ -6,8 +6,8 @@ dual transform tS acts on Schwartz functions through a one-sided fractional
 tail integral of order beta - alpha in u = y^2.  From the classical order
 alpha = -1/2, where E(z) = e^z, S is the intertwiner V_beta and tS its dual.
 
-Every route reads its input through the SmoothFunction protocol; a bare
-callable is wrapped by ``as_smooth``.
+Every route reads its input as a SmoothFunction (``as_smooth`` wraps a bare
+callable), and both parts of f at once, by ``parts``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def classical_pair(alpha: OrderParam | float) -> SoninePair:
     return SoninePair(CLASSICAL_ORDER, alpha)
 
 
-def _squared_parts(f: SmoothFunction) -> list:
-    """Even part and odd quotient of f as functions of u = y^2."""
-    return [lambda u: np.asarray(f.even_part(np.sqrt(u))), lambda u: np.asarray(f.odd_quotient(np.sqrt(u)))]
+def _squared_parts(f: SmoothFunction):
+    """u -> (even part, odd quotient) of f at y = sqrt(u): the fractional integrals' two rows."""
+    return lambda u: f.parts(np.sqrt(u))
 
 
 def sonine_diagonal_factors(pair: SoninePair, n_max: int) -> np.ndarray:
@@ -139,7 +139,7 @@ def sonine_grid(pair: SoninePair, f, xs: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(f0) and np.allclose(out.imag, 0.0) else out
 
 
-class SonineImage:
+class SonineImage(SmoothFunction):
     """S f as a SmoothFunction, with everything differentiated under the
     integral sign.  Each method answers in the shape of its points from one
     call of each evaluator of f on the (points x 64) arguments."""
@@ -158,7 +158,8 @@ class SonineImage:
             live = v != 0.0
             col = v[live][:, None]
             args = col * self._t
-            image = self._quad(self.f.even_part(args) + col * self.rule.nodes * self.f.odd_quotient(args))
+            even, quotient = self.f.parts(args)
+            image = self._quad(even + col * self.rule.nodes * quotient)
             if image.size == v.size:
                 return image
             out = np.where(live, np.zeros((), image.dtype), self.f(0.0))
@@ -193,7 +194,7 @@ def dual_sonine_apply(pair: SoninePair, f, x):
       a_{alpha,beta} int_0^inf v^(beta-alpha-1) [f_e(y) + x (f_o(y)/y)] dv,
       y = sqrt(v + x^2), the Jacobi head covering [0, 1 + x^2].
 
-    The points share each call of f's parts, one for the heads and one per
+    The points share each ``parts`` read of f, one for the heads and one per
     tail doubling, and each tail stops on its own, as it would alone.
     """
     f = as_smooth(f)
@@ -203,8 +204,8 @@ def dual_sonine_apply(pair: SoninePair, f, x):
         sq = col * col
 
         def g(u: np.ndarray) -> np.ndarray:
-            y = np.sqrt(u + sq)
-            return np.asarray(f.even_part(y)) + col * np.asarray(f.odd_quotient(y))
+            even, quotient = f.parts(np.sqrt(u + sq))
+            return even + col * quotient
 
         return pair.prefactor * integrate_semi_infinite(g, pair.mu - 1.0, split=1.0 + sq[:, 0])
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import GridFunction, _pointwise
+from .functions import GridFunction, SmoothFunction, _pointwise
 from .quadrature import _real_matvec, jacobi_rule
 from .special import OrderParam, as_order, c_const, j_norm_pair, log_b_coeff
 
@@ -329,7 +329,7 @@ class _ChebProxy:
         return out[:, :-1] / out[:, -1:]
 
 
-class SpectralFunction:
+class SpectralFunction(SmoothFunction):
     """Smooth function synthesized from a weighted spectrum.
 
     value(x) = sum_i E_alpha(i nu_i x) wspec_i with wspec folded from the
@@ -359,9 +359,8 @@ class SpectralFunction:
     so it never evaluates more than twice the kernel points of the better
     choice in hindsight: summing every call directly, or building at once.
     Every other call, and every call of an object without a plan, sums
-    directly (``_direct_parts``).  A read gives both parts too, and the
-    object keeps its last two sums, read or direct, so a call for the other
-    part at the same points costs nothing.
+    directly (``_direct_parts``).  A read or a direct sum gives both parts,
+    so a route that needs both asks once, through ``parts``.
     The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
@@ -383,7 +382,6 @@ class SpectralFunction:
         self._w_quotient = 1j * self._abs_nodes * self._w_odd / (2.0 * (self.order.alpha + 1.0))
         self._proxy = self._table = None
         self._direct_left = 0  # points within the radius still to sum directly before a build pays
-        self._recent_sums: list[tuple] = []  # (points, even part, odd quotient) of the last two sums
         if plan is not None and self.nodes.size:
             side = next((s for s, (_, nu) in plan.table_grids.items() if np.array_equal(self._abs_nodes, nu)), None)
             self._proxy = _ChebProxy(plan.table_grids[side or "synthesis"][0], float(self._abs_nodes[-1]))
@@ -407,23 +405,19 @@ class SpectralFunction:
         sums = (_real_matvec(even.reshape(panels), self._w_even), _real_matvec(odd.reshape(panels), self._w_quotient))
         return np.hstack([s.view(float).reshape(rows.size, -1) for s in sums])
 
-    def _parts(self, x: np.ndarray, parts: tuple[int, ...] = (0, 1)) -> list[np.ndarray]:
-        """Even part (0) and odd quotient (1), as listed in ``parts``, at the
-        points of a 1-d array."""
-        # callers ask for each part in turn on the same points, with other
-        # points in between: keep the last two sums
-        sums = next((sums for sums in self._recent_sums if np.array_equal(sums[0], x)), None)
-        if sums is None:
-            within = self._proxy is not None and x.size > 0 and np.max(np.abs(x)) <= self._proxy.radius
-            if within and x.size > self._direct_left:
-                self._direct_left = 0  # from now on every call within the radius reads
-                values, split = self._proxy(x, self._samples), self._w_even.itemsize // 8
-                sums = (x.copy(), values[:, :split].view(self._w_even.dtype)[:, 0], values[:, split:].view(complex)[:, 0])
-            else:
-                self._direct_left -= x.size if within else 0
-                sums = (x.copy(), *_direct_parts(self.order.alpha, self._abs_nodes, self._w_even, self._w_quotient, x))
-            self._recent_sums = [sums, *self._recent_sums[:1]]
-        return [sums[1 + part].copy() for part in parts]
+    def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Even part and odd quotient at the points of a 1-d array, as contiguous arrays."""
+        within = self._proxy is not None and x.size > 0 and np.max(np.abs(x)) <= self._proxy.radius
+        if within and x.size > self._direct_left:
+            self._direct_left = 0  # from now on every call within the radius reads
+            values, split = self._proxy(x, self._samples), self._w_even.itemsize // 8
+            # copies of the strided columns: matmul takes BLAS only on contiguous operands
+            return values[:, :split].view(self._w_even.dtype)[:, 0].copy(), values[:, split:].view(complex)[:, 0].copy()
+        self._direct_left -= x.size if within else 0
+        return _direct_parts(self.order.alpha, self._abs_nodes, self._w_even, self._w_quotient, x)
+
+    def parts(self, x):
+        return _pointwise(x, self._parts)
 
     def __call__(self, x):
         def value(v):
@@ -433,11 +427,10 @@ class SpectralFunction:
         return _pointwise(x, value)
 
     def even_part(self, x):
-        """(f(x) + f(-x))/2 from the even kernel component alone."""
-        return _pointwise(x, lambda v: self._parts(v, (0,))[0])
+        return _pointwise(x, lambda v: self._parts(v)[0])
 
     def odd_quotient(self, x):
-        return _pointwise(x, lambda v: self._parts(v, (1,))[0])
+        return _pointwise(x, lambda v: self._parts(v)[1])
 
     def derivative(self, x):
         return _pointwise(x, self._slope)

@@ -2,6 +2,7 @@ import collections
 
 import pytest
 
+from dunkl.functions import SmoothFunction
 from dunkl.lizorkin import make_witness, witness_plan
 from dunkl.transform import build_plan
 
@@ -54,8 +55,9 @@ def verify_all_run(tmp_path_factory):
     return main(["verify", "--suites", "all", "--out", str(out)]), out
 
 
-class _Counting:
-    """A SmoothFunction that counts its value, even-part and odd-quotient calls."""
+class _Counting(SmoothFunction):
+    """A SmoothFunction that counts its value, even-part and odd-quotient calls;
+    its ``parts`` is the default, one call of each part."""
 
     def __init__(self, f):
         self.f, self.calls = f, collections.Counter()

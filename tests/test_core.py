@@ -445,11 +445,11 @@ class TestConvolution:
         assert convolution(a, f, g, 0.0) == pytest.approx(float(direct), rel=1e-9)
 
     def test_one_batched_translation(self, counting):
-        # f and its odd quotient are evaluated once per sign of w, g once per
-        # sign of y, not once per radial node
+        # f is read once, by one parts call (an even-part and an odd-quotient
+        # call here), g once per sign of y, not once per radial node
         f, g = counting(gaussian()), counting(PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0))
         got = convolution(0.7, f, g, 0.9)
-        assert f.calls == {"value": 2, "odd_quotient": 1}
+        assert f.calls == {"even_part": 1, "odd_quotient": 1}
         assert g.calls == {"value": 2}
         assert got == convolution(0.7, f.f, g.f, 0.9)
 

@@ -43,9 +43,9 @@ def _legendre_panels_reference(edges, n):
     return panel_u, panel_w
 
 
-def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=32, panel_nodes=40, first_edge=1.0):
+def _weyl_reference(h, mu, s_values, u_max, head_nodes=32, panel_nodes=40, first_edge=1.0):
     """Per-s loop form of ``weyl_integral``: the same rules, heads and
-    truncation, summed one s and one panel at a time."""
+    truncation, summed one s, one row of h and one panel at a time."""
     s_values = np.asarray(s_values, dtype=float)
     edges = [0.0, float(first_edge)]
     while edges[-1] < u_max:
@@ -56,25 +56,25 @@ def _weyl_reference(h_fns, mu, s_values, u_max, head_nodes=32, panel_nodes=40, f
     gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
     panel_u = np.asarray([a + (b - a) * 0.5 * (gl_x + 1.0) for a, b in zip(edges[:-1], edges[1:])])
     panel_w = np.asarray([gl_w * 0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])])
-    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
+    h_panel = [np.asarray(row).reshape(panel_u.shape) for row in h(panel_u.ravel())]
     head_end_idx = np.minimum(np.searchsorted(edges, s_values, side="right") + 1, n_edges - 1)
     head_span = edges[head_end_idx] - s_values
     u_heads = s_values[:, None] + head_span[:, None] * head.nodes[None, :]
-    h_heads = [np.asarray(h(u_heads.ravel())).reshape(u_heads.shape) for h in h_fns]
-    out = np.zeros((len(h_fns), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
+    h_heads = [np.asarray(row).reshape(u_heads.shape) for row in h(u_heads.ravel())]
+    out = np.zeros((len(h_panel), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
     for si, s in enumerate(s_values):
-        for fi in range(len(h_fns)):
+        for fi in range(len(h_panel)):
             out[fi, si] += head_span[si] ** mu * np.sum(head.weights * h_heads[fi][si])
         for k in range(int(head_end_idx[si]), n_edges - 1):
             kernel = panel_w[k] * (panel_u[k] - s) ** (mu - 1.0)
-            for fi in range(len(h_fns)):
+            for fi in range(len(h_panel)):
                 out[fi, si] += np.sum(kernel * h_panel[fi][k])
     return out
 
 
-def _riemann_liouville_reference(h_fns, left_exponents, mu, s_values, panel_width=0.75, head_nodes=24, panel_nodes=24):
+def _riemann_liouville_reference(h, left_exponents, mu, s_values, panel_width=0.75, head_nodes=24, panel_nodes=24):
     """Per-s loop form of ``riemann_liouville_integral``: the same rules,
-    heads and panels, summed one s and one panel at a time."""
+    heads and panels, summed one s, one row of h and one panel at a time."""
     s_values = np.asarray(s_values, dtype=float)
     y_max = math.sqrt(float(np.max(s_values)))
     n_panels = max(int(math.ceil(y_max / panel_width)), 2)
@@ -83,24 +83,24 @@ def _riemann_liouville_reference(h_fns, left_exponents, mu, s_values, panel_widt
     head = jacobi_rule(0.0, mu - 1.0, head_nodes)
     panel_u = np.asarray([edges[k] + (edges[k + 1] - edges[k]) * 0.5 * (gl_x + 1.0) for k in range(n_panels)])
     panel_w = np.asarray([gl_w * 0.5 * (edges[k + 1] - edges[k]) for k in range(n_panels)])
-    h_panel = [np.asarray(h(panel_u.ravel())).reshape(panel_u.shape) for h in h_fns]
+    h_panel = [np.asarray(row).reshape(panel_u.shape) for row in h(panel_u.ravel())]
     first = []
-    for h, b_exp in zip(h_fns, left_exponents):
+    for fi, b_exp in enumerate(left_exponents):
         rule0 = jacobi_rule(0.0, b_exp, panel_nodes)
         u0 = rule0.nodes * edges[1]
-        first.append((u0, rule0.weights * edges[1] ** (b_exp + 1.0), np.asarray(h(u0))))
+        first.append((u0, rule0.weights * edges[1] ** (b_exp + 1.0), np.asarray(h(u0)[fi])))
     j_idx = np.minimum(np.searchsorted(edges, s_values, side="right") - 1, n_panels - 1)
-    out = np.zeros((len(h_fns), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
+    out = np.zeros((len(left_exponents), s_values.size), dtype=np.result_type(*[v.dtype for v in h_panel], float))
     for si, s in enumerate(s_values):
         j = int(j_idx[si])
-        for fi, (h, b_exp) in enumerate(zip(h_fns, left_exponents)):
+        for fi, b_exp in enumerate(left_exponents):
             if j < 2:
                 rule = jacobi_rule(mu - 1.0, b_exp, head_nodes)
-                out[fi, si] = np.sum(rule.weights * h(s * rule.nodes)) * s ** (mu + b_exp)
+                out[fi, si] = np.sum(rule.weights * h(s * rule.nodes)[fi]) * s ** (mu + b_exp)
                 continue
             lo = edges[j - 1]
             u_head = s - (s - lo) * head.nodes
-            out[fi, si] = np.sum(head.weights * h(u_head) * u_head**b_exp) * (s - lo) ** mu
+            out[fi, si] = np.sum(head.weights * h(u_head)[fi] * u_head**b_exp) * (s - lo) ** mu
             u0, w0, h0 = first[fi]
             out[fi, si] += np.sum(w0 * (s - u0) ** (mu - 1.0) * h0)
             for k in range(1, j - 1):
@@ -378,13 +378,13 @@ class TestWeylIntegral:
         # int_s^inf (u-s)^(mu-1) e^(-u) du = Gamma(mu) e^(-s)
         for mu in (0.5, 1.0, 2.0):
             svals = np.array([0.1, 1.0, 4.0, 9.0])
-            got = weyl_integral([lambda u: np.exp(-u)], mu, svals, u_max=256.0)[0]
+            got = weyl_integral(lambda u: [np.exp(-u)], mu, svals, u_max=256.0)[0]
             want = math.gamma(mu) * np.exp(-svals)
             assert np.max(np.abs(got / want - 1.0)) < 1e-12
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            weyl_integral([lambda u: np.exp(-u)], 1.0, np.array([300.0]), u_max=256.0)
+            weyl_integral(lambda u: [np.exp(-u)], 1.0, np.array([300.0]), u_max=256.0)
 
 
 class TestRiemannLiouville:
@@ -392,9 +392,16 @@ class TestRiemannLiouville:
     @pytest.mark.parametrize("b", [0.0, 0.5, 1.5])
     def test_power_closed_form(self, mu, b):
         svals = np.array([0.09, 0.35, 1.7, 9.0, 144.0])
-        got = riemann_liouville_integral([lambda u: np.ones_like(u)], [b], mu, svals)[0]
+        got = riemann_liouville_integral(lambda u: [np.ones_like(u)], [b], mu, svals)[0]
         want = svals ** (mu + b) * beta_fn(mu, b + 1.0)
         assert np.max(np.abs(got / want - 1.0)) < 1e-12
+
+    def test_one_exponent_per_row(self):
+        two_rows = lambda u: [np.ones_like(u), u]
+        with pytest.raises(ValueError, match="one left exponent per row"):
+            riemann_liouville_integral(two_rows, [0.5], 1.0, np.array([0.5, 4.0]))
+        with pytest.raises(ValueError, match="one left exponent per row"):
+            riemann_liouville_integral(two_rows, [0.5, 1.0, 1.5], 1.0, np.array([0.5, 4.0]))
 
     def test_oscillatory_integrand(self):
         from scipy.integrate import quad
@@ -402,7 +409,7 @@ class TestRiemannLiouville:
         mu, b = 0.75, 0.5
         h = lambda u: np.cos(3.0 * np.sqrt(u))
         for s in (2.0, 120.0):
-            got = riemann_liouville_integral([h], [b], mu, np.array([s]))[0][0]
+            got = riemann_liouville_integral(lambda u: [h(u)], [b], mu, np.array([s]))[0][0]
             want, _ = quad(
                 lambda u: (s - u) ** (mu - 1.0) * u**b * math.cos(3.0 * math.sqrt(u)),
                 0.0,
@@ -433,8 +440,9 @@ class TestJacobiRuleMemo:
 
 
 def _poly_gaussian_parts():
+    """u -> the two rows of a real and a complex integrand at y = sqrt(u)."""
     f = PolyGaussian(np.array([0.7, -0.4, 1.1, 0.25, -0.05]), rate=0.6)
-    return [lambda u: f.even_part(np.sqrt(u)), lambda u: (1.0 - 0.5j) * f.odd_quotient(np.sqrt(u))]
+    return lambda u: (f.even_part(np.sqrt(u)), (1.0 - 0.5j) * f.odd_quotient(np.sqrt(u)))
 
 
 class TestVectorizedAgainstLoops:
@@ -449,8 +457,8 @@ class TestVectorizedAgainstLoops:
     def test_weyl(self, mu):
         # s = 0, s inside the first two panels, s on the edges 1, 2, 4, 64
         s = np.array([0.0, 0.2, 0.99, 1.0, 1.5, 2.0, 3.7, 4.0, 10.0, 64.0, 100.0, 300.0])
-        h_fns = _poly_gaussian_parts()
-        self._close(weyl_integral(h_fns, mu, s, u_max=512.0), _weyl_reference(h_fns, mu, s, 512.0))
+        h = _poly_gaussian_parts()
+        self._close(weyl_integral(h, mu, s, u_max=512.0), _weyl_reference(h, mu, s, 512.0))
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_riemann_liouville(self, mu):
@@ -458,67 +466,66 @@ class TestVectorizedAgainstLoops:
         # two panels, on the edges k = 2, 3, 5, 8, and between edges
         edges = (0.75 * np.arange(9)) ** 2
         s = np.array([0.05, 0.4, edges[1], 1.0, edges[2], 2.0, edges[3], 7.1, edges[5], 20.0, edges[8]])
-        h_fns = _poly_gaussian_parts()
-        got = riemann_liouville_integral(h_fns, [0.5, 1.5], mu, s)
-        self._close(got, _riemann_liouville_reference(h_fns, [0.5, 1.5], mu, s))
+        h = _poly_gaussian_parts()
+        got = riemann_liouville_integral(h, [0.5, 1.5], mu, s)
+        self._close(got, _riemann_liouville_reference(h, [0.5, 1.5], mu, s))
 
 
-def _counted(h_fns):
-    """The integrands wrapped to count their calls and the points they see."""
-    calls, points = collections.Counter(), collections.Counter()
+def _counted(h):
+    """h wrapped to count its calls and the points they see."""
+    count = collections.Counter()
 
-    def counting(i, h):
-        def call(u):
-            calls[i] += 1
-            points[i] += np.size(u)
-            return h(u)
+    def call(u):
+        count["calls"] += 1
+        count["points"] += np.size(u)
+        return h(u)
 
-        return call
-
-    return calls, points, [counting(i, h) for i, h in enumerate(h_fns)]
+    return count, call
 
 
 class TestOneCallPerIntegrand:
-    """Each integrand is evaluated once per call, on all its points at once:
-    panels, first panel and one head per distinct s.  A synthesized integrand
-    then meets one large call, which pays for its proxy at once, not many
-    small ones."""
+    """h is called once per call, on the points of all its rows at once:
+    panels, every head and, for Riemann-Liouville, each exponent's first
+    panel and small-s rule.  A synthesized integrand then meets one large
+    call, which reads both of its parts at once and pays for its proxy at
+    once, not many small ones."""
 
     def test_weyl(self):
-        calls, points, h_fns = _counted(_poly_gaussian_parts())
+        count, h = _counted(_poly_gaussian_parts())
         s = np.array([0.0, 0.2, 1.5, 4.0, 64.0, 300.0, 4.0, 0.2])
-        got = weyl_integral(h_fns, 1.5, s, u_max=512.0)
-        assert calls == {0: 1, 1: 1}
+        got = weyl_integral(h, 1.5, s, u_max=512.0)
         # 10 doubling panels of 40 points up to 512, and 6 distinct heads of 32
-        assert points == {0: 10 * 40 + 6 * 32, 1: 10 * 40 + 6 * 32}
+        assert count == {"calls": 1, "points": 10 * 40 + 6 * 32}
         assert np.array_equal(got, weyl_integral(_poly_gaussian_parts(), 1.5, s, u_max=512.0))
 
     @pytest.mark.parametrize("s", [np.array([0.05, 0.4, 2.0, 7.1, 20.0]), np.array([7.1, 20.0]), np.array([0.4])])
     def test_riemann_liouville(self, s):
         # s inside the first two panels, beyond them, and both; every s twice
         n_panels = max(math.ceil(math.sqrt(s.max()) / 0.75), 2)
-        calls, points, h_fns = _counted(_poly_gaussian_parts())
-        got = riemann_liouville_integral(h_fns, [0.5, 1.5], 0.75, np.tile(s, 2))
-        assert calls == {0: 1, 1: 1}
-        # the shared panels, the first panel and one head per distinct s, 24 points each
-        assert points == {0: 24 * (n_panels + 1 + s.size), 1: 24 * (n_panels + 1 + s.size)}
+        edges = np.linspace(0.0, math.sqrt(s.max()), n_panels + 1) ** 2
+        n_small = s.size if n_panels == 2 else np.count_nonzero(s < edges[2])
+        count, h = _counted(_poly_gaussian_parts())
+        got = riemann_liouville_integral(h, [0.5, 1.5], 0.75, np.tile(s, 2))
+        # 24 points each: the shared panels and one head per distinct s beyond
+        # the first two panels, and per exponent its first panel and the
+        # small-s rule of every distinct s within them
+        assert count == {"calls": 1, "points": 24 * (n_panels + s.size - n_small + 2 * (1 + n_small))}
         assert np.array_equal(got, riemann_liouville_integral(_poly_gaussian_parts(), [0.5, 1.5], 0.75, np.tile(s, 2)))
 
     def test_witness_plan_dual_sonine_grid(self, monkeypatch, witness_plan_factory):
         # 384 mirrored x-nodes are 192 distinct s = x^2: 12 doubling panels
         # of 40 points up to u_max = 1600, and 192 heads of 32
         plan = witness_plan_factory(0.5)
-        counted = []
+        counts = []
 
-        def counted_weyl(h_fns, *args, **kwargs):
-            counted.append(_counted(h_fns))
-            return weyl_integral(counted[-1][2], *args, **kwargs)
+        def counted_weyl(h, *args, **kwargs):
+            count, call = _counted(h)
+            counts.append(count)
+            return weyl_integral(call, *args, **kwargs)
 
         monkeypatch.setattr(sonine, "weyl_integral", counted_weyl)
         sonine.dual_sonine_grid(SoninePair.of(0.5, 1.5), gaussian(), plan.x_nodes, u_max=plan.half_width**2)
-        [(calls, points, _)] = counted
-        assert calls == {0: 1, 1: 1}
-        assert points == {0: 6624, 1: 6624}
+        assert counts == [{"calls": 1, "points": 6624}]
 
 
 class TestDistinctS:

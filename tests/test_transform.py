@@ -16,7 +16,7 @@ from dunkl.fractional import _ForwardImage, power_weight_identity
 from dunkl.functions import GridFunction, gaussian, monomial_gaussian
 from dunkl.lizorkin import inversion_check, make_witness, witness_plan
 from dunkl.report import pair_errs
-from dunkl.sonine import SoninePair
+from dunkl.sonine import SoninePair, dual_sonine_grid
 from dunkl.suites import DEFAULT_TOLERANCES, _decomposition_errs
 from dunkl.quadrature import _real_matvec
 from dunkl.special import as_order, j_norm, j_norm_pair, log_b_coeff
@@ -426,8 +426,8 @@ class TestFoldedSynthesis:
 
     def test_one_evaluation_per_distinct_node(self, witness_plan_factory, witness_factory, monkeypatch):
         """A direct sum takes both kernel components of each distinct |nu|
-        at each distinct |x| from one j_norm_pair call, and a call for the
-        other part on the same points reuses it.  An object on its plan's
+        at each distinct |x| from one j_norm_pair call, so a ``parts`` read
+        makes one, and so does every later call.  An object on its plan's
         lambda-nodes or x-nodes (the transform image) reads its proxy, built
         from the plan's tables, for all but the derivative."""
         plan = witness_plan_factory(0.5)
@@ -453,7 +453,7 @@ class TestFoldedSynthesis:
             def direct(points):
                 return [np.unique(np.abs(points)).size * distinct] if fn is image else []
 
-            for call, points, expected in ((fn.even_part, x, direct(x)), (fn.odd_quotient, x, []), (fn, x, []),
+            for call, points, expected in ((fn.parts, x, direct(x)), (fn, x, direct(x)),
                                            (fn.derivative, x, summed), (fn.odd_quotient, x + 1.0, direct(x + 1.0))):
                 calls.clear()
                 call(points)
@@ -630,22 +630,19 @@ class TestSynthesisProxy:
         fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
         fills.clear()  # the multiplier's own spectrum is read from an analysis proxy: count only fn's
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size - 10)
-        even, odd_q = _exact_parts(fn, x)
-        assert np.array_equal(fn.even_part(x), even)
-        assert np.array_equal(fn.odd_quotient(x), odd_q)
-        assert np.array_equal(fn(x), even + x * odd_q)
-        fn.even_part(x)[:] = 0.0  # the object keeps its sums, not the caller's arrays
-        assert np.array_equal(fn.even_part(x), even)
+        for got, want in zip(fn.parts(x), _exact_parts(fn, x)):
+            assert np.array_equal(got, want)
         assert fills == []
         beyond = np.linspace(1.01, 2.0, 20) * plan.synthesis_radius  # no proxy reaches here: not counted
         last = np.linspace(-3.0, 3.0, 10)  # together with x, exactly one build
         for y in (beyond, last):
-            assert np.array_equal(fn.even_part(y), _exact_parts(fn, y)[0])
+            assert np.array_equal(fn.parts(y)[0], _exact_parts(fn, y)[0])
         assert fills == []
         one = np.array([0.5])
-        assert np.array_equal(fn.even_part(one), _read(fn, one)[0])
+        assert np.array_equal(fn.parts(one)[0], _read(fn, one)[0])
         assert fills == [(fn, (0,))]
-        assert np.array_equal(fn.even_part(x), _read(fn, x)[0])
+        for got, want in zip(fn.parts(x), _read(fn, x)):
+            assert np.array_equal(got, want)
         assert fills == [(fn, (0,)), (fn, tuple(range(1, fn._proxy.n_panels)))]
 
     @pytest.mark.parametrize(
@@ -689,21 +686,38 @@ class TestSynthesisProxy:
 
     @pytest.mark.parametrize("spectrum", ["complex", "real"])
     def test_both_parts_in_one_read(self, witness_plan_factory, witness_factory, spectrum):
-        """The value reads both parts at once; that read equals the even part
-        and the odd quotient read one at a time, bit for bit, by an object
-        that read other points in between.  A real spectrum has a real even
-        part, one column of samples instead of two."""
+        """The value and ``parts`` read both parts at once; those reads equal
+        the even part and the odd quotient read one at a time, bit for bit,
+        by an object that read other points in between.  A real spectrum has
+        a real even part, one column of samples instead of two."""
         plan = witness_plan_factory(0.5)
         values = witness_factory(0.5, 1).spectrum * (1.0 + (0.3j if spectrum == "complex" else 0.0) * plan.lambda_nodes)
         both, single = (SpectralFunction.from_spectrum(plan, values) for _ in range(2))
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, 301)
-        value = both(x)
-        even = single.even_part(x)
-        for scale in (0.9, 0.8):  # the object keeps two sums: x is read again below
+        value, (even, odd_q) = both(x), both.parts(x)
+        assert np.array_equal(single.even_part(x), even)
+        for scale in (0.9, 0.8):  # other points in between
             single.even_part(scale * x)
-        odd_q = single.odd_quotient(x)
+        assert np.array_equal(single.odd_quotient(x), odd_q)
         assert np.array_equal(value, even + x * odd_q)
         assert even.dtype == (complex if spectrum == "complex" else float) and odd_q.dtype == complex
+
+    def test_dual_sonine_grid_reads_once(self, witness_plan_factory, witness_factory, monkeypatch):
+        """The pipelines' dual Sonine image reads a witness through one
+        ``_parts`` call on every point of its Weyl integral: 12 doubling
+        panels of 40 points and 192 heads of 32 on the witness plan."""
+        plan = witness_plan_factory(0.5)
+        fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
+        sizes = []
+        original = SpectralFunction._parts
+
+        def counted(self, x):
+            sizes.append(x.size)
+            return original(self, x)
+
+        monkeypatch.setattr(SpectralFunction, "_parts", counted)
+        dual_sonine_grid(SoninePair.of(0.5, 1.5), fn, plan.x_nodes, u_max=plan.half_width**2)
+        assert sizes == [6624]
 
     def test_point_on_a_node_returns_its_sample(self, witness_plan_factory, witness_factory):
         """A point whose panel coordinate is a Chebyshev node exactly returns
