@@ -364,8 +364,8 @@ def riemann_liouville_integral(
     if not mu > 0:
         raise ValueError("fractional order mu must be positive")
     s_values, where = np.unique(np.asarray(s_values, dtype=float), return_inverse=True)
-    if s_values.size == 0:
-        return np.zeros((len(left_exponents), 0))
+    if s_values.size == 0:  # h still counts its rows, on no points
+        return np.zeros((len(_rows(h, np.empty(0), left_exponents)), 0))
     if s_values[0] <= 0:
         raise ValueError("s values must be strictly positive (handle s=0 in the caller)")
 
@@ -395,9 +395,7 @@ def riemann_liouville_integral(
     rules = [(jacobi_rule(0.0, b_exp, RL_NODES), jacobi_rule(mu - 1.0, b_exp, RL_NODES)) for b_exp in left_exponents]
     own = [p for first, small_rule in rules for p in (first.nodes * edges[1], s_small[:, None] * small_rule.nodes)]
     pieces = (panel_u, *own, u_heads)
-    rows = [np.asarray(row) for row in h(np.concatenate([p.ravel() for p in pieces]))]
-    if len(rows) != len(left_exponents):
-        raise ValueError("one left exponent per row of h")
+    rows = _rows(h, np.concatenate([p.ravel() for p in pieces]), left_exponents)
     offsets = np.cumsum([p.size for p in pieces[:-1]])
 
     # panels 1 .. j-2 lie between the first panel and the head of s
@@ -413,3 +411,11 @@ def riemann_liouville_integral(
         first_w = first.weights * edges[1] ** (b_exp + 1.0) * (s_big[:, None] - first.nodes * edges[1]) ** (mu - 1.0)
         row[big] += first_w @ h_first + _real_matvec(kernel, panel_u.ravel() ** b_exp * h_panel)
     return out[:, where]
+
+
+def _rows(h, u: np.ndarray, left_exponents: Sequence[float]) -> list[np.ndarray]:
+    """The rows of h(u), one per left exponent."""
+    rows = [np.asarray(row) for row in h(u)]
+    if len(rows) != len(left_exponents):
+        raise ValueError("one left exponent per row of h")
+    return rows

@@ -427,6 +427,7 @@ class SpectralFunction(SmoothFunction):
         return _pointwise(x, value)
 
     def even_part(self, x):
+        """(f(x) + f(-x))/2 from the even kernel component alone."""
         return _pointwise(x, lambda v: self._parts(v)[0])
 
     def odd_quotient(self, x):

@@ -402,6 +402,9 @@ class TestRiemannLiouville:
             riemann_liouville_integral(two_rows, [0.5], 1.0, np.array([0.5, 4.0]))
         with pytest.raises(ValueError, match="one left exponent per row"):
             riemann_liouville_integral(two_rows, [0.5, 1.0, 1.5], 1.0, np.array([0.5, 4.0]))
+        with pytest.raises(ValueError, match="one left exponent per row"):  # h is still called, on no points
+            riemann_liouville_integral(two_rows, [0.5], 1.0, np.array([]))
+        assert riemann_liouville_integral(two_rows, [0.5, 1.0], 1.0, np.array([])).shape == (2, 0)
 
     def test_oscillatory_integrand(self):
         from scipy.integrate import quad

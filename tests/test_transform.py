@@ -627,11 +627,13 @@ class TestSynthesisProxy:
         call that brings the object's direct sums over one build reads the
         proxy, filling only the panels it touches."""
         plan = witness_plan_factory(0.5)
-        fn = apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0))
+        fn, fresh = (apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0)) for _ in range(2))
         fills.clear()  # the multiplier's own spectrum is read from an analysis proxy: count only fn's
         x = np.linspace(-plan.synthesis_radius, plan.synthesis_radius, fn._proxy.size - 10)
-        for got, want in zip(fn.parts(x), _exact_parts(fn, x)):
+        even, odd_q = _exact_parts(fn, x)
+        for got, want in zip(fn.parts(x), (even, odd_q)):
             assert np.array_equal(got, want)
+        assert np.array_equal(fresh(x), even + x * odd_q)  # the value, from a same image's own first sum
         assert fills == []
         beyond = np.linspace(1.01, 2.0, 20) * plan.synthesis_radius  # no proxy reaches here: not counted
         last = np.linspace(-3.0, 3.0, 10)  # together with x, exactly one build
