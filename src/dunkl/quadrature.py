@@ -3,7 +3,8 @@
 Conventions
 -----------
 * Jacobi rules live on [0, 1] with the weight (1-s)^a s^b absorbed into the
-  weights: sum(w * f(nodes)) ~ int_0^1 (1-s)^a s^b f(s) ds.
+  weights: sum(w * f(nodes)) ~ int_0^1 (1-s)^a s^b f(s) ds.  Golub-Welsch
+  nodes from numpy's eigvalsh take a Newton step by scipy.special.eval_jacobi.
 * Gauss-Legendre rules are memoized per size on [-1, 1]; ``legendre_panels``
   maps one onto every panel of a partition.
 * ``integrate_semi_infinite`` integrates int_0^inf v^sing_exp g(v) dv for g
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi
 
 from .functions import as_smooth
 from .special import OrderParam, as_order
@@ -116,13 +117,33 @@ def jacobi_rule(a_exp: float, b_exp: float, n: int = DEFAULT_JACOBI_NODES) -> Qu
 
 
 @functools.lru_cache(maxsize=1024)
-def _jacobi_rule(a_exp: float, b_exp: float, n: int) -> QuadRule:
-    x, w = roots_jacobi(n, a_exp, b_exp)
-    s = 0.5 * (x + 1.0)
-    # transport (1-x)^a (1+x)^b dx on [-1,1] to (1-s)^a s^b ds on [0,1]
-    w = w / 2.0 ** (a_exp + b_exp + 1.0)
-    order = np.argsort(s)
-    return QuadRule(nodes=s[order], weights=w[order], kind=f"gauss_jacobi({a_exp},{b_exp})")
+def _jacobi_rule(a: float, b: float, n: int) -> QuadRule:
+    k, c = np.arange(1.0, n), n + a + b + 1.0
+    t = 2.0 * k + (a + b)  # exact where a + b nears -2
+    r = np.divide(k + (a + b), t - 1.0, out=np.ones(n - 1), where=k > 1.0)  # (a+b+1)/(a+b+1) at k = 1
+    jac = np.diag(np.append((b - a) / (a + b + 2.0), (b * b - a * a) / (t * (t + 2.0))))
+    jac.flat[n :: n + 1] = 2.0 / t * np.sqrt(k * (k + a) * (k + b) * r / (t + 1.0))
+    x = np.linalg.eigvalsh(jac)
+    # P_n^(a,b)(x) = (-1)^n P_n^(b,a)(-x): each root is evaluated near +1, at y = |x|, and held as its gap g = 1 - y
+    neg, z = x < 0.0, x[np.argmin(np.abs(x))]
+    al, be, y = np.where(neg, b, a), np.where(neg, a, b), np.abs(x)
+    g, dp = 1.0 - y, 0.5 * c * eval_jacobi(n - 1, al + 1.0, be + 1.0, y)  # dp = P_n'
+    m = (g > 0.0) & (g < 0.1)  # a Newton step where eigvalsh's absolute error is not small against the gap
+    p = eval_jacobi(n, al[m], be[m], y[m])
+    bend = ((be[m] - al[m] - (a + b + 2.0) * y[m]) * dp[m] + n * c * p) / (g[m] * (2.0 - g[m]))  # -P_n'' (Jacobi's equation)
+    g[m], dp[m] = g[m] + p / dp[m], dp[m] + p / dp[m] * bend
+    # the end gaps from sum_i 1 / (1 -+ x_i) = n c / (2 (exponent + 1)), exact below the spacing of floats near 1
+    lo, hi = np.where(neg, g, 2.0 - g), np.where(neg, 2.0 - g, g)
+    lo[0] = 1.0 / (0.5 * n * c / (b + 1.0) - np.sum(1.0 / lo[1:]))
+    hi[-1] = 1.0 / (0.5 * n * c / (a + 1.0) - np.sum(1.0 / hi[:-1]))
+    g = np.where(neg, lo, hi)
+    # eval_jacobi rounds the binomial P_(n-1)^(a+1,b+1)(1) per exponent pair: both frames at the root z nearest 0 match them
+    dp[neg] *= abs(np.divide(*eval_jacobi(n - 1, [a + 1.0, b + 1.0], [b + 1.0, a + 1.0], [z, -z])))
+    # Gauss weights 1 / ((1 - x^2) P_n'(x)^2), scaled to the exact mass B(a+1, b+1) of (1-s)^a s^b on [0, 1]
+    w = 1.0 / (g * (2.0 - g) * (dp / np.max(np.abs(dp))) ** 2)
+    w *= math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)) / np.sum(w)
+    s = np.where(neg, 0.5 * g, np.minimum(1.0 - 0.5 * g, np.nextafter(1.0, 0.0)))  # a top root closer to 1 than floats
+    return QuadRule(nodes=s, weights=w, kind=f"gauss_jacobi({a},{b})")
 
 
 def theta_rule(alpha: OrderParam | float, n: int = DEFAULT_JACOBI_NODES) -> QuadRule:
@@ -259,9 +280,8 @@ def homogeneous_pairing(lam: float, phi, taylor_order: int = 10) -> PairingResul
             out[small] = acc
         if np.any(~small):
             xb = x[~small]
-            ks_all = np.arange(0, taylor_order + 1, 2)
             poly = np.zeros_like(xb)
-            for k in ks_all:
+            for k in ks:
                 poly += np.real(coeffs[k]) * xb**k
             out[~small] = (np.real(phi.even_part(xb)) - poly) / xb**q
         return out

@@ -346,10 +346,10 @@ class SpectralFunction(SmoothFunction):
 
     A SpectralFunction with a plan keeps a ``_ChebProxy`` of its even part
     and odd quotient, whose panels are filled from exact kernel values the
-    first time a read touches them.  A call with every point within the
-    proxy's radius reads it by the ski-rental rule, decided against the full
-    proxy size: once the points the object has summed directly within the
-    radius, plus this call's, exceed one full build, and on every call after.
+    first time a read touches them.  A call's points within the proxy's
+    radius, taken as a call of their own, read it by the ski-rental rule,
+    decided against the full proxy size: once the points the object has summed
+    directly within the radius, plus these, exceed one full build, and ever after.
     On the plan's positive lambda-nodes (``from_spectrum``) or x-nodes
     (``forward_fn``) a panel's fill is rows of the plan's shared synthesis
     (``jnorm_table``, synthesis radius) or analysis (lambda_max) table and
@@ -358,7 +358,7 @@ class SpectralFunction(SmoothFunction):
     from its own ``j_norm_pair`` call on the touched panels' sample points,
     so it never evaluates more than twice the kernel points of the better
     choice in hindsight: summing every call directly, or building at once.
-    Every other call, and every call of an object without a plan, sums
+    Every other point, and every call of an object without a plan, is summed
     directly (``_direct_parts``).  A read or a direct sum gives both parts,
     so a route that needs both asks once, through ``parts``.
     The derivative needs no third order:
@@ -407,7 +407,11 @@ class SpectralFunction(SmoothFunction):
 
     def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Even part and odd quotient at the points of a 1-d array, as contiguous arrays."""
-        within = self._proxy is not None and x.size > 0 and np.max(np.abs(x)) <= self._proxy.radius
+        inside = np.abs(x) <= (self._proxy.radius if self._proxy is not None else -1.0)
+        if inside.any() and not inside.all():  # the points within the radius are a call of their own
+            back = np.argsort(np.argsort(~inside, kind="stable"))  # from x[inside], x[~inside] to x
+            return tuple(np.concatenate(p)[back] for p in zip(self._parts(x[inside]), self._parts(x[~inside])))
+        within = x.size > 0 and inside.all()
         if within and x.size > self._direct_left:
             self._direct_left = 0  # from now on every call within the radius reads
             values, split = self._proxy(x, self._samples), self._w_even.itemsize // 8

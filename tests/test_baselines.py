@@ -17,9 +17,9 @@ BASELINE = Path(__file__).parent / "baselines" / "verify_errors.json"
 GRIDS = Path(__file__).parent / "baselines" / "verify_grids.json"
 
 #: an identity fails the ratchet beyond this multiple of its baseline
-FACTOR = 100.0
+FACTOR = 10.0
 #: baselines below this are round-off; the ratchet measures from here
-ROUNDOFF = 1e-15
+ROUNDOFF = 1e-14
 
 #: report parameters that carry results rather than identify the check
 RESULT_PARAMS = frozenset({"tol", "lhs", "rhs", "route_err"})

@@ -151,8 +151,9 @@ class TestSonineCommand:
         assert "rate must be positive" in capsys.readouterr().err
 
 
-# exact bytes of the record output, written by the per-command writers that
-# the single record writer replaced
+# exact bytes of the record output: the kernel records as the per-command
+# writers that the single record writer replaced wrote them, the Sonine
+# records as the Gauss-Jacobi rules on numpy's eigvalsh give them
 _PINNED_OUTPUT = {
     ("kernel", "csv"): (
         "z_re,z_im,E_re,E_im,mode,est_err\n"
@@ -165,14 +166,13 @@ _PINNED_OUTPUT = {
         '    "E_re": 0.018627829011983715,\n    "est_err": 0.0,\n    "mode": "auto",\n    "z_im": 40.0,\n'
         '    "z_re": 0.0\n  }\n]\n'
     ),
-    ("sonine", "csv"): "x,value\n0.5,0.88479686771438049\n1,0.63212055882855767\n",
-    ("sonine", "json"): '[\n  {\n    "value": 0.8847968677143805,\n    "x": 0.5\n  },\n  {\n    "value": 0.6321205588285577,\n    "x": 1.0\n  }\n]\n',
-    # written by the per-point dual route that one array call replaced
-    ("sonine-dual", "csv"): "x,value\n0.5,0.7788007830714051\n1,0.36787944117144267\n0,1.0000000000000002\n-2,0.018315638888734252\n",
+    ("sonine", "csv"): "x,value\n0.5,0.88479686771438049\n1,0.63212055882855755\n",
+    ("sonine", "json"): '[\n  {\n    "value": 0.8847968677143805,\n    "x": 0.5\n  },\n  {\n    "value": 0.6321205588285576,\n    "x": 1.0\n  }\n]\n',
+    ("sonine-dual", "csv"): "x,value\n0.5,0.77880078307140488\n1,0.36787944117144233\n0,1.0000000000000002\n-2,0.018315638888734172\n",
     ("sonine-dual", "json"): (
-        '[\n  {\n    "value": 0.7788007830714051,\n    "x": 0.5\n  },\n  {\n    "value": 0.36787944117144267,\n'
+        '[\n  {\n    "value": 0.7788007830714049,\n    "x": 0.5\n  },\n  {\n    "value": 0.36787944117144233,\n'
         '    "x": 1.0\n  },\n  {\n    "value": 1.0000000000000002,\n    "x": 0.0\n  },\n'
-        '  {\n    "value": 0.01831563888873425,\n    "x": -2.0\n  }\n]\n'
+        '  {\n    "value": 0.01831563888873417,\n    "x": -2.0\n  }\n]\n'
     ),
 }
 _PINNED_ARGS = {
@@ -397,6 +397,17 @@ class TestEntryPoint:
         # scipy.interpolate is loaded only by the routes that spline grid
         # samples, so importing the package and its CLI stays light
         code = "import sys, dunkl, dunkl.cli; sys.exit('scipy.interpolate' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0
+
+    def test_verify_and_a_plan_leave_linalg_unloaded(self, tmp_path):
+        # the Gauss-Jacobi rules take numpy's eigvalsh: no route loads
+        # scipy.linalg, about 5 MB resident
+        report = str(tmp_path / "report.json")
+        code = (
+            "import sys; from dunkl.cli import main; from dunkl.transform import build_plan; "
+            f"code = main(['verify', '--suites', 'kernel-consistency,convolution', '--out', {report!r}]); "
+            "build_plan(0.5); sys.exit(code or 'scipy.linalg' in sys.modules)"
+        )
         assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0
 
     def test_import_leaves_mpmath_unloaded(self):

@@ -676,6 +676,26 @@ class TestSynthesisProxy:
         if sum(sizes) <= build:
             assert sum(points) == sum(sizes) * nodes
 
+    @pytest.mark.parametrize("within", [40, 700], ids=["direct-within", "read-within"])
+    def test_mixed_call_is_its_two_sides(self, witness_plan_factory, witness_factory, fills, within):
+        """A call with points on both sides of the radius sums those beyond it
+        directly and takes those within as a call of their own, by the
+        ski-rental rule: bit for bit the calls of two fresh images, one on its
+        points within the radius and one on the rest, in the call's order."""
+        plan = witness_plan_factory(0.5)
+        mixed, near, far = (
+            apply_multiplier_fn(plan, witness_factory(0.5, 1).values, MultiplierSpec(1.0, 1.0)) for _ in range(3)
+        )
+        fills.clear()
+        radius = plan.synthesis_radius
+        beyond = np.linspace(1.01, 1.5, 25) * radius
+        x = np.random.default_rng(within).permutation(np.concatenate([np.linspace(-radius, radius, within), beyond, -beyond]))
+        inside = np.abs(x) <= radius
+        for got, a, b in zip(mixed.parts(x), near.parts(x[inside]), far.parts(x[~inside])):
+            assert np.array_equal(got[inside], a) and np.array_equal(got[~inside], b)
+        reads = within > mixed._proxy.size  # 570 on the witness plans
+        assert [fn for fn, _ in fills] == ([mixed, near] if reads else [])
+
     def test_small_call_on_plan_nodes_reads_the_proxy(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 1).spectrum)
@@ -812,13 +832,15 @@ class TestSynthesisProxy:
         assert subprocess.run([sys.executable, "-c", code], timeout=600).returncode == 0
 
     def test_points_beyond_radius_sum_directly(self, witness_plan_factory, witness_factory, fills):
+        """Points beyond the radius are summed directly, by themselves; the
+        call's other points read the proxy of an object on its plan's nodes."""
         plan = witness_plan_factory(0.5)
         fn = SpectralFunction.from_spectrum(plan, witness_factory(0.5, 0).spectrum)
         x = np.linspace(0.0, 1.01 * plan.synthesis_radius, 7)
-        even, odd_q = _exact_parts(fn, x)
-        assert np.array_equal(fn.even_part(x), even)
-        assert np.array_equal(fn.odd_quotient(x), odd_q)
-        assert fills == []
+        beyond = x > plan.synthesis_radius
+        for got, direct, read in zip(fn.parts(x), _exact_parts(fn, x[beyond]), _read(fn, x[~beyond])):
+            assert np.array_equal(got[beyond], direct) and np.array_equal(got[~beyond], read)
+        assert fills == [(fn, _panels(fn, x[~beyond]))]
 
     def test_built_once_per_object(self, witness_plan_factory, witness_factory, fills):
         plan = witness_plan_factory(0.5)
