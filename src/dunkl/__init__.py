@@ -63,7 +63,6 @@ from .transform import (
     PlanSelfTestError,
     SpectralFunction,
     TransformPlan,
-    apply_multiplier,
     apply_multiplier_fn,
     build_plan,
     forward,

@@ -47,7 +47,6 @@ __all__ = [
     "translation",
     "convolution",
     "v_diagonal_factors",
-    "v_inverse_diagonal_factors",
 ]
 
 _BOCHNER_BOX = 1e3
@@ -78,7 +77,7 @@ def _kernel_series(alpha: float, z: complex) -> complex:
 def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> complex:
     """Kernel E_alpha(z): the unique analytic eigenfunction normalised to 1 at 0.
 
-    Modes (each rejects |Re z| > log(max double) = 709.78, where E_alpha(z) overflows):
+    Modes (each rejects a nan or infinite part, and |Re z| > log(max double) = 709.78, where E_alpha(z) overflows):
       * ``series``  -- power series sum z^n / b_n(alpha), |z| <= 60, |Im z| <= 10;
       * ``bochner`` -- compact integral a_alpha int_-1^1 e^(zt) (1-t)^(alpha-1/2) (1+t)^(alpha+1/2) dt,
         one Gauss-Jacobi rule in s = (1+t)/2, |Re z|, |Im z| <= 1e3;
@@ -87,6 +86,8 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
     """
     a = as_order(alpha).alpha
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z={z} has a nan or infinite part")
     if abs(z.real) > _RE_MAX:
         raise ValueError(f"|Re z|={abs(z.real):.6g} exceeds log(max double) = {_RE_MAX:.2f}: E_alpha(z) overflows")
     in_radius, series_ok = abs(z) <= _SERIES_RADIUS, abs(z.imag) <= _SERIES_IM_MAX
@@ -112,10 +113,6 @@ def dunkl_kernel(alpha: OrderParam | float, z: complex, mode: str = "auto") -> c
 def v_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndarray:
     """Diagonal action of the intertwiner on monomials: x^n -> (n!/b_n) x^n."""
     return sonine_diagonal_factors(classical_pair(alpha), n_max)
-
-
-def v_inverse_diagonal_factors(alpha: OrderParam | float, n_max: int) -> np.ndarray:
-    return 1.0 / v_diagonal_factors(alpha, n_max)
 
 
 def intertwiner_v(alpha: OrderParam | float, f, x=None):
@@ -150,7 +147,7 @@ def intertwiner_v_inverse(alpha: OrderParam | float, f, x: Optional[float] = Non
     """
     a = as_order(alpha).alpha
     if isinstance(f, PolyFunction) and x is None:
-        return f.scaled(v_inverse_diagonal_factors(a, f.degree))
+        return f.scaled(1.0 / v_diagonal_factors(a, f.degree))
     if x is None:
         raise ValueError("evaluation point required for non-polynomial input")
     if isinstance(f, GridFunction):

@@ -1,7 +1,7 @@
 """Fractional powers of the deformed Laplacian and the distributional layer.
 
 The multiplier |lambda|^(2 lam) on the transform side *defines* the
-fractional power in this package (see dunkl.transform.apply_multiplier); the
+fractional power in this package (see dunkl.transform.apply_multiplier_fn); the
 absolutely convergent Riesz-type double integral implemented here is an
 independent validation route, available exactly on the strip
 -(alpha+1) < lam < 0 where the kernel is integrable.

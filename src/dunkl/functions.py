@@ -101,11 +101,6 @@ class PolyFunction(SmoothFunction):
         c[1::2] = 0
         return PolyFunction(c)
 
-    def odd_fn(self) -> "PolyFunction":
-        c = self.coeffs.copy()
-        c[0::2] = 0
-        return PolyFunction(c)
-
     def odd_quotient_fn(self) -> "PolyFunction":
         """(odd part)/x, a polynomial in x^2."""
         c = self.coeffs
@@ -224,7 +219,7 @@ class GridFunction:
             raise ValueError("grid must be strictly increasing")
         if not np.array_equal(grid, -grid[::-1]):
             raise ValueError("grid must be exactly symmetric about 0; build it as a +/- half-grid")
-        if self.smoothness_hint not in ("schwartz", "polynomial_times_gaussian", "generic"):
+        if self.smoothness_hint not in ("schwartz", "generic"):
             raise ValueError(f"unknown smoothness hint {self.smoothness_hint!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)

@@ -41,7 +41,6 @@ __all__ = [
     "make_witness",
     "witness_plan",
     "k_operator",
-    "K_KINDS",
     "inversion_check",
     "INVERSION_ORDERS",
     "multiplier_commutation_check",
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_FLAT = 64.0
-
-K_KINDS = ("alpha-full", "beta-full", "alpha-half")
 
 #: pipeline orders: reconstruction identities for the Sonine transform and
 #: its dual, plus the two commuted variants.
@@ -77,7 +74,7 @@ def witness_profile(lam: np.ndarray, m: int, flat: float = DEFAULT_FLAT) -> np.n
 @dataclass
 class LizorkinWitness:
     """Inverse transform of a flat spectral profile, with the synthesis
-    object and membership diagnostics attached."""
+    object attached."""
 
     order: OrderParam
     m: int
@@ -102,24 +99,6 @@ class LizorkinWitness:
             image.flags.writeable = False  # every later caller gets this same array
             self._images[key] = image
         return self._images[key]
-
-    def moment_relative(self, k: int) -> float:
-        """|int f y^k |y|^(2a+1) dy| relative to the same integral of |f|.
-
-        The absolute moments sit below the float64 noise floor of the
-        defining quadrature once k + 2 alpha + 1 is large, so membership is
-        diagnosed relative to the natural scale."""
-        num = abs(np.sum(self.plan.x_weights * self.values.values * self.plan.x_nodes**k))
-        den = np.sum(self.plan.x_weights * np.abs(self.values.values) * np.abs(self.plan.x_nodes) ** k)
-        return float(num / max(den, 1e-300))
-
-    def spectral_flatness(self) -> float:
-        """max over k <= 5 of the k-th spectral derivative at 0, from the
-        profile's closed form (all identically zero by flatness)."""
-        # d^k/dl^k of exp(-flat/l^2) extends by 0 at l = 0; report the profile
-        # magnitude at the smallest grid node as the numerical stand-in.
-        lam_min = float(np.min(np.abs(self.plan.lambda_nodes)))
-        return float(np.max(np.abs(witness_profile(np.array([lam_min / 2.0**5]), self.m, self.flat))))
 
 
 def make_witness(
@@ -155,7 +134,7 @@ def _k_params(kind: str, pair: SoninePair) -> tuple[str, MultiplierSpec]:
         return "beta", MultiplierSpec(2.0 * pair.mu, ratio)
     if kind == "alpha-half":
         return "alpha", MultiplierSpec(pair.mu, math.sqrt(ratio))
-    raise ValueError(f"unknown operator kind {kind!r}; expected one of {K_KINDS}")
+    raise ValueError(f"unknown operator kind {kind!r}; expected one of ('alpha-full', 'beta-full', 'alpha-half')")
 
 
 def k_operator(

@@ -264,8 +264,10 @@ def j_norm(alpha: OrderParam | float, u) -> np.ndarray:
 def bessel_mod_array(alpha: OrderParam | float, z) -> np.ndarray:
     """Modified normalized Bessel function of order alpha, j_norm(alpha, iz) =
     Gamma(alpha+1) sum_n (z/2)^(2n) / (n! Gamma(n+alpha+1)), on the box |Re z| <= 709.78
-    beyond which it overflows; there it raises ValueError."""
+    beyond which it overflows; there, and at a nan or infinite part, it raises ValueError."""
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z has a nan or infinite part")
     if z.size and np.max(np.abs(z.real)) > _RE_MAX:
         raise ValueError(f"|Re z| exceeds log(max double) = {_RE_MAX:.2f}: the value overflows")
     return j_norm(alpha, 1j * z)

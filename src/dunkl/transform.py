@@ -40,7 +40,6 @@ __all__ = [
     "forward_fn",
     "inverse_at",
     "plancherel_sides",
-    "apply_multiplier",
     "apply_multiplier_fn",
 ]
 
@@ -97,9 +96,6 @@ class MultiplierSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.scale):
             raise ValueError("multiplier scale must be finite")
-
-    def __mul__(self, other: "MultiplierSpec") -> "MultiplierSpec":
-        return MultiplierSpec(self.exponent + other.exponent, self.scale * other.scale)
 
 
 class TransformPlan:
@@ -501,11 +497,6 @@ def apply_multiplier_fn(plan: TransformPlan, f, m: MultiplierSpec, n_half: Optio
         if np.max(np.abs(spectrum[inner])) > 1e-6 * max(np.max(np.abs(spectrum)), 1e-300):
             warnings.warn("negative multiplier exponent applied to a spectrum that does not vanish at 0", stacklevel=2)
     return SpectralFunction(plan.order, nodes, plan.c_alpha * m.scale * weights * spectrum, plan=plan)
-
-
-def apply_multiplier(plan: TransformPlan, f, m: MultiplierSpec) -> GridFunction:
-    fn = apply_multiplier_fn(plan, f, m)
-    return GridFunction(grid=plan.x_nodes, values=fn(plan.x_nodes), smoothness_hint="schwartz")
 
 
 def plancherel_sides(plan: TransformPlan, f) -> tuple[float, float]:

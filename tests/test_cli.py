@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import dunkl.cli
 from dunkl.cli import main
 from dunkl.suites import DEFAULT_TOLERANCES, RunConfig
 
@@ -50,6 +51,14 @@ class TestKernelCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "alpha > -1/2" in err
+
+    def test_non_finite_argument_exits_2(self, capsys):
+        # nan has no kernel value: exit 2 and say why, instead of printing nan and exiting 0
+        code = main(["kernel", "--alpha", "0.5", "--z", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "nan or infinite" in captured.err
+        assert captured.out == ""
 
     def test_oscillatory_axis_value(self, capsys):
         code = main(["kernel", "--alpha", "0.5", "--z", "59j"])
@@ -271,6 +280,34 @@ class TestVerifyCommand:
     def test_unknown_tolerance_exits_2(self, capsys):
         code = main(["verify", "--tol", "bogus=1", "--suites", "sonine-product"])
         assert code == 2
+
+    @pytest.fixture
+    def no_suite_runs(self, monkeypatch):
+        def forbidden(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(dunkl.cli, "run_suites", forbidden)
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_bad_tolerance_flag_exits_2(self, tmp_path, capsys, no_suite_runs, value):
+        # nan, 0 and -1 would fail every check and inf pass every one: a tolerance
+        # is a finite number > 0, checked before any suite runs
+        out_path = tmp_path / "rep.json"
+        code = main(["verify", "--suites", "kernel-consistency", "--tol", f"kernel-consistency={value}",
+                     "--out", str(out_path)])
+        assert code == 2
+        assert "tolerance 'kernel-consistency' must be a finite number > 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["abc", math.nan, 0.0, -1e-9, math.inf])
+    def test_bad_config_tolerance_exits_2(self, tmp_path, capsys, no_suite_runs, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["sonine-product"], "tolerances": {"sonine-product": value}}))
+        out_path = tmp_path / "rep.json"
+        code = main(["verify", "--config", str(cfg_path), "--out", str(out_path)])
+        assert code == 2
+        assert "tolerance 'sonine-product' must be a finite number > 0" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_tolerance_key_of_report_names(self):
         cfg = RunConfig(tolerances={"inversion": 1e-9})

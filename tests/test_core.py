@@ -56,6 +56,11 @@ def kernel_half_closed(z):
     return s + (np.cosh(z) - s) / z
 
 
+#: nan, nan i, 1 + nan i and inf i: a nan or infinite part in each place
+NON_FINITE = (complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.nan), complex(0.0, math.inf))
+NON_FINITE_IDS = ("nan", "nan-i", "1+nan-i", "inf-i")
+
+
 class TestKernel:
     def test_normalized_at_zero(self):
         for a in ALPHAS:
@@ -115,6 +120,22 @@ class TestKernel:
         for z in (800.0, -800.0, 709.8 + 5j, -710.0 - 1j):
             with pytest.raises(ValueError, match="709.78"):
                 dunkl_kernel(1.5, z, mode)
+
+    @pytest.mark.parametrize("mode", ("auto", "series", "bessel", "bochner"))
+    @pytest.mark.parametrize("z", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_rejected(self, mode, z):
+        # no kernel value at a nan or infinite part: every mode says so, instead of
+        # returning nan or failing on a radius, a box or a rule size
+        with pytest.raises(ValueError, match="nan or infinite"):
+            dunkl_kernel(1.5, z, mode)
+
+    @pytest.mark.parametrize("z", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_kernel_function_rejects_non_finite(self, z):
+        kf = KernelFunction(0.5, 1.0)
+        for read in (kf, kf.even_part, kf.odd_quotient):
+            # at inf i the product lam x is itself an invalid complex product (0 * inf); the read must still raise
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nan or infinite"):
+                read(np.array([0.3, z]))
 
     def test_bochner_large_argument(self):
         # beyond the series radius the integral representation still works

@@ -152,6 +152,16 @@ class TestBesselMod:
             with pytest.raises(ValueError, match="709.78"):
                 bessel_mod_array(0.5, z)
 
+    @pytest.mark.parametrize(
+        "z", (complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.nan), complex(0.0, math.inf)),
+        ids=("nan", "nan-i", "1+nan-i", "inf-i"),
+    )
+    def test_non_finite_rejected(self, z):
+        # a nan or infinite part raises, at a scalar or inside an array, instead of returning nan
+        for arg in (z, np.array([0.3, z, 2.0])):
+            with pytest.raises(ValueError, match="nan or infinite"):
+                bessel_mod_array(0.5, arg)
+
 
 # j_norm_pair's band edges (series below 0.35, Miller's recurrence below 20,
 # Hankel's expansion beyond, in sub-bands split at 40 and 80) and one ulp below each
