@@ -182,15 +182,35 @@ def _tolerance(name: str, value) -> float:
     return tol
 
 
-#: the keys a config file may hold, and those of its ``grid`` and ``output`` tables
-_CONFIG_KEYS = ("alpha", "beta", "grid", "tolerances", "suites", "output")
-_CONFIG_TABLES = {"grid": ("L", "n_x", "lambda_max", "n_lambda"), "output": ("format", "path")}
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+#: the keys a config file may hold, each with what its value must be: a table (a JSON object) maps to
+#: its own keys, ``tolerances`` to None (``_tolerance`` checks each of its keys and values)
+_CONFIG = {
+    "alpha": _NUMBER,
+    "beta": _NUMBER,
+    "grid": {"L": _NUMBER, "n_x": _INTEGER, "lambda_max": _NUMBER, "n_lambda": _INTEGER},
+    "tolerances": None,
+    "suites": ("a list of suite names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v)),
+    "output": {
+        "format": ("'json' or 'csv'", lambda v: v in ("json", "csv")),
+        "path": ("a string", lambda v: isinstance(v, str)),
+    },
+}
 
 
-def _reject_unknown(table: dict, known: tuple, where: str) -> None:
-    for key in table:
+def _check_config(table: dict, known: dict, where: str) -> None:
+    for key, value in table.items():
         if key not in known:
             raise CliError(f"unknown config key {where}{key!r}; known: {', '.join(known)}")
+        rule = known[key]
+        if rule is None or isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise CliError(f"config key {where}{key!r} must be a JSON object, got {value!r}")
+            if rule is not None:
+                _check_config(value, rule, f"{key}.")
+        elif not rule[1](value):
+            raise CliError(f"config key {where}{key!r} must be {rule[0]}, got {value!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -202,9 +222,7 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError("config file must hold a JSON object")
-    _reject_unknown(data, _CONFIG_KEYS, "")
-    for name, known in _CONFIG_TABLES.items():
-        _reject_unknown(data.get(name, {}), known, f"{name}.")
+    _check_config(data, _CONFIG, "")
     return data
 
 

@@ -219,12 +219,15 @@ def _hankel_pair(a: float, u: np.ndarray, edge: float) -> tuple[np.ndarray, np.n
 #: Hankel sub-bands, each with its term count fixed by its edges and memoized per alpha
 _BAND_EDGES = np.array([[_SERIES_LOSS], [20.0], [40.0], [80.0]])
 _BANDS = (_series_pair, _miller_pair, *(functools.partial(_hankel_pair, edge=edge) for edge in _BAND_EDGES[1:, 0]))
+#: points per block in which j_norm_pair evaluates a band, so no band's temporaries grow with the call
+_BLOCK = 8192
 
 
 def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
     """(j_norm(alpha, u), j_norm(alpha + 1, u)) for real u, each value from alpha and its own u alone: the
     power series where |u| < 0.35, Miller's recurrence below 20 and Hankel's expansion beyond, in the
-    sub-bands [20, 40), [40, 80) and [80, inf); nan at inf and nan; in u's shape."""
+    sub-bands [20, 40), [40, 80) and [80, inf), each in blocks of at most _BLOCK points; nan at inf and nan;
+    in u's shape."""
     a, shape = as_order(alpha).alpha, np.shape(u)
     u = np.abs(np.asarray(u, dtype=float).ravel())
     u[np.isinf(u)] = np.nan  # nan compares false with every edge: it takes the series band, whose value is nan
@@ -234,7 +237,11 @@ def j_norm_pair(alpha: OrderParam | float, u) -> tuple[np.ndarray, np.ndarray]:
     for k, pair in enumerate(_BANDS):
         if present >> k & 1:
             band = index == k
-            first[band], second[band] = pair(a, u[band])
+            if u.size > _BLOCK:  # the band's indices, to be cut into blocks
+                band = np.flatnonzero(band)
+            for start in range(0, band.size, _BLOCK):
+                block = band[start : start + _BLOCK]
+                first[block], second[block] = pair(a, u[block])
     return first.reshape(shape), second.reshape(shape)
 
 

@@ -137,31 +137,47 @@ class TransformPlan:
         self.self_test: dict[str, float] = {}
         # proxy radius and positive nodes of the synthesis (lambda to x) and analysis (x to lambda) tables
         self.table_grids = {"synthesis": (self.synthesis_radius, lam_pos), "analysis": (self.lambda_max, x_pos)}
-        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[str, tuple[_ChebProxy, np.ndarray, np.ndarray]] = {}
 
-    def jnorm_table(self, shift: int) -> np.ndarray:
+    def jnorm_table(self, shift: int, panels: Optional[np.ndarray] = None) -> np.ndarray:
         """Synthesis table of the order-(alpha + shift) kernel component,
         shift 0 or 1: j_norm(alpha + shift, y nu) at the sample points y of the
         synthesis proxy (rows) times the positive lambda-nodes nu (columns).
 
         Every SpectralFunction on the plan's lambda-nodes builds its proxy from
-        these two tables, so both come from one ``j_norm_pair`` call per plan;
-        they are shared, so read-only."""
-        return self._table("synthesis", shift)
+        these two tables.  Each proxy panel's rows are filled for both shifts
+        the first time a call asks for them, by one ``j_norm_pair`` call on the
+        asked panels still empty, so a panel no call asks for is never
+        evaluated.  With ``panels``, the rows of those panels are returned;
+        without, every panel is filled and the whole table is returned, shared
+        and so read-only."""
+        return self._table("synthesis", shift, panels)
 
-    def analysis_table(self, shift: int) -> np.ndarray:
+    def analysis_table(self, shift: int, panels: Optional[np.ndarray] = None) -> np.ndarray:
         """The same for ``forward_fn``: a proxy on [0, lambda_max] times the positive x-nodes."""
-        return self._table("analysis", shift)
+        return self._table("analysis", shift, panels)
 
-    def _table(self, side: str, shift: int) -> np.ndarray:
+    def _table(self, side: str, shift: int, panels: Optional[np.ndarray]) -> np.ndarray:
         if shift not in (0, 1):
             raise ValueError(f"kernel tables hold shifts 0 and 1, not {shift}")
+        radius, nu = self.table_grids[side]
         if side not in self._tables:
-            radius, nu = self.table_grids[side]
-            self._tables[side] = j_norm_pair(self.alpha, np.outer(_ChebProxy(radius, float(nu[-1])).sample_points(), nu))
-            for table in self._tables[side]:
-                table.flags.writeable = False
-        return self._tables[side][shift]
+            proxy = _ChebProxy(radius, float(nu[-1]))
+            # the proxy, both shifts' rows by panel, and which panels hold their values
+            rows = np.empty((2, proxy.n_panels, proxy.n, nu.size))
+            self._tables[side] = (proxy, rows, np.zeros(proxy.n_panels, bool))
+        proxy, tables, filled = self._tables[side]
+        asked = np.arange(filled.size) if panels is None else np.asarray(panels, dtype=int)
+        missing = np.unique(asked[~filled[asked]])
+        if missing.size:
+            values = j_norm_pair(self.alpha, np.outer(proxy.sample_points(missing), nu))
+            tables[0, missing], tables[1, missing] = (v.reshape(missing.size, -1, nu.size) for v in values)
+            filled[missing] = True
+        if panels is None:
+            whole = tables[shift].reshape(-1, nu.size)
+            whole.flags.writeable = False
+            return whole
+        return tables[shift, asked].reshape(-1, nu.size)
 
     # -- sampling helpers -------------------------------------------------
     def sample(self, f: Callable) -> GridFunction:
@@ -297,12 +313,13 @@ class _ChebProxy:
         self.nodes, self.bary = np.cos(angles), np.sin(angles) * (-1.0) ** np.arange(self.n)
         self.samples: dict[int, np.ndarray] = {}  # panel -> (n, columns + 1): its samples, then ones
 
-    def sample_points(self) -> np.ndarray:
-        return ((np.arange(self.n_panels)[:, None] + 0.5 * self.nodes) * self.width).ravel()
+    def sample_points(self, panels=slice(None)) -> np.ndarray:
+        """The sample points of the panels (all by default), one row a panel."""
+        return (np.arange(self.n_panels)[panels, None] + 0.5 * self.nodes) * self.width
 
     def __call__(self, x: np.ndarray, fill: Callable) -> np.ndarray:
-        """The columns at the points x, one row a point; ``fill(rows)`` gives
-        them at the sample points ``rows`` of the panels x touches first."""
+        """The columns at the points x, one row a point; ``fill(panels)`` gives
+        them at the sample points of the panels x touches first, panel by panel."""
         scaled = np.abs(x) / self.width
         panel = np.minimum((scaled + 0.5).astype(int), self.n_panels - 1)
         order = np.argsort(panel, kind="stable")
@@ -310,7 +327,7 @@ class _ChebProxy:
         touched = np.flatnonzero(np.diff(starts))
         missing = np.array([k for k in touched if k not in self.samples], dtype=int)
         if missing.size:
-            block = fill((missing[:, None] * self.n + np.arange(self.n)).ravel()).reshape(missing.size, self.n, -1)
+            block = fill(missing).reshape(missing.size, self.n, -1)
             self.samples.update(zip(missing, np.concatenate([block, np.ones((*block.shape[:2], 1))], axis=2)))
         t = 2.0 * (scaled - panel)[order]
         c = t - self.nodes[:, None]  # (n, x.size), then the weights w_j / (t - t_j)
@@ -347,9 +364,10 @@ class SpectralFunction(SmoothFunction):
     decided against the full proxy size: once the points the object has summed
     directly within the radius, plus these, exceed one full build, and ever after.
     On the plan's positive lambda-nodes (``from_spectrum``) or x-nodes
-    (``forward_fn``) a panel's fill is rows of the plan's shared synthesis
-    (``jnorm_table``, synthesis radius) or analysis (lambda_max) table and
-    costs no kernel points, so every such call reads the proxy.  Any other
+    (``forward_fn``) a panel's fill is that panel's rows of the plan's shared
+    synthesis (``jnorm_table``, synthesis radius) or analysis (lambda_max)
+    table, whose kernel points are evaluated once per plan, on the first fill
+    that asks for the panel; so every such call reads the proxy.  Any other
     object with a plan (a multiplier image, on the synthesis radius) fills
     from its own ``j_norm_pair`` call on the touched panels' sample points,
     so it never evaluates more than twice the kernel points of the better
@@ -389,17 +407,17 @@ class SpectralFunction(SmoothFunction):
         values = _values_on(spectrum, plan.lambda_nodes, "lambda")
         return cls(plan.order, plan.lambda_nodes, plan.c_alpha * plan.lambda_weights * values, plan=plan)
 
-    def _samples(self, rows: np.ndarray) -> np.ndarray:
-        """The real columns of the even part and odd quotient at the proxy's
-        sample points ``rows``, from those rows of the plan's tables or one
-        ``j_norm_pair`` call."""
+    def _samples(self, panels: np.ndarray) -> np.ndarray:
+        """The real columns of the even part and odd quotient at the sample
+        points of the proxy's ``panels``, from those panels' rows of the plan's
+        tables or one ``j_norm_pair`` call."""
         if self._table is not None:
-            even, odd = self._table(0)[rows], self._table(1)[rows]
+            even, odd = self._table(0, panels), self._table(1, panels)
         else:
-            even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points()[rows], self._abs_nodes))
-        panels = (-1, self._proxy.n, self._abs_nodes.size)  # a product per panel, as in a fill of it alone
-        sums = (_real_matvec(even.reshape(panels), self._w_even), _real_matvec(odd.reshape(panels), self._w_quotient))
-        return np.hstack([s.view(float).reshape(rows.size, -1) for s in sums])
+            even, odd = j_norm_pair(self.order.alpha, np.outer(self._proxy.sample_points(panels), self._abs_nodes))
+        shape = (panels.size, self._proxy.n, self._abs_nodes.size)  # a product per panel, as in a fill of it alone
+        sums = (_real_matvec(even.reshape(shape), self._w_even), _real_matvec(odd.reshape(shape), self._w_quotient))
+        return np.hstack([s.view(float).reshape(even.shape[0], -1) for s in sums])
 
     def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Even part and odd quotient at the points of a 1-d array, as contiguous arrays."""

@@ -347,6 +347,28 @@ class TestVerifyCommand:
         assert f"unknown config key {key}" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"grid": 5}, "config key 'grid' must be a JSON object"),
+            ({"tolerances": [1]}, "config key 'tolerances' must be a JSON object"),
+            ({"suites": "kernel-consistency"}, "config key 'suites' must be a list of suite names"),
+            ({"output": {"format": "xml"}}, "config key output.'format' must be 'json' or 'csv'"),
+            ({"grid": {"n_x": 512.9}}, "config key grid.'n_x' must be an integer"),
+            ({"alpha": True}, "config key 'alpha' must be a number"),
+            ({"alpha": "0.5"}, "config key 'alpha' must be a number"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, no_suite_runs, cfg, message):
+        # a table that is not a JSON object, a suite name split into letters, and
+        # values that would be coerced or ignored stop the run, naming their key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["kernel-consistency"], **cfg}))
+        out_path = tmp_path / "rep.json"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_csv_format_flag(self, tmp_path):
         out_path = tmp_path / "rep.csv"
         code = main(

@@ -253,6 +253,21 @@ class TestJNormPair:
             one = j_norm_pair(alpha, np.array([v]))
             assert first[k].tobytes() == one[0].tobytes() and second[k].tobytes() == one[1].tobytes(), v
 
+    @pytest.mark.parametrize("alpha", (-0.4, 0.0, 1.5, 2.7))
+    def test_blocks_equal_calls_on_subsets(self, alpha):
+        # every band holds two blocks and a remainder: each value equals that
+        # of a call on its band alone, on one block-sized slice, or on a random
+        # subset, bit for bit
+        rng = np.random.default_rng(37)
+        edges = (0.0, 0.35, 20.0, 40.0, 80.0, 400.0)
+        n = 2 * special._BLOCK + 123
+        u = rng.permutation(np.concatenate([rng.uniform(lo, hi, n) for lo, hi in zip(edges, edges[1:])]))
+        whole = np.array(j_norm_pair(alpha, u))
+        subsets = [(lo <= u) & (u < hi) for lo, hi in zip(edges, edges[1:])]
+        subsets += [slice(n, n + special._BLOCK), rng.random(u.size) < 0.3]
+        for subset in subsets:
+            assert np.array_equal(np.array(j_norm_pair(alpha, u[subset])), whole[:, subset])
+
     def test_nan_leaves_the_top_band_on_hankel(self, monkeypatch):
         # term counts are fixed by the band edges: one nan neither sends the
         # band to jv nor moves the other points

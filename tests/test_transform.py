@@ -553,9 +553,9 @@ class TestSynthesisProxy:
         count = []
         original = SpectralFunction._samples
 
-        def counted(fn, rows):
-            count.append((fn, tuple(np.unique(rows // fn._proxy.n).tolist())))
-            return original(fn, rows)
+        def counted(fn, panels):
+            count.append((fn, tuple(panels.tolist())))
+            return original(fn, panels)
 
         monkeypatch.setattr(SpectralFunction, "_samples", counted)
         return count
@@ -862,10 +862,16 @@ class TestSynthesisProxy:
 class TestSynthesisTables:
     """Objects on a plan's own lambda-nodes (synthesis) or x-nodes (the
     transform of x-samples, ``forward_fn``) share one table of kernel values
-    at the proxy's sample points per plan and side."""
+    at the proxy's sample points per plan and side, filled panel by panel the
+    first time a call asks for the panel."""
 
-    def test_one_kernel_call_per_plan(self, witness_factory, monkeypatch):
-        plan = witness_plan(0.5)  # fresh: its tables are not built yet
+    def test_one_kernel_call_per_fill(self, witness_factory, monkeypatch):
+        """Five objects per side on a fresh plan read the same points: the
+        first read fills the panels they touch, both shifts from one
+        j_norm_pair call, and the other reads evaluate nothing.  A wider read
+        then fills only the panels still empty, so an untouched panel is never
+        evaluated until a read asks for it."""
+        plan = witness_plan(0.5)  # fresh: its tables are not filled yet
         w = witness_factory(0.5, 1)
         calls = []
         original = dunkl.transform.j_norm_pair
@@ -882,20 +888,76 @@ class TestSynthesisTables:
         }
         for (side, fns), shape in zip(sides.items(), ((630, 168), (324, 192))):
             radius, nu = plan.table_grids[side]
+            proxy = fns[0]._proxy
+            touched = _panels(fns[0], x)
+            assert (proxy.size, nu.size) == shape and len(touched) < proxy.n_panels
             calls.clear()
             for fn in fns:
                 fn(x)
-            assert calls == [(fns[0]._proxy.sample_points().size, nu.size)] == [shape]
+            assert calls == [(len(touched) * proxy.n, nu.size)]
             for fn in fns:
                 # each touched panel holds the object's own exact-kernel sums at its points, bit for bit
                 proxy = fn._proxy
-                panels = np.array(_panels(fn, x))
+                panels = np.array(touched)
                 assert list(proxy.samples) == panels.tolist()
-                for k, points in zip(panels, proxy.sample_points().reshape(proxy.n_panels, proxy.n)[panels]):
+                for k, points in zip(panels, proxy.sample_points(panels)):
                     even, odd = original(0.5, np.outer(points, np.unique(np.abs(fn.nodes))))
                     own = [_real_matvec(even, fn._w_even), _real_matvec(odd, fn._w_quotient)]
                     own = np.hstack([v.view(float).reshape(v.size, -1) for v in own])
                     assert np.array_equal(proxy.samples[k], np.concatenate([own, np.ones((proxy.n, 1))], axis=1))
+            calls.clear()
+            wide = np.linspace(-radius, radius, 41)
+            for fn in fns:
+                fn(wide)
+            assert calls == [((proxy.n_panels - len(touched)) * proxy.n, nu.size)]
+
+    @pytest.mark.parametrize("kind", ("default", "witness"))
+    def test_panel_rows_equal_a_whole_build(self, kind):
+        """The rows of any panels, filled a few at a time on a fresh plan and
+        in any order, equal the same rows of a whole build (one j_norm_pair
+        call on every sample point) bit for bit, on both sides and at both
+        shifts."""
+        plan = build_plan(0.5) if kind == "default" else witness_plan(0.5)
+        for table, (radius, nu) in ((plan.jnorm_table, plan.table_grids["synthesis"]),
+                                     (plan.analysis_table, plan.table_grids["analysis"])):
+            proxy = dunkl.transform._ChebProxy(radius, float(nu[-1]))
+            whole = j_norm_pair(0.5, np.outer(proxy.sample_points(), nu))
+            whole = [v.reshape(proxy.n_panels, proxy.n, nu.size) for v in whole]
+            for panels in ([1], [proxy.n_panels - 1, 0], [0, 2, 1], list(range(proxy.n_panels))[::-1]):
+                for shift in (0, 1):
+                    assert np.array_equal(table(shift, np.array(panels)), whole[shift][panels].reshape(-1, nu.size))
+            for shift in (0, 1):
+                assert np.array_equal(table(shift), whole[shift].reshape(-1, nu.size))
+
+    def test_whole_call_fills_only_the_empty_panels(self, monkeypatch):
+        """A call for some panels evaluates their sample points alone, once
+        for both shifts; a later whole-table call evaluates only the panels
+        still empty, and a call for filled panels evaluates nothing."""
+        plan = witness_plan(0.5)
+        calls = []
+        original = dunkl.transform.j_norm_pair
+
+        def counting(alpha, u):
+            calls.append(np.array(u))
+            return original(alpha, u)
+
+        monkeypatch.setattr(dunkl.transform, "j_norm_pair", counting)
+        for table, (radius, nu) in ((plan.jnorm_table, plan.table_grids["synthesis"]),
+                                     (plan.analysis_table, plan.table_grids["analysis"])):
+            proxy = dunkl.transform._ChebProxy(radius, float(nu[-1]))
+            points = proxy.sample_points()
+            calls.clear()
+            table(1, np.array([2, 0]))
+            table(0, np.array([0, 2]))
+            assert len(calls) == 1 and np.array_equal(calls[0], np.outer(points[[0, 2]], nu))
+            calls.clear()
+            table(0)
+            rest = [k for k in range(proxy.n_panels) if k not in (0, 2)]
+            assert len(calls) == 1 and np.array_equal(calls[0], np.outer(points[rest], nu))
+            calls.clear()
+            table(1)
+            table(0, np.array([3]))
+            assert calls == []
 
     def test_tables_are_read_only(self, witness_plan_factory):
         plan = witness_plan_factory(0.5)
