@@ -20,22 +20,16 @@ import numpy as np
 
 from . import __version__
 from .core import dunkl_kernel
-from .report import IdentityReport, reports_from_json, reports_to_csv, reports_to_json
+from .report import IdentityReport, float_repr, reports_from_json, reports_to_csv, reports_to_json
 from .sonine import SoninePair, dual_sonine_apply, sonine_apply
 from .functions import gaussian
 from .special import OrderParam
 from .suites import DEFAULT_TOLERANCES, SUITES, RunConfig, run_suites
 from .transform import PlanSelfTestError, build_plan, forward, inverse
 
-CSV_FLOAT = ".17g"
-
 
 class CliError(Exception):
     """Configuration-level failure; maps to exit code 2."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), CSV_FLOAT)
 
 
 def _parse_complex(text: str) -> complex:
@@ -61,12 +55,12 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _emit(records: list[dict], fmt: str, out: str | None) -> None:
     """Write records as a JSON list, or as CSV with one column per key and
-    floats in _fmt."""
+    floats in ``float_repr``."""
     if fmt == "json":
         _write_or_print(json.dumps(records, indent=2, sort_keys=True) + "\n", out)
         return
     rows = [",".join(records[0])]
-    rows += [",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()) for r in records]
+    rows += [",".join(v if isinstance(v, str) else float_repr(v) for v in r.values()) for r in records]
     _write_or_print("\n".join(rows) + "\n", out)
 
 
@@ -152,6 +146,8 @@ def cmd_sonine(args) -> int:
         pair = SoninePair(OrderParam(args.alpha), args.beta)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if not all(math.isfinite(x) for x in args.x):
+        raise CliError(f"--x must be finite, got {args.x}")
     f = gaussian(args.rate)
     apply = dual_sonine_apply if args.dual else sonine_apply
     records = [{"x": x, "value": float(v)} for x, v in zip(args.x, np.real(apply(pair, f, np.asarray(args.x))))]

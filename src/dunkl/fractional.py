@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1, rgamma
 
-from .quadrature import doubling_tail, homogeneous_pairing, integrate_semi_infinite, jacobi_rule, legendre_panels
+from .quadrature import doubling_tail, homogeneous_pairing, integrate_semi_infinite, jacobi_rule
+from .quadrature import legendre_panels, radial_rule
 from .special import OrderParam, as_order
 from .transform import SpectralFunction, TransformPlan, spectral_support
 
@@ -126,10 +127,8 @@ def frac_power_kernel(
         summand = lambda y, w: np.real(w * y ** (2.0 * a + 1.0) * fy(y) * kern(y))
 
         # [0, ax/2]: weight y^(2a+1) absorbed
-        rule = jacobi_rule(0.0, 2.0 * a + 1.0, 48)
-        y0 = rule.nodes * (ax / 2.0)
-        w0 = rule.weights * (ax / 2.0) ** (2.0 * a + 2.0)
-        total += np.real(np.sum(w0 * fy(y0) * kern(y0)))
+        rule = radial_rule(a, ax / 2.0, 48)
+        total += np.real(np.sum(rule.weights * fy(rule.nodes) * kern(rule.nodes)))
 
         # geometric refinement [ax/2, ax - delta]
         edges = [ax / 2.0]

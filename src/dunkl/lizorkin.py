@@ -16,7 +16,6 @@ grids.  The default flat=64 puts the witness at double-precision zero by
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,43 +125,14 @@ def witness_plan(alpha: OrderParam | float) -> TransformPlan:
     return build_plan(alpha, half_width=40.0, n_x=2 * 192, lambda_max=10.5, n_lambda=2 * 168, tol=1e-9)
 
 
-def _k_params(kind: str, pair: SoninePair) -> tuple[str, MultiplierSpec]:
-    ratio = c_const(pair.beta) / c_const(pair.alpha)
-    if kind == "alpha-full":
-        return "alpha", MultiplierSpec(2.0 * pair.mu, ratio)
-    if kind == "beta-full":
-        return "beta", MultiplierSpec(2.0 * pair.mu, ratio)
-    if kind == "alpha-half":
-        return "alpha", MultiplierSpec(pair.mu, math.sqrt(ratio))
-    raise ValueError(f"unknown operator kind {kind!r}; expected one of ('alpha-full', 'beta-full', 'alpha-half')")
-
-
-def k_operator(
-    kind: str,
-    pair: SoninePair,
-    plan_alpha: TransformPlan,
-    plan_beta: TransformPlan,
-    f,
-) -> SpectralFunction:
+def k_operator(pair: SoninePair, plan: TransformPlan, f, half: bool = False) -> SpectralFunction:
     """Scaled fractional power of the deformed Laplacian used by the
-    inversion formulas, realized through the spectral multiplier.
-
-    kind selects base order and exponent: 'alpha-full' and 'beta-full' apply
-    |lambda|^(2(beta-alpha)) scaled by c_beta/c_alpha on the respective plan;
-    'alpha-half' applies |lambda|^(beta-alpha) scaled by sqrt(c_beta/c_alpha).
-    ``f`` is a witness, or values on the plan's x-nodes.  Witness
-    inputs are checked against the plan order and flagged on mismatch.
-    """
-    which, spec = _k_params(kind, pair)
-    plan = plan_alpha if which == "alpha" else plan_beta
-    if isinstance(f, LizorkinWitness):
-        if abs(f.order.alpha - plan.alpha) > 1e-12:
-            warnings.warn(
-                f"witness realized at order {f.order.alpha} fed to the {kind} operator "
-                f"(expects order {plan.alpha})",
-                stacklevel=2,
-            )
-        f = f.values.values if np.array_equal(f.values.grid, plan.x_nodes) else f.fn(plan.x_nodes)
+    inversion formulas, realized through the spectral multiplier on ``plan``:
+    |lambda|^(2(beta-alpha)) scaled by c_beta/c_alpha, or with ``half`` its
+    square root |lambda|^(beta-alpha) scaled by sqrt(c_beta/c_alpha).
+    ``f`` is given on the plan's x-nodes, as for ``apply_multiplier_fn``."""
+    ratio = c_const(pair.beta) / c_const(pair.alpha)
+    spec = MultiplierSpec(pair.mu, math.sqrt(ratio)) if half else MultiplierSpec(2.0 * pair.mu, ratio)
     return apply_multiplier_fn(plan, f, spec)
 
 
@@ -188,11 +158,12 @@ def inversion_check(
 ) -> tuple[float, float, str]:
     """Run one reconstruction pipeline and compare against the witness.
 
-    Orders (composition applied right to left to the witness):
-      * 's-k1-ts':  sonine o alpha-full o dual-sonine,  witness at beta;
-      * 'ts-k2-s':  dual-sonine o beta-full o sonine,   witness at alpha;
-      * 'k1-ts-s':  alpha-full o dual-sonine o sonine,  witness at alpha;
-      * 'k2-s-ts':  beta-full o sonine o dual-sonine,   witness at beta.
+    Orders (composition applied right to left to the witness; K1 and K2 are
+    ``k_operator`` on the alpha and the beta plan):
+      * 's-k1-ts':  sonine o K1 o dual-sonine,  witness at beta;
+      * 'ts-k2-s':  dual-sonine o K2 o sonine,  witness at alpha;
+      * 'k1-ts-s':  K1 o dual-sonine o sonine,  witness at alpha;
+      * 'k2-s-ts':  K2 o sonine o dual-sonine,  witness at beta.
 
     Returns the largest absolute and relative errors at every third x-node
     where the witness exceeds 1e-3 of its peak, and a summary of those
@@ -204,7 +175,7 @@ def inversion_check(
     k_last = order.startswith("k")  # the multiplier acts after both Sonine steps
     u_max = _u_max_for(plan_beta)
     first_plan, second_plan = (plan_alpha, plan_beta) if ts_first else (plan_beta, plan_alpha)
-    kind = "alpha-full" if ts_first != k_last else "beta-full"
+    k_plan = second_plan if k_last else first_plan
     ref_vals = witness.values.values
     mask = np.abs(ref_vals) > _MASK_LEVEL * np.max(np.abs(ref_vals))
     points = witness.plan.x_nodes[mask][::_THIN]
@@ -216,9 +187,9 @@ def inversion_check(
     first = witness.image(pair, first_plan, u_max if ts_first else None)
     if k_last:
         first_fn = SpectralFunction.from_spectrum(first_plan, forward(first_plan, first).values)
-        recon = k_operator(kind, pair, plan_alpha, plan_beta, second_step(first_fn, second_plan.x_nodes))(points)
+        recon = k_operator(pair, k_plan, second_step(first_fn, second_plan.x_nodes))(points)
     else:
-        recon = second_step(k_operator(kind, pair, plan_alpha, plan_beta, first), points)
+        recon = second_step(k_operator(pair, k_plan, first), points)
     abs_err = float(np.max(np.abs(recon - reference)))
     rel_err = float(np.max(np.abs(recon - reference) / np.abs(reference)))
     return abs_err, rel_err, f"{points.size} masked points (level {_MASK_LEVEL})"
@@ -230,13 +201,13 @@ def multiplier_commutation_check(
     plan_beta: TransformPlan,
     witness: LizorkinWitness,
 ) -> tuple[float, float, str]:
-    """alpha-full o dual-sonine = dual-sonine o beta-full on a beta-witness:
-    the largest absolute error, the largest relative error where the left
-    side exceeds 1e-3 of its peak, and a summary of those points."""
+    """K1 o dual-sonine = dual-sonine o K2 on a beta-witness, K1 and K2 the
+    ``k_operator`` on the alpha and the beta plan: the largest absolute
+    error, the largest relative error where the left side exceeds 1e-3 of
+    its peak, and a summary of those points."""
     u_max = _u_max_for(plan_beta)
-    lhs_img = k_operator("alpha-full", pair, plan_alpha, plan_beta, witness.image(pair, plan_alpha, u_max))
-    lhs = lhs_img(plan_alpha.x_nodes)
-    k2_img = k_operator("beta-full", pair, plan_alpha, plan_beta, witness)
+    lhs = k_operator(pair, plan_alpha, witness.image(pair, plan_alpha, u_max))(plan_alpha.x_nodes)
+    k2_img = k_operator(pair, plan_beta, witness.values)
     abs_err, rel, n_mask = _masked_max_rel(lhs, dual_sonine_grid(pair, k2_img, plan_alpha.x_nodes, u_max=u_max))
     return abs_err, rel, f"{n_mask} masked points of {plan_alpha.x_nodes.size}"
 
@@ -252,5 +223,5 @@ def plancherel_dual_check(
     dual-Sonine transform."""
     lhs = float(np.real(plan_beta.integrate_x(np.abs(witness.values.values) ** 2)))
     ts_values = witness.image(pair, plan_alpha, _u_max_for(plan_beta))
-    k3_img = k_operator("alpha-half", pair, plan_alpha, plan_beta, ts_values)
+    k3_img = k_operator(pair, plan_alpha, ts_values, half=True)
     return lhs, float(np.real(plan_alpha.integrate_x(np.abs(k3_img(plan_alpha.x_nodes)) ** 2)))

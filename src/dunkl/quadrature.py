@@ -71,7 +71,6 @@ class QuadRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)
@@ -143,7 +142,7 @@ def _jacobi_rule(a: float, b: float, n: int) -> QuadRule:
     w = 1.0 / (g * (2.0 - g) * (dp / np.max(np.abs(dp))) ** 2)
     w *= math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)) / np.sum(w)
     s = np.where(neg, 0.5 * g, np.minimum(1.0 - 0.5 * g, np.nextafter(1.0, 0.0)))  # a top root closer to 1 than floats
-    return QuadRule(nodes=s, weights=w, kind=f"gauss_jacobi({a},{b})")
+    return QuadRule(nodes=s, weights=w)
 
 
 def theta_rule(alpha: OrderParam | float, n: int = DEFAULT_JACOBI_NODES) -> QuadRule:
@@ -161,7 +160,7 @@ def _theta_rule(a: float, n: int) -> QuadRule:
     base = jacobi_rule(a - 0.5, a - 0.5, n)
     theta = np.arccos(1.0 - 2.0 * base.nodes)
     weights = (2.0 ** (2.0 * a)) * base.weights
-    return QuadRule(nodes=theta, weights=weights, kind=f"theta({a})")
+    return QuadRule(nodes=theta, weights=weights)
 
 
 def radial_rule(alpha: OrderParam | float, half_width: float, n: int = 96) -> QuadRule:
@@ -169,11 +168,7 @@ def radial_rule(alpha: OrderParam | float, half_width: float, n: int = 96) -> Qu
     a = as_order(alpha).alpha
     base = jacobi_rule(0.0, 2.0 * a + 1.0, n)
     scale = float(half_width)
-    return QuadRule(
-        nodes=base.nodes * scale,
-        weights=base.weights * scale ** (2.0 * a + 2.0),
-        kind=f"radial({a})",
-    )
+    return QuadRule(nodes=base.nodes * scale, weights=base.weights * scale ** (2.0 * a + 2.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,7 +176,7 @@ def legendre_rule(n: int) -> QuadRule:
     """Gauss-Legendre rule on [-1, 1], memoized per size and shared between
     callers, so its arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadRule(nodes=x, weights=w, kind="gauss_legendre")
+    return QuadRule(nodes=x, weights=w)
 
 
 def legendre_panels(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ __all__ = [
     "run_check",
     "max_errs",
     "pair_errs",
+    "float_repr",
     "reports_to_json",
     "reports_from_json",
     "reports_to_csv",
@@ -116,7 +117,8 @@ def _jsonable(obj: Any):
     return obj
 
 
-def _float_repr(x: float) -> str:
+def float_repr(x: float) -> str:
+    """A float with 17 significant digits, so a double round-trips."""
     return format(float(x), ".17g")
 
 
@@ -142,9 +144,9 @@ def reports_to_csv(reports: Iterable[IdentityReport], include_timing: bool = Fal
                     wire["name"],
                     f'"{params}"',
                     f'"{wire["grid"]}"',
-                    _float_repr(wire["max_abs_err"]),
-                    _float_repr(wire["max_rel_err"]),
-                    _float_repr(wire["elapsed_s"]),
+                    float_repr(wire["max_abs_err"]),
+                    float_repr(wire["max_rel_err"]),
+                    float_repr(wire["elapsed_s"]),
                 ]
             )
         )

@@ -8,7 +8,7 @@ converge at spectral rates.  A plan keeps the kernel's even and odd real
 parts on the quadrant of positive nodes (``_mirror_sum``); the tests
 cross-check it against the independent series and compact-integral forms.
 Off the grids, ``forward_at`` and ``inverse_at`` take the one exact direct
-sum, a ``SpectralFunction``'s (``_direct_parts``).
+sum, that of a ``SpectralFunction`` without a plan.
 
 Multiplier operators |lambda|^sigma are applied on rules adapted to the
 exponent (weight |lambda|^(sigma + 2 alpha + 1) absorbed), so negative
@@ -210,14 +210,16 @@ def build_plan(
     """Build a plan and run its Gaussian self-test.
 
     The test transforms exp(-x^2), compares against the closed form
-    Gamma(alpha+1) exp(-lambda^2/4), and round-trips it; failure raises with
-    the achieved errors and a sizing hint.
+    Gamma(alpha+1) exp(-lambda^2/4), and round-trips it; failure, a nan
+    error included, raises with the achieved errors and a sizing hint.
+    ``half_width``, ``lambda_max`` and ``tol`` must be finite numbers > 0.
     """
     order = as_order(alpha)
     if n_x < 2 or n_lambda < 2:
         raise ValueError("plan needs at least one node per half-line in each direction")
-    if not (half_width > 0 and lambda_max > 0):
-        raise ValueError("plan extents must be positive")
+    for name, value in (("half_width", half_width), ("lambda_max", lambda_max), ("tol", tol)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"plan {name} must be a finite number > 0, got {value!r}")
     xn, xw = mirrored_weighted_rule(order.alpha, half_width, n_x // 2)
     ln, lw = mirrored_weighted_rule(order.alpha, lambda_max, n_lambda // 2)
     plan = TransformPlan(order, half_width, lambda_max, xn, xw, ln, lw, tol)
@@ -228,9 +230,10 @@ def build_plan(
         forward_err = float(np.max(np.abs(spectrum - math.gamma(order.alpha + 1.0) * np.exp(-(ln**2) / 4.0))))
         roundtrip_err = float(np.max(np.abs(_mirror_sum(plan, spectrum, +1) - gauss)))
         plan.self_test = {"forward_gaussian": forward_err, "roundtrip_gaussian": roundtrip_err}
-        if max(forward_err, roundtrip_err) > tol:
+        worst = float(np.max([forward_err, roundtrip_err]))  # NaN if either is
+        if not worst <= tol:
             raise PlanSelfTestError(
-                f"plan self-test reached {max(forward_err, roundtrip_err):.3e} "
+                f"plan self-test reached {worst:.3e} "
                 f"(requested {tol:.1e}); increase half_width/n_x or lambda_max/n_lambda"
             )
     return plan
@@ -246,38 +249,6 @@ def inverse(plan: TransformPlan, g) -> GridFunction:
     """Inverse transform of a spectrum on the plan's lambda-grid."""
     values = _values_on(g, plan.lambda_nodes, "lambda")
     return GridFunction(grid=plan.x_nodes, values=_mirror_sum(plan, values, +1), smoothness_hint="schwartz")
-
-
-def _direct_parts(alpha: float, abs_nodes, w_even, w_quotient, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact even part and odd quotient of a spectrum folded over the distinct |nu| at the points of
-    a 1-d array: both kernel parts at each distinct |x| from one ``j_norm_pair`` call, two real products."""
-    distinct, where = np.unique(np.abs(x), return_inverse=True)
-    even, odd = j_norm_pair(alpha, np.outer(distinct, abs_nodes))
-    return _real_matvec(even, w_even)[where], _real_matvec(odd, w_quotient)[where]
-
-
-def _direct_sum_at(plan: TransformPlan, values: np.ndarray, points, sign: int):
-    """``_mirror_sum`` at arbitrary points, in their shape: bit for bit the direct sum of a SpectralFunction
-    over the nodes sign * c (c the x- or lambda-nodes), whose weights fold the mirrored halves alike."""
-    v = plan.x_weights * values if sign < 0 else plan.c_alpha * plan.lambda_weights * values
-    nodes = (plan.x_nodes if sign < 0 else plan.lambda_nodes)[v.size // 2 :]
-    low, high = v[: nodes.size][::-1], v[nodes.size :]
-    w_quotient = 1j * nodes * (high - low if sign > 0 else low - high) / (2.0 * (plan.alpha + 1.0))
-
-    def value(p):
-        even, quotient = _direct_parts(plan.alpha, nodes, low + high, w_quotient, p)
-        return even + p * quotient
-
-    return _pointwise(points, value)
-
-
-def forward_at(plan: TransformPlan, f, lam_points):
-    """Transform evaluated off-grid: same x-rule, arbitrary spectral points; values in their shape."""
-    return _direct_sum_at(plan, _values_on(f, plan.x_nodes, "x"), lam_points, -1)
-
-
-def inverse_at(plan: TransformPlan, g, x_points):
-    return _direct_sum_at(plan, _values_on(g, plan.lambda_nodes, "lambda"), x_points, +1)
 
 
 class _ChebProxy:
@@ -373,8 +344,8 @@ class SpectralFunction(SmoothFunction):
     so it never evaluates more than twice the kernel points of the better
     choice in hindsight: summing every call directly, or building at once.
     Every other point, and every call of an object without a plan, is summed
-    directly (``_direct_parts``).  A read or a direct sum gives both parts,
-    so a route that needs both asks once, through ``parts``.
+    directly.  A read or a direct sum gives both parts, so a route that needs
+    both asks once, through ``parts``.
     The derivative needs no third order:
     d/du[u j_(alpha+1)(u)] = (2 alpha + 2) j_alpha(u) - (2 alpha + 1) j_(alpha+1)(u).
     """
@@ -432,17 +403,20 @@ class SpectralFunction(SmoothFunction):
             # copies of the strided columns: matmul takes BLAS only on contiguous operands
             return values[:, :split].view(self._w_even.dtype)[:, 0].copy(), values[:, split:].view(complex)[:, 0].copy()
         self._direct_left -= x.size if within else 0
-        return _direct_parts(self.order.alpha, self._abs_nodes, self._w_even, self._w_quotient, x)
+        # the direct sum: both kernel parts at each distinct |x| from one j_norm_pair call, two real products
+        distinct, where = np.unique(np.abs(x), return_inverse=True)
+        even, odd = j_norm_pair(self.order.alpha, np.outer(distinct, self._abs_nodes))
+        return _real_matvec(even, self._w_even)[where], _real_matvec(odd, self._w_quotient)[where]
 
     def parts(self, x):
         return _pointwise(x, self._parts)
 
     def __call__(self, x):
-        def value(v):
-            even, quotient = self._parts(v)
-            return even + v * quotient
+        return _pointwise(x, self._value)
 
-        return _pointwise(x, value)
+    def _value(self, x: np.ndarray) -> np.ndarray:
+        even, quotient = self._parts(x)
+        return even + x * quotient
 
     def even_part(self, x):
         """(f(x) + f(-x))/2 from the even kernel component alone."""
@@ -476,6 +450,20 @@ def forward_fn(plan: TransformPlan, f) -> SpectralFunction:
     plan's analysis tables; ``forward_at`` is its direct sum everywhere."""
     values = _values_on(f, plan.x_nodes, "x")
     return SpectralFunction(plan.order, -plan.x_nodes, plan.x_weights * values, plan=plan)
+
+
+def forward_at(plan: TransformPlan, f, lam_points):
+    """Transform evaluated off-grid: same x-rule, arbitrary spectral points; values in their shape.
+    The direct sum of ``forward_fn`` without its plan."""
+    values = _values_on(f, plan.x_nodes, "x")
+    return _pointwise(lam_points, SpectralFunction(plan.order, -plan.x_nodes, plan.x_weights * values)._value)
+
+
+def inverse_at(plan: TransformPlan, g, x_points):
+    """The mirror of ``forward_at``: the direct sum of ``from_spectrum`` without its plan."""
+    values = _values_on(g, plan.lambda_nodes, "lambda")
+    weights = plan.c_alpha * plan.lambda_weights * values
+    return _pointwise(x_points, SpectralFunction(plan.order, plan.lambda_nodes, weights)._value)
 
 
 def spectral_support(plan: TransformPlan, values: np.ndarray, floor: float) -> float:

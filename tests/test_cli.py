@@ -132,6 +132,13 @@ class TestTransformCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: plan self-test reached") and "Traceback" not in err
 
+    def test_infinite_extent_exits_2(self, tmp_path, capsys):
+        path, out_path = self.make_samples(tmp_path, n=41), tmp_path / "spec.csv"
+        code = main(["transform", "--alpha", "0.5", "--input", str(path), "--L", "inf", "--out", str(out_path)])
+        assert code == 2
+        assert "half_width must be a finite number > 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_nonmonotone_grid_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,f_re\n-1.0,1\n0.5,1\n0.0,1\n1.0,1\n")
@@ -158,6 +165,12 @@ class TestSonineCommand:
         code = main(["sonine", "--alpha", "0", "--beta", "1", "--x", "1", f"--rate={rate}"])
         assert code == 2
         assert "rate must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--x", "nan"], ["--x", "1", "--x", "inf", "--dual"]])
+    def test_non_finite_point_exits_2(self, args, capsys):
+        code = main(["sonine", "--alpha", "0", "--beta", "1", *args])
+        assert code == 2
+        assert "--x must be finite" in capsys.readouterr().err
 
 
 # exact bytes of the record output: the kernel records as the per-command
@@ -307,6 +320,13 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 2
         assert "tolerance 'sonine-product' must be a finite number > 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_infinite_extent_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "rep.json"
+        code = main(["verify", "--L", "inf", "--suites", "kernel-consistency,transform-oracles", "--out", str(out_path)])
+        assert code == 2
+        assert "half_width must be a finite number > 0" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_tolerance_key_of_report_names(self):

@@ -21,6 +21,7 @@ from dunkl.lizorkin import (
 from dunkl.sonine import SoninePair
 from dunkl.report import pair_errs
 from dunkl.special import c_const
+from dunkl.transform import MultiplierSpec, apply_multiplier_fn
 
 PAIR = (0.5, 1.5)
 
@@ -107,33 +108,32 @@ class TestWitnessMembership:
 
 class TestKOperator:
     def test_half_power_squares_to_full(self, setup):
-        pair, plan_a, plan_b, w = setup["pair"], setup["plan_a"], setup["plan_b"], setup["wa"]
-        half = k_operator("alpha-half", pair, plan_a, plan_b, w)
+        pair, plan_a, w = setup["pair"], setup["plan_a"], setup["wa"]
+        half = k_operator(pair, plan_a, w.values, half=True)
         half_grid = GridFunction(plan_a.x_nodes, half(plan_a.x_nodes), "schwartz")
-        twice = k_operator("alpha-half", pair, plan_a, plan_b, half_grid)
-        full = k_operator("alpha-full", pair, plan_a, plan_b, w)
+        twice = k_operator(pair, plan_a, half_grid, half=True)
+        full = k_operator(pair, plan_a, w.values)
         got = twice(plan_a.x_nodes)
         want = full(plan_a.x_nodes)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     def test_scale_is_c_ratio(self, setup):
-        pair = setup["pair"]
+        """The full operator is the multiplier |lambda|^(2 mu) scaled by
+        c_beta/c_alpha, the half one |lambda|^mu scaled by its square root."""
+        pair, plan_a, w = setup["pair"], setup["plan_a"], setup["wa"]
         ratio = c_const(pair.beta) / c_const(pair.alpha)
-        from dunkl.lizorkin import _k_params
-
-        which, spec = _k_params("alpha-full", pair)
-        assert which == "alpha" and spec.scale == pytest.approx(ratio)
-        which, spec = _k_params("alpha-half", pair)
-        assert spec.scale == pytest.approx(np.sqrt(ratio))
-        assert spec.exponent == pytest.approx(pair.mu)
+        xs = np.linspace(-6.0, 6.0, 13)
+        specs = {False: MultiplierSpec(2.0 * pair.mu, ratio), True: MultiplierSpec(pair.mu, np.sqrt(ratio))}
+        for half, spec in specs.items():
+            got, want = k_operator(pair, plan_a, w.values, half=half), apply_multiplier_fn(plan_a, w.values, spec)
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.wspec, want.wspec)
+            assert np.array_equal(got(xs), want(xs))
 
     def test_wrong_index_flagged(self, setup):
-        with pytest.warns(UserWarning, match="witness"):
-            k_operator("beta-full", setup["pair"], setup["plan_a"], setup["plan_b"], setup["wa"])
-
-    def test_unknown_kind(self, setup):
-        with pytest.raises(ValueError):
-            k_operator("gamma-full", setup["pair"], setup["plan_a"], setup["plan_b"], setup["wa"])
+        """A witness on the alpha plan's grid fed to the beta plan's operator."""
+        with pytest.raises(ValueError, match="grid mismatch"):
+            k_operator(setup["pair"], setup["plan_b"], setup["wa"].values)
 
 
 class TestInversions:

@@ -89,6 +89,19 @@ class TestPlanBuild:
         with pytest.raises(PlanSelfTestError, match="increase"):
             build_plan(0.5, half_width=3.0, n_x=32, lambda_max=4.0, n_lambda=32, tol=1e-10)
 
+    @pytest.mark.parametrize(
+        "size", [{"half_width": math.inf}, {"lambda_max": math.inf}, {"tol": math.nan}, {"tol": math.inf}]
+    )
+    def test_non_finite_size_rejected(self, size):
+        # an infinite extent makes the self-test read nan, and a nan or infinite tol would switch it off
+        with pytest.raises(ValueError, match=f"plan {next(iter(size))} must be a finite number > 0"):
+            build_plan(0.5, **size)
+
+    def test_nan_self_test_error_fails(self, monkeypatch):
+        monkeypatch.setattr(dunkl.transform, "_mirror_sum", lambda plan, values, sign: np.full(values.shape, math.nan))
+        with pytest.raises(PlanSelfTestError, match="reached nan"):
+            build_plan(0.5, n_x=32, n_lambda=32)
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             build_plan(0.5, n_lambda=0)
