@@ -2,8 +2,8 @@
 
 Subcommands: kernel, transform, sonine, verify, report.  Exit codes:
 0 = success / all identities within tolerance, 1 = at least one identity
-exceeded its tolerance, 2 = configuration or parse error or a failed plan
-self-test.  Output files are byte-identical across reruns of the same
+exceeded its tolerance, 2 = configuration or parse error (any ValueError,
+the library's rejections included) or a failed plan self-test.  Output files are byte-identical across reruns of the same
 configuration (timings are zeroed unless --timings is given); floats are
 printed with 17 significant digits so doubles round-trip losslessly.
 """
@@ -24,26 +24,15 @@ from .report import IdentityReport, float_repr, reports_from_json, reports_to_cs
 from .sonine import SoninePair, dual_sonine_apply, sonine_apply
 from .functions import gaussian
 from .special import OrderParam
-from .suites import DEFAULT_TOLERANCES, SUITES, RunConfig, run_suites
+from .suites import DEFAULT_TOLERANCES, SUITES, RunConfig, plan_sizes, run_suites
 from .transform import PlanSelfTestError, build_plan, forward, inverse
-
-
-class CliError(Exception):
-    """Configuration-level failure; maps to exit code 2."""
 
 
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
     except ValueError as exc:
-        raise CliError(f"cannot parse complex number {text!r}") from exc
-
-
-def _order_or_die(alpha: float) -> OrderParam:
-    try:
-        return OrderParam(alpha)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -68,7 +57,7 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 
 
 def cmd_kernel(args) -> int:
-    order = _order_or_die(args.alpha)
+    order = OrderParam(args.alpha)
     zs = [_parse_complex(z) for z in args.z]
     modes = ("bessel", "bochner") if args.mode == "both" else (args.mode,)
     records = []
@@ -91,7 +80,7 @@ def cmd_kernel(args) -> int:
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     text = Path(path).read_text().strip()
     if not text:
-        raise CliError(f"input file {path} is empty")
+        raise ValueError(f"input file {path} is empty")
     lines = text.splitlines()
     start = 1 if lines[0].lstrip().lower().startswith("x") else 0
     xs, vals = [], []
@@ -100,30 +89,30 @@ def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
             continue
         parts = [p for p in line.replace(",", " ").split() if p]
         if len(parts) not in (2, 3):
-            raise CliError(f"{path}:{ln}: expected 'x,f_re[,f_im]', got {line!r}")
+            raise ValueError(f"{path}:{ln}: expected 'x,f_re[,f_im]', got {line!r}")
         try:
             x = float(parts[0])
             re = float(parts[1])
             im = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
-            raise CliError(f"{path}:{ln}: {exc}") from exc
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
         xs.append(x)
         vals.append(re + 1j * im)
     xs_arr = np.asarray(xs)
     vals_arr = np.asarray(vals)
     if xs_arr.size < 4:
-        raise CliError("need at least 4 samples")
+        raise ValueError("need at least 4 samples")
     if np.any(np.diff(xs_arr) <= 0):
-        raise CliError("sample grid must be strictly increasing")
+        raise ValueError("sample grid must be strictly increasing")
     if abs(xs_arr[0] + xs_arr[-1]) > 1e-12 * max(abs(xs_arr[0]), abs(xs_arr[-1])):
-        raise CliError("sample grid must be symmetric about 0")
+        raise ValueError("sample grid must be symmetric about 0")
     return xs_arr, vals_arr
 
 
 def cmd_transform(args) -> int:
-    order = _order_or_die(args.alpha)
+    order = OrderParam(args.alpha)
     xs, vals = _read_samples(args.input)
-    plan = build_plan(order, half_width=args.half_width, n_x=args.nx, lambda_max=args.lambda_max, n_lambda=args.n_lambda)
+    plan = build_plan(order, **plan_sizes(args))
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(xs, vals)
@@ -142,12 +131,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_sonine(args) -> int:
-    try:
-        pair = SoninePair(OrderParam(args.alpha), args.beta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    pair = SoninePair(OrderParam(args.alpha), args.beta)
     if not all(math.isfinite(x) for x in args.x):
-        raise CliError(f"--x must be finite, got {args.x}")
+        raise ValueError(f"--x must be finite, got {args.x}")
     f = gaussian(args.rate)
     apply = dual_sonine_apply if args.dual else sonine_apply
     records = [{"x": x, "value": float(v)} for x, v in zip(args.x, np.real(apply(pair, f, np.asarray(args.x))))]
@@ -159,7 +145,7 @@ def _parse_tolerances(entries) -> dict:
     out = {}
     for entry in entries or ():
         if "=" not in entry:
-            raise CliError(f"--tol expects name=value, got {entry!r}")
+            raise ValueError(f"--tol expects name=value, got {entry!r}")
         name, _, value = entry.partition("=")
         out[name] = value
     return out
@@ -168,13 +154,13 @@ def _parse_tolerances(entries) -> dict:
 def _tolerance(name: str, value) -> float:
     """A known key's tolerance from a flag or the config: a finite number > 0."""
     if name not in DEFAULT_TOLERANCES:
-        raise CliError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
+        raise ValueError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
     try:
         tol = float(value)
     except (TypeError, ValueError):
         tol = math.nan
     if not 0.0 < tol < math.inf:
-        raise CliError(f"tolerance {name!r} must be a finite number > 0, got {value!r}")
+        raise ValueError(f"tolerance {name!r} must be a finite number > 0, got {value!r}")
     return tol
 
 
@@ -198,15 +184,15 @@ _CONFIG = {
 def _check_config(table: dict, known: dict, where: str) -> None:
     for key, value in table.items():
         if key not in known:
-            raise CliError(f"unknown config key {where}{key!r}; known: {', '.join(known)}")
+            raise ValueError(f"unknown config key {where}{key!r}; known: {', '.join(known)}")
         rule = known[key]
         if rule is None or isinstance(rule, dict):
             if not isinstance(value, dict):
-                raise CliError(f"config key {where}{key!r} must be a JSON object, got {value!r}")
+                raise ValueError(f"config key {where}{key!r} must be a JSON object, got {value!r}")
             if rule is not None:
                 _check_config(value, rule, f"{key}.")
         elif not rule[1](value):
-            raise CliError(f"config key {where}{key!r} must be {rule[0]}, got {value!r}")
+            raise ValueError(f"config key {where}{key!r} must be {rule[0]}, got {value!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -215,9 +201,9 @@ def _load_config(path: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     _check_config(data, _CONFIG, "")
     return data
 
@@ -229,10 +215,10 @@ def _build_run_config(args) -> RunConfig:
     cfg = RunConfig(
         alpha=args.alpha if args.alpha is not None else file_cfg.get("alpha"),
         beta=args.beta if args.beta is not None else file_cfg.get("beta"),
-        half_width=args.half_width if args.half_width is not None else float(grid.get("L", default.half_width)),
-        n_x=args.nx if args.nx is not None else int(grid.get("n_x", default.n_x)),
-        lambda_max=float(grid.get("lambda_max", default.lambda_max)),
-        n_lambda=int(grid.get("n_lambda", default.n_lambda)),
+        half_width=args.half_width if args.half_width is not None else grid.get("L"),
+        n_x=args.n_x if args.n_x is not None else grid.get("n_x"),
+        lambda_max=grid.get("lambda_max"),
+        n_lambda=grid.get("n_lambda"),
         tolerances={
             name: _tolerance(name, value)
             for name, value in {**file_cfg.get("tolerances", {}), **_parse_tolerances(args.tol)}.items()
@@ -245,22 +231,19 @@ def _build_run_config(args) -> RunConfig:
         include_timing=bool(args.timings),
     )
     if cfg.alpha is not None:
-        _order_or_die(cfg.alpha)
+        OrderParam(cfg.alpha)
     if cfg.beta is not None:
         if cfg.alpha is None:
-            raise CliError(f"beta = {cfg.beta} needs an alpha: an order pair takes both, from flags or the config")
-        _order_or_die(cfg.beta)
+            raise ValueError(f"beta = {cfg.beta} needs an alpha: an order pair takes both, from flags or the config")
+        OrderParam(cfg.beta)
         if not (cfg.beta > cfg.alpha):
-            raise CliError(f"order pair requires beta > alpha, got ({cfg.alpha}, {cfg.beta})")
+            raise ValueError(f"order pair requires beta > alpha, got ({cfg.alpha}, {cfg.beta})")
     return cfg
 
 
 def cmd_verify(args) -> int:
     cfg = _build_run_config(args)
-    try:
-        reports = run_suites(cfg)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
+    reports = run_suites(cfg)
     text = (
         reports_to_csv(reports, cfg.include_timing)
         if cfg.out_format == "csv"
@@ -284,7 +267,7 @@ def cmd_report(args) -> int:
         try:
             reports.extend(reports_from_json(Path(path).read_text()))
         except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read results {path}: {exc}") from exc
+            raise ValueError(f"cannot read results {path}: {exc}") from exc
     if not reports:
         print("no reports")
         return 0
@@ -336,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="transform sampled data (CSV columns x,f_re[,f_im])")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--input", required=True, help="samples file")
-    p.add_argument("--L", dest="half_width", type=float, default=12.0)
-    p.add_argument("--nx", type=int, default=512)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=16.0)
-    p.add_argument("--n-lambda", dest="n_lambda", type=int, default=512)
+    p.add_argument("--L", dest="half_width", type=float, help="plan sizes; each defaults to build_plan's")
+    p.add_argument("--nx", dest="n_x", type=int)
+    p.add_argument("--lambda-max", dest="lambda_max", type=float)
+    p.add_argument("--n-lambda", dest="n_lambda", type=int)
     p.add_argument("--roundtrip", action="store_true", help="apply forward then inverse and emit x-space values")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_transform)
@@ -358,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--L", dest="half_width", type=float, default=None)
-    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nx", dest="n_x", type=int, default=None)
     p.add_argument("--suites", default=None, help=f"comma list or 'all'; available: {', '.join(SUITES)}")
     p.add_argument("--tol", action="append", help="override a tolerance, e.g. --tol sonine-product=1e-7")
     p.add_argument("--config", help="JSON config file; flags override its keys")
@@ -379,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, PlanSelfTestError, ValueError) as exc:
+    except (PlanSelfTestError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import OrderParam, as_order, bessel_mod_array, log_b_coeff
+from .special import OrderParam, as_order, as_source_order, bessel_mod_array, log_b_coeff
 
 __all__ = [
     "SmoothFunction",
@@ -324,9 +324,9 @@ def dunkl_operator(alpha: OrderParam | float, f):
     f -> f' + (2 alpha + 1) (f(x) - f(-x)) / (2x).
 
     Exact on PolyFunction and PolyGaussian.  Any other input comes back as a
-    value-only wrapper; one without a derivative evaluator raises here.
+    value-only wrapper; one without a derivative evaluator raises here.  At -1/2 it is d/dx.
     """
-    a = as_order(alpha).alpha
+    a = as_source_order(alpha).alpha
     if isinstance(f, PolyFunction):
         c = f.coeffs
         if len(c) == 1:

@@ -119,9 +119,9 @@ def make_witness(
 
 
 def witness_plan(alpha: OrderParam | float) -> TransformPlan:
-    """Plan sized for witness pipelines: wide enough in x for the witness
-    tails, with a lambda rule that still resolves synthesis out to the
-    Weyl-tail truncation radius 1.3 * half_width; its self-test holds 1e-9."""
+    """Plan sized for witness pipelines: wide enough in x for the witness tails, which the pipelines
+    truncate at y = half_width (tS at u = half_width^2, _u_max_for), with a lambda rule that resolves
+    synthesis out to the synthesis proxy's radius 1.4 * half_width; its self-test holds 1e-9."""
     return build_plan(alpha, half_width=40.0, n_x=2 * 192, lambda_max=10.5, n_lambda=2 * 168, tol=1e-9)
 
 

@@ -3,7 +3,8 @@ and a stable wire format.
 
 ``run_check`` is the only code that times a check and builds an
 ``IdentityReport``; a check hands it a function that returns the errors,
-most often through one of the two error rules here.  The JSON wire format has exactly the keys
+most often through one of the three error rules here, each of which keeps
+a NaN.  The JSON wire format has exactly the keys
 ``name, params, grid, max_abs_err, max_rel_err, elapsed_s``.  Timing is
 zeroed on serialization unless explicitly requested, so that report files
 are byte-identical across reruns of the same configuration.
@@ -23,6 +24,7 @@ __all__ = [
     "run_check",
     "max_errs",
     "pair_errs",
+    "worst_errs",
     "float_repr",
     "reports_to_json",
     "reports_from_json",
@@ -105,6 +107,12 @@ def pair_errs(lhs: float, rhs: float) -> tuple[float, float]:
     return abs_err, abs_err / max(abs(lhs), abs(rhs), 1e-300)
 
 
+def worst_errs(rel_errs) -> tuple[float, float]:
+    """The largest per-case relative error, as both errors: NaN if any case is, 0 with none."""
+    worst = float(np.max([*rel_errs], initial=0.0))
+    return worst, worst
+
+
 def _jsonable(obj: Any):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -130,7 +138,13 @@ def reports_from_json(text: str) -> list[IdentityReport]:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("report file must contain a JSON array")
-    return [IdentityReport.from_wire(d) for d in data]
+    reports = []
+    for i, entry in enumerate(data):
+        try:
+            reports.append(IdentityReport.from_wire(entry))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"entry {i} is not a report: {exc!r}") from None
+    return reports
 
 
 def reports_to_csv(reports: Iterable[IdentityReport], include_timing: bool = False) -> str:

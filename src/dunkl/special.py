@@ -66,8 +66,8 @@ class OrderParam:
 
 
 #: The classical order -1/2, where E(z) = e^z and b_n = n!.  It bypasses
-#: OrderParam's check and is admitted only as the source order of a Sonine
-#: pair (see as_source_order); S_{-1/2,alpha} is the intertwiner V_alpha.
+#: OrderParam's check and is admitted only as a Sonine source order and by
+#: dunkl_operator (see as_source_order); S_{-1/2,alpha} is the intertwiner V_alpha.
 CLASSICAL_ORDER = object.__new__(OrderParam)
 object.__setattr__(CLASSICAL_ORDER, "alpha", -0.5)
 
@@ -83,7 +83,7 @@ def as_order(alpha: OrderParam | float) -> OrderParam:
 
 
 def as_source_order(alpha: OrderParam | float) -> OrderParam:
-    """as_order, also admitting -1/2: for SoninePair, log_b_coeff and a_sonine only."""
+    """as_order, also admitting -1/2: for SoninePair, log_b_coeff, a_sonine and dunkl_operator only."""
     if alpha is CLASSICAL_ORDER or (not isinstance(alpha, OrderParam) and float(alpha) == -0.5):
         return CLASSICAL_ORDER
     return as_order(alpha)

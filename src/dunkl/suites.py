@@ -25,8 +25,8 @@ import numpy as np
 from . import core, fractional, lizorkin, sonine, transform
 from .functions import KernelFunction, PolyFunction, PolyGaussian, gaussian, monomial_gaussian
 from .quadrature import jacobi_rule, radial_rule
-from .report import max_errs, pair_errs, run_check
-from .sonine import SoninePair
+from .report import max_errs, pair_errs, run_check, worst_errs
+from .sonine import SoninePair, classical_pair
 from .special import b_coeff
 
 __all__ = ["RunConfig", "RunContext", "Row", "Suite", "SUITES", "DEFAULT_TOLERANCES", "run_suites"]
@@ -34,6 +34,8 @@ __all__ = ["RunConfig", "RunContext", "Row", "Suite", "SUITES", "DEFAULT_TOLERAN
 DEFAULT_ALPHAS = (-0.25, 0.0, 0.5, 1.5)
 DEFAULT_BETA_OFFSETS = (0.5, 1.0, 2.0)
 PIPELINE_PAIRS = ((0.0, 0.5), (0.5, 1.5), (0.0, 2.0))
+#: the build_plan sizes a run may set; one left None takes build_plan's default
+PLAN_SIZES = ("half_width", "n_x", "lambda_max", "n_lambda")
 
 DEFAULT_TOLERANCES = {
     "kernel-consistency": 1e-10,
@@ -64,10 +66,10 @@ class RunConfig:
 
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    half_width: float = 12.0
-    n_x: int = 512
-    lambda_max: float = 16.0
-    n_lambda: int = 512
+    half_width: Optional[float] = None
+    n_x: Optional[int] = None
+    lambda_max: Optional[float] = None
+    n_lambda: Optional[int] = None
     tolerances: dict = field(default_factory=dict)
     suites: tuple = ("all",)
     out_path: Optional[str] = None
@@ -103,6 +105,11 @@ class RunConfig:
         return [{"alpha": a, "beta": b, "m": m} for a, b in pairs for m in ms]
 
 
+def plan_sizes(source) -> dict:
+    """The PLAN_SIZES that ``source``, a RunConfig or parsed flags, sets."""
+    return {k: getattr(source, k) for k in PLAN_SIZES if getattr(source, k) is not None}
+
+
 class RunContext:
     """What one run builds once and its suites share: transform plans,
     witness plans, witnesses and seeded random streams, memoized by value.
@@ -119,13 +126,8 @@ class RunContext:
         return self._memo[key]
 
     def plan(self, alpha: float) -> transform.TransformPlan:
-        c = self.config
-        return self._once(
-            ("plan", round(float(alpha), 12)),
-            lambda: transform.build_plan(
-                alpha, half_width=c.half_width, n_x=c.n_x, lambda_max=c.lambda_max, n_lambda=c.n_lambda
-            ),
-        )
+        sizes = plan_sizes(self.config)
+        return self._once(("plan", round(float(alpha), 12)), lambda: transform.build_plan(alpha, **sizes))
 
     def witness_plan(self, alpha: float) -> transform.TransformPlan:
         return self._once(("witness-plan", round(float(alpha), 12)), lambda: lizorkin.witness_plan(alpha))
@@ -186,22 +188,17 @@ _KERNEL_ARGS = (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 10j, -10j, 3 + 4j)
 
 
 def _kernel_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
-    worst = 0.0
-    for z in _KERNEL_ARGS:
+    def spread(z) -> float:
         vals = [core.dunkl_kernel(p["alpha"], z, mode) for mode in ("series", "bochner", "bessel")]
-        scale = max(abs(v) for v in vals)
-        spread = max(abs(v - w) for v in vals for w in vals)
-        worst = max(worst, spread / scale)
-    return worst, worst
+        return np.max([abs(v - w) for v in vals for w in vals]) / np.max([abs(v) for v in vals])
+
+    return worst_errs([spread(z) for z in _KERNEL_ARGS])
 
 
 def _transmutation_exact(ctx: RunContext, p: dict) -> tuple[float, float]:
-    a = p["alpha"]
+    """Lambda_alpha V_alpha p = V_alpha p': the intertwining relation of the pair (-1/2, alpha)."""
     poly = PolyFunction(ctx.rng(7).standard_normal(p["degree"] + 1))
-    lhs = core.dunkl_operator(a, core.intertwiner_v(a, poly))
-    rhs = core.intertwiner_v(a, poly.derivative())
-    abs_err = float(np.max(np.abs((lhs - rhs).coeffs)))
-    return abs_err, abs_err / max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
+    return sonine.intertwining_check(classical_pair(p["alpha"]), poly)
 
 
 _SMOOTH_GRID = np.linspace(-2.0, 2.0, 9)
@@ -234,14 +231,11 @@ def _sonine_duality(ctx: RunContext, p: dict) -> tuple[float, float]:
 
 
 def _sonine_product_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
-    pair = SoninePair.of(p["alpha"], p["beta"])
-    worst, xs = 0.0, np.array([0.3, 1.0, 2.5])
-    for lam in (1.0, 2j):
-        got = sonine.sonine_apply(pair, KernelFunction(p["alpha"], lam), xs)
-        want = KernelFunction(p["beta"], lam)(xs)
-        # Python's abs per element: np.abs over the arrays rounds some ratios differently
-        worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
-    return worst, worst
+    pair, xs = SoninePair.of(p["alpha"], p["beta"]), np.array([0.3, 1.0, 2.5])
+    sides = [(sonine.sonine_apply(pair, KernelFunction(p["alpha"], lam), xs), KernelFunction(p["beta"], lam)(xs))
+             for lam in (1.0, 2j)]
+    # Python's abs per element: np.abs over the arrays rounds some ratios differently
+    return worst_errs([abs(g - w) / abs(w) for got, want in sides for g, w in zip(got, want)])
 
 
 def _sonine_route_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
@@ -264,38 +258,34 @@ def _sonine_monomial_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
     follows, so each report shows both."""
     p["route_err"] = _sonine_route_spread(ctx, p)[1]
     pair = SoninePair.of(p["alpha"], p["beta"])
-    worst = 0.0
-    for n in range(0, 21):
-        want = b_coeff(n, p["alpha"]) / b_coeff(n, p["beta"])
-        got = sonine.sonine_apply(pair, PolyFunction.monomial(n), 1.3) / 1.3**n
-        worst = max(worst, abs(got - want) / abs(want))
-    return worst, worst
+    wants = [b_coeff(n, p["alpha"]) / b_coeff(n, p["beta"]) for n in range(0, 21)]
+    gots = [sonine.sonine_apply(pair, PolyFunction.monomial(n), 1.3) / 1.3**n for n in range(0, 21)]
+    return worst_errs([abs(got - want) / abs(want) for got, want in zip(gots, wants)])
 
 
 def _translation_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
-    worst = 0.0
-    for lam in (1.2, 1.5j):
+    def err(lam: complex, x: float, y: float) -> float:
         kf = KernelFunction(p["alpha"], lam)
-        for (x, y) in ((0.7, -1.1), (0.0, 0.9), (1.3, 1.3), (-0.4, 2.0)):
-            got = core.translation(p["alpha"], kf, x, y)
-            want = kf(x) * kf(y)
-            worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-    return worst, worst
+        got = core.translation(p["alpha"], kf, x, y)
+        want = kf(x) * kf(y)
+        return abs(got - want) / max(abs(want), 1e-300)
+
+    points = ((0.7, -1.1), (0.0, 0.9), (1.3, 1.3), (-0.4, 2.0))
+    return worst_errs([err(lam, x, y) for lam in (1.2, 1.5j) for (x, y) in points])
 
 
 def _convolution_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
     a = p["alpha"]
     f = gaussian()
     g = PolyGaussian(PolyFunction(np.array([1.0, 0.5])), 1.0)
-    worst = 0.0
+    errs = []
     for x in (0.0, 0.8, -1.5):
         fg = core.convolution(a, f, g, x)
         gf = core.convolution(a, g, f, x)
-        worst = max(worst, abs(fg - gf) / max(abs(fg), 1e-300))
+        errs.append(abs(fg - gf) / max(abs(fg), 1e-300))
     closed = math.gamma(a + 1.0) * 2.0 ** (-(a + 1.0)) * np.exp(-0.8**2 / 2.0)
-    got = core.convolution(a, f, f, 0.8)
-    worst = max(worst, abs(got - closed) / closed)
-    return worst, worst
+    errs.append(abs(core.convolution(a, f, f, 0.8) - closed) / closed)
+    return worst_errs(errs)
 
 
 def _gaussian_oracle(ctx: RunContext, p: dict) -> tuple[float, float, str]:
@@ -371,12 +361,12 @@ def _cross_route_spread(ctx: RunContext, p: dict) -> tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mult = transform.apply_multiplier_fn(plan, f_grid, transform.MultiplierSpec(2.0 * p["lam"], 1.0))
-    worst = 0.0
-    for x in (0.0, 1.0, 2.2):
+
+    def err(x: float) -> float:
         km = float(np.real(mult(np.asarray([x]))[0]))
-        kk = fractional.frac_power_kernel(p["alpha"], p["lam"], gaussian(), x)
-        worst = max(worst, abs(km - kk) / abs(km))
-    return worst, worst
+        return abs(km - fractional.frac_power_kernel(p["alpha"], p["lam"], gaussian(), x)) / abs(km)
+
+    return worst_errs([err(x) for x in (0.0, 1.0, 2.2)])
 
 
 # The pipeline rows call the lizorkin checks through the module, so that a
@@ -472,7 +462,7 @@ def run_suites(config: RunConfig) -> list:
         elif n in SUITES:
             requested.add(n)
         else:
-            raise KeyError(f"unknown suite {n!r}; available: {', '.join(SUITES)}")
+            raise ValueError(f"unknown suite {n!r}; available: {', '.join(SUITES)}")
     ctx = RunContext(config)
     reports = [r for n in SUITES if n in requested for r in SUITES[n](config, ctx)]
     for r in reports:

@@ -80,7 +80,10 @@ def mirrored_weighted_rule(
         raise ValueError(f"absorbed exponent {b_exp} not integrable")
     base = jacobi_rule(0.0, b_exp, n_half)
     x = base.nodes * half_width
-    w = base.weights * half_width ** (b_exp + 1.0)
+    try:
+        w = base.weights * half_width ** (b_exp + 1.0)
+    except OverflowError:
+        raise ValueError(f"extent {half_width!r} overflows the rule's weights, extent ** {b_exp + 1.0}") from None
     nodes = np.concatenate([-x[::-1], x])
     weights = np.concatenate([w[::-1], w])
     return nodes, weights

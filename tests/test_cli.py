@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import dunkl.cli
+import dunkl.transform
 from dunkl.cli import main
 from dunkl.suites import DEFAULT_TOLERANCES, RunConfig
+from dunkl.transform import build_plan
 
 
 def run_cli(args, **kw):
@@ -137,6 +139,28 @@ class TestTransformCommand:
         code = main(["transform", "--alpha", "0.5", "--input", str(path), "--L", "inf", "--out", str(out_path)])
         assert code == 2
         assert "half_width must be a finite number > 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_sizes_default_to_build_plans(self, tmp_path):
+        """With no size flag the command transforms on build_plan's default grid."""
+        path, out_path = self.make_samples(tmp_path), tmp_path / "back.csv"
+        assert main(["transform", "--alpha", "0.5", "--input", str(path), "--roundtrip", "--out", str(out_path)]) == 0
+        xs = [float(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(xs, build_plan(0.5).x_nodes)
+        assert main(["transform", "--alpha", "0.5", "--input", str(path), "--out", str(out_path)]) == 0
+        lam = [float(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(lam, build_plan(0.5).lambda_nodes)
+
+    def test_invalid_order_exits_2(self, tmp_path, capsys):
+        path = self.make_samples(tmp_path, n=41)
+        assert main(["transform", "--alpha", "-0.7", "--input", str(path)]) == 2
+        assert "error: order parameter must satisfy alpha > -1/2, got -0.7" in capsys.readouterr().err
+
+    def test_overflowing_extent_exits_2(self, tmp_path, capsys):
+        path, out_path = self.make_samples(tmp_path, n=41), tmp_path / "spec.csv"
+        code = main(["transform", "--alpha", "0.5", "--input", str(path), "--lambda-max", "1e200", "--out", str(out_path)])
+        assert code == 2
+        assert "extent 1e+200 overflows" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_nonmonotone_grid_rejected(self, tmp_path, capsys):
@@ -329,6 +353,36 @@ class TestVerifyCommand:
         assert "half_width must be a finite number > 0" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_overflowing_extent_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "rep.json"
+        code = main(["verify", "--alpha", "1.5", "--L", "1e200", "--suites", "transform-oracles", "--out", str(out_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "extent 1e+200 overflows" in err and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_invalid_order_exits_2(self, capsys, no_suite_runs):
+        assert main(["verify", "--alpha", "-0.7"]) == 2
+        assert "error: order parameter must satisfy alpha > -1/2, got -0.7" in capsys.readouterr().err
+
+    def test_plan_sizes_reach_build_plan(self, tmp_path, monkeypatch):
+        """The four grid keys of a config file, and the --L and --nx flags over
+        them, are the sizes a run passes to build_plan, and nothing else."""
+        seen = []
+        monkeypatch.setattr(dunkl.transform, "build_plan", lambda alpha, **sizes: seen.append(sizes))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": {"L": 10.0, "n_x": 256, "lambda_max": 12.0, "n_lambda": 128}}))
+        from dunkl.cli import _build_run_config, build_parser
+        from dunkl.suites import RunContext
+
+        for flags, want in (
+            ([], {"half_width": 10.0, "n_x": 256, "lambda_max": 12.0, "n_lambda": 128}),
+            (["--L", "9", "--nx", "64"], {"half_width": 9.0, "n_x": 64, "lambda_max": 12.0, "n_lambda": 128}),
+        ):
+            args = build_parser().parse_args(["verify", "--config", str(config), *flags])
+            RunContext(_build_run_config(args)).plan(0.5)
+            assert seen.pop() == want
+
     def test_tolerance_key_of_report_names(self):
         cfg = RunConfig(tolerances={"inversion": 1e-9})
         assert cfg.tol("inversion-k2-s-ts") == 1e-9
@@ -431,6 +485,18 @@ class TestReportCommand:
         assert code == 0
         assert "sonine-product" in out
         assert "2" in out.split("sonine-product")[1].split()[0]
+
+    @pytest.mark.parametrize(
+        "entries, cause",
+        [([1, 2], "TypeError"), ([{}], "KeyError('name')"),
+         ([{"name": "a", "params": [1], "max_abs_err": 0.0, "max_rel_err": 0.0}], "TypeError")],
+    )
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, entries, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(entries))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read results {path}: entry 0 is not a report: {cause}")
 
     def test_missing_file_exits_2(self, capsys):
         code = main(["report", "no-such-file.json"])

@@ -246,6 +246,16 @@ class TestOperator:
         with pytest.raises(ValueError):
             dunkl_operator(0.5, WrappedFunction(lambda x: np.exp(-np.asarray(x) ** 2)))
 
+    def test_classical_order_is_the_derivative(self):
+        """At the Sonine source order -1/2 the reflection gain vanishes, so the
+        operator is d/dx, bit for bit on both exact classes."""
+        p = PolyFunction(np.random.default_rng(3).standard_normal(12))
+        np.testing.assert_array_equal(dunkl_operator(-0.5, p).coeffs, p.derivative().coeffs)
+        pg = PolyGaussian(PolyFunction(np.array([1.0, -0.4, 0.3, 2.0])), 1.5)
+        image, want = dunkl_operator(classical_pair(0.5).alpha, pg), pg.derivative_fn()
+        assert image.rate == want.rate
+        np.testing.assert_array_equal(image.poly.coeffs, want.poly.coeffs)
+
 
 class TestIntertwiner:
     def test_normalization(self):

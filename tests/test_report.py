@@ -1,6 +1,7 @@
 """Report wire format and determinism guarantees."""
 
 import json
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from dunkl.report import (
     reports_to_csv,
     reports_to_json,
     run_check,
+    worst_errs,
 )
 
 
@@ -68,6 +70,11 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             IdentityReport("x", {}, "", -1.0, 0.0)
 
+    def test_malformed_entry_named(self):
+        good = sample_reports()[0].to_wire()
+        with pytest.raises(ValueError, match="entry 1 is not a report"):
+            reports_from_json(json.dumps([good, {}]))
+
     def test_bad_file_rejected(self):
         with pytest.raises(ValueError):
             reports_from_json(json.dumps({"not": "a list"}))
@@ -98,6 +105,16 @@ class TestErrorRules:
         assert pair_errs(3.0, 4.0) == (1.0, 0.25)
         assert pair_errs(-4.0, 3.0) == (7.0, 7.0 / 4.0)
         assert pair_errs(0.0, 0.0) == (0.0, 0.0)
+
+    def test_worst_rule_takes_the_largest_case(self):
+        assert worst_errs([]) == (0.0, 0.0)
+        assert worst_errs([1e-12, 3e-9, 2e-10]) == (3e-9, 3e-9)
+
+    def test_worst_rule_keeps_a_nan(self):
+        # Python's max(0.0, nan) is 0.0: a NaN case must not read as an exact pass
+        abs_err, rel_err = worst_errs([1e-12, math.nan, 2e-10])
+        assert math.isnan(abs_err) and math.isnan(rel_err)
+        assert not IdentityReport("x", {"tol": 1.0}, "", abs_err, rel_err).passed()
 
     def test_max_rule_scales_by_reference(self):
         assert max_errs([2.0, -4.0], [2.5, -4.0]) == (0.5, 0.125)

@@ -3,10 +3,16 @@ every tolerance has a row, the rows call the library where its wrappers
 see them, and each suite run alone writes its slice of the full report."""
 
 import json
+import math
 
-from dunkl import fractional
-from dunkl.cli import main
-from dunkl.suites import DEFAULT_TOLERANCES, SUITES, RunConfig, RunContext
+import numpy as np
+import pytest
+
+from dunkl import core, fractional, sonine
+from dunkl.cli import _build_run_config, build_parser, main
+from dunkl.functions import PolyFunction
+from dunkl.suites import DEFAULT_TOLERANCES, SUITES, RunConfig, RunContext, run_suites
+from dunkl.transform import build_plan
 
 ROW_NAMES = {row.name for suite in SUITES.values() for row in suite.rows}
 
@@ -64,3 +70,60 @@ def test_reversed_suite_list_writes_the_same_report(verify_all_run, tmp_path):
     out = tmp_path / "reversed.json"
     assert main(["verify", "--suites", ",".join(reversed(SUITES)), "--out", str(out)]) == 0
     assert out.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "suite, module, route, orders",
+    [
+        ("kernel-consistency", core, "dunkl_kernel", {}),
+        ("sonine-product", sonine, "sonine_apply", {"alpha": 0.0, "beta": 0.5}),
+        ("sonine-monomial", sonine, "sonine_apply", {"alpha": 0.0, "beta": 0.5}),
+        ("translation-product", core, "translation", {"alpha": 0.0}),
+        ("convolution", core, "convolution", {"alpha": 0.0}),
+        ("fractional-cross-route", fractional, "frac_power_kernel", {}),
+    ],
+)
+def test_nan_route_fails_its_spread_row(monkeypatch, suite, module, route, orders):
+    """A route that returns NaN makes its row report NaN and fail, rather
+    than read as an exact pass.  The exact polynomial image of
+    ``sonine_apply``, which the route check reads, stays as it is."""
+    original = getattr(module, route)
+
+    def nan_route(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return out if isinstance(out, PolyFunction) else out * math.nan
+
+    monkeypatch.setattr(module, route, nan_route)
+    reports = [r for r in run_suites(RunConfig(suites=(suite,), **orders)) if r.name == suite]
+    assert reports
+    for r in reports:
+        assert math.isnan(r.max_rel_err) and not r.passed(), r.params
+
+
+def test_one_nan_kernel_mode_fails_kernel_consistency(monkeypatch):
+    """One mode NaN at one argument fails every order: neither the scale nor
+    the spread over the modes drops it."""
+    original = core.dunkl_kernel
+
+    def one_nan(alpha, z, mode):
+        return original(alpha, z, mode) * (math.nan if mode == "bochner" and z == 5.0 else 1.0)
+
+    monkeypatch.setattr(core, "dunkl_kernel", one_nan)
+    reports = run_suites(RunConfig(suites=("kernel-consistency",)))
+    assert len(reports) == 5
+    assert all(math.isnan(r.max_rel_err) and not r.passed() for r in reports)
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        run_suites(RunConfig(suites=("nonsense",)))
+
+
+def test_default_run_plan_is_build_plans_default():
+    """A verify run that sets no size builds the plan build_plan's defaults
+    give, node for node and weight for weight."""
+    config = _build_run_config(build_parser().parse_args(["verify"]))
+    plan, want = RunContext(config).plan(0.5), build_plan(0.5)
+    for got, ref in ((plan.x_nodes, want.x_nodes), (plan.x_weights, want.x_weights),
+                     (plan.lambda_nodes, want.lambda_nodes), (plan.lambda_weights, want.lambda_weights)):
+        np.testing.assert_array_equal(got, ref)

@@ -1,6 +1,7 @@
 """Discrete transform plans, Plancherel, and spectral multipliers."""
 
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -96,6 +97,14 @@ class TestPlanBuild:
         # an infinite extent makes the self-test read nan, and a nan or infinite tol would switch it off
         with pytest.raises(ValueError, match=f"plan {next(iter(size))} must be a finite number > 0"):
             build_plan(0.5, **size)
+
+    @pytest.mark.parametrize(
+        "alpha, size", [(0.5, {"half_width": 1e120}), (0.5, {"lambda_max": 1e120}), (3.5, {"half_width": 1e45})]
+    )
+    def test_overflowing_extent_rejected(self, alpha, size):
+        # extent ** (2 alpha + 2) scales the weights; past the double range it is a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"extent {next(iter(size.values()))!r} overflows")):
+            build_plan(alpha, **size)
 
     def test_nan_self_test_error_fails(self, monkeypatch):
         monkeypatch.setattr(dunkl.transform, "_mirror_sum", lambda plan, values, sign: np.full(values.shape, math.nan))
